@@ -73,7 +73,8 @@ def _read_block(fh, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
 
 
-def load_checkpoint(path) -> tuple[SchemeState, np.random.Generator, CheckpointMeta]:
+def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.random.Generator, CheckpointMeta]:
+    """Read a checkpoint; the velocity is recovered with the given density floor."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -110,6 +111,6 @@ def load_checkpoint(path) -> tuple[SchemeState, np.random.Generator, CheckpointM
     if norm_l2(w) == 0.0:
         u = zeros(grid, grid.dim)
     else:
-        u, _ = recover_velocity(rho, w, m)
+        u, _ = recover_velocity(rho, w, m, rho_floor=rho_floor)
     state = SchemeState(t=t, rho=rho, w=w, u=u, c=c)
     return state, rng, CheckpointMeta(dim, modes, m, n, noise_modes)

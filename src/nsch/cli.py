@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, format_config, parse_config
 from .constitutive import chemical_potential
 from .diagnostics import audit_ledger_rows, korn_check, ledger_from_csv, ledger_to_csv, mass, poincare_check
-from .ensemble import EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
+from .ensemble import _SWEEPABLE, EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from .errors import CheckpointError, ConfigError, SchemeError
 from .noise import path_generator
 from .spectral import from_coeffs
@@ -27,8 +27,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
-
-_SWEEP_CHOICES = ("eps", "m", "n", "R", "dt")
 
 
 def _load_config(path: str | None, seed: int | None) -> RunConfig:
@@ -149,12 +147,12 @@ def cmd_verify(args) -> int:
     k0_ref = None
     for snap in snaps:
         try:
-            state, _, meta = load_checkpoint(snap)
+            state, _, meta = load_checkpoint(snap, rho_floor=config.params.fspec.rho_floor)
         except (CheckpointError, SchemeError) as exc:
             problems.append(f"{snap.name}: unreadable ({exc})")
             continue
         grid = state.rho.grid
-        k0 = state.rho.coeffs[0, 0] if grid.dim == 1 else state.rho.coeffs[0, grid.kmax, 0]
+        k0 = state.rho.coeffs[0][grid.zero_index]
         if k0_ref is None:
             k0_ref = k0
         elif k0 != k0_ref:
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="parameter sweep with common random numbers; writes trend.csv")
     common(p_sw)
-    p_sw.add_argument("--param", required=True, choices=_SWEEP_CHOICES)
+    p_sw.add_argument("--param", required=True, choices=_SWEEPABLE)
     p_sw.add_argument("--values", required=True, help="comma-separated values")
     p_sw.add_argument("--workers", type=int, default=None)
     p_sw.set_defaults(func=cmd_sweep)

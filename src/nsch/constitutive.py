@@ -22,9 +22,7 @@ import numpy as np
 from .errors import PositivityError
 from .spectral import (
     SpectralField,
-    gradient,
     laplacian,
-    pointwise,
     to_physical,
     to_spectral,
 )
@@ -39,9 +37,11 @@ __all__ = [
     "free_energy",
     "pressure",
     "chemical_potential",
+    "chemical_potential_values",
     "f_partials",
     "stress",
     "korteweg",
+    "korteweg_values",
 ]
 
 
@@ -267,16 +267,15 @@ def f_partials(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, which: str)
     raise ValueError(f"unknown partial {which!r}")
 
 
+def chemical_potential_values(rv: np.ndarray, cv: np.ndarray, lap_cv: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
+    """mu = df/dc - (1/rho) Lap c pointwise, from grid values of rho, c and Lap c."""
+    return f_partials(rv, cv, spec, "f_c") - lap_cv / rv
+
+
 def chemical_potential(rho: SpectralField, c: SpectralField, spec: FreeEnergySpec) -> SpectralField:
     """mu = df/dc - (1/rho) Lap c as a spectral field."""
-    grid = rho.grid
-    lap_c = laplacian(c)
-
-    def mu_values(rv, cv, lv):
-        check_positive(rv[0], spec.rho_floor)
-        return f_partials(rv[0], cv[0], spec, "f_c") - lv[0] / rv[0]
-
-    return pointwise(grid, mu_values, rho, c, lap_c)
+    values = chemical_potential_values(to_physical(rho)[0], to_physical(c)[0], to_physical(laplacian(c))[0], spec)
+    return to_spectral(rho.grid, values)
 
 
 def stress(grad_u: SpectralField, visc: ViscositySpec) -> SpectralField:
@@ -301,13 +300,9 @@ def stress(grad_u: SpectralField, visc: ViscositySpec) -> SpectralField:
     return SpectralField(grid, np.stack(comps))
 
 
-def korteweg(grad_c: SpectralField) -> SpectralField:
-    """Capillary stress grad c x grad c - |grad c|^2 I / 2, dealiased."""
-    grid = grad_c.grid
-    n = grid.dim
-    if grad_c.ncomp != n:
-        raise ValueError(f"expected {n} gradient components, got {grad_c.ncomp}")
-    gv = to_physical(grad_c)
+def korteweg_values(gv: np.ndarray) -> np.ndarray:
+    """Capillary stress grad c x grad c - |grad c|^2 I / 2 from grid values of grad c, flattened as i*N+j."""
+    n = gv.shape[0]
     sq = np.sum(gv**2, axis=0)
     comps = []
     for i in range(n):
@@ -316,4 +311,12 @@ def korteweg(grad_c: SpectralField) -> SpectralField:
             if i == j:
                 t = t - 0.5 * sq
             comps.append(t)
-    return to_spectral(grid, np.stack(comps))
+    return np.stack(comps)
+
+
+def korteweg(grad_c: SpectralField) -> SpectralField:
+    """Capillary stress grad c x grad c - |grad c|^2 I / 2, dealiased."""
+    grid = grad_c.grid
+    if grad_c.ncomp != grid.dim:
+        raise ValueError(f"expected {grid.dim} gradient components, got {grad_c.ncomp}")
+    return to_spectral(grid, korteweg_values(to_physical(grad_c)))

@@ -26,10 +26,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constitutive import FreeEnergySpec, ViscositySpec, chemical_potential, f_partials, free_energy, stress
+from .constitutive import FreeEnergySpec, ViscositySpec, f_partials, stress
 from .errors import PositivityError
-from .noise import WienerIncrement, ito_grad_correction, ito_value_correction
-from .scheme import ApproxParams, SchemeState, cutoff
+from .noise import WienerIncrement, ito_grad_term, ito_value_term
+from .scheme import ApproxParams, Collocation, SchemeState, collocation, cutoff
 from .spectral import (
     SpectralField,
     divergence,
@@ -86,71 +86,54 @@ class EnergyLedger:
 LEDGER_COLUMNS = [f.name for f in fields(EnergyLedger)]
 
 
-def _energy_parts(state: SchemeState, fspec: FreeEnergySpec) -> tuple[float, float, float]:
-    grid = state.rho.grid
-    rv = to_physical(state.rho)[0]
-    if float(np.min(rv)) <= fspec.rho_floor:
-        raise PositivityError(float(np.min(rv)), t=state.t)
-    uv = to_physical(state.u)
-    cv = to_physical(state.c)[0]
-    kinetic = 0.5 * integrate_values(grid, rv * np.sum(uv**2, axis=0))
-    free = integrate_values(grid, rv * free_energy(rv, cv, fspec))
-    gcv = to_physical(gradient(state.c))
-    interface = 0.5 * integrate_values(grid, np.sum(gcv**2, axis=0))
-    return kinetic, free, interface
-
-
 def total_energy(state: SchemeState, fspec: FreeEnergySpec) -> float:
     """int [ rho |u|^2 / 2 + rho f(rho, c) + |grad c|^2 / 2 ]."""
-    return float(sum(_energy_parts(state, fspec)))
+    return float(sum(collocation(state).energy_parts(fspec)))
 
 
 def artificial_energy(state: SchemeState, params: ApproxParams) -> float:
     """sqrt(eps)/(alpha-1) int rho^alpha."""
-    grid = state.rho.grid
-    rv = to_physical(state.rho)[0]
-    return float(
-        np.sqrt(params.eps) / (params.alpha_exp - 1.0) * integrate_values(grid, rv**params.alpha_exp)
-    )
+    return collocation(state, params).artificial
 
 
 def initial_ledger_row(state: SchemeState, params: ApproxParams) -> EnergyLedger:
     """Row zero: initial energies, no transfers, zero residual."""
-    kin, fre, inter = _energy_parts(state, params.fspec)
-    art = artificial_energy(state, params)
-    return EnergyLedger(kin, fre, inter, art, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    col = collocation(state, params)
+    kin, fre, inter = col.energies
+    return EnergyLedger(kin, fre, inter, col.artificial, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def energy_ledger_step(
     pre: SchemeState, post: SchemeState, inc: WienerIncrement, params: ApproxParams
 ) -> EnergyLedger:
-    """Evaluate every balance entry for one step; all transfers use the pre state."""
-    grid = pre.rho.grid
+    """Evaluate every balance entry for one step; all transfers use the pre state.
+
+    Both states' collocation records are shared with the step, so the pre
+    energies are the ones computed when the pre state was a post state.
+    """
+    a = collocation(pre, params)
+    b = collocation(post, params)
+    grid = a.grid
     fspec = params.fspec
     dt = inc.dt
     noise = params.noise
 
-    kin1, fre1, int1 = _energy_parts(post, fspec)
-    art1 = artificial_energy(post, params)
-    kin0, fre0, int0 = _energy_parts(pre, fspec)
-    art0 = artificial_energy(pre, params)
+    kin1, fre1, int1 = b.energies
+    art1 = b.artificial
+    kin0, fre0, int0 = a.energies
+    art0 = a.artificial
     d_total = (kin1 + fre1 + int1 + art1) - (kin0 + fre0 + int0 + art0)
 
-    rv = to_physical(pre.rho)[0]
-    cv = to_physical(pre.c)[0]
-    uv_grad = grad_tensor(pre.u)
-    sv = to_physical(stress(uv_grad, params.visc))
-    gv = to_physical(uv_grad)
-    diss_visc = integrate_values(grid, np.sum(sv * gv, axis=0)) * dt
-
-    mu = chemical_potential(pre.rho, pre.c, fspec)
-    gmu = to_physical(gradient(mu))
-    diss_mu = integrate_values(grid, np.sum(gmu**2, axis=0)) * dt
+    rv = a.rho[0]
+    cv = a.c[0]
+    gv = a.grad_u
+    diss_visc = integrate_values(grid, np.sum(a.visc_stress * gv, axis=0)) * dt
+    diss_mu = integrate_values(grid, np.sum(a.grad_mu**2, axis=0)) * dt
 
     grad_u_sq = np.sum(gv**2, axis=0)
     diss_eps = params.eps * integrate_values(grid, rv * grad_u_sq) * dt
 
-    grho = to_physical(gradient(pre.rho))
+    grho = a.grad_rho
     grho_sq = np.sum(grho**2, axis=0)
     diss_art = (
         np.sqrt(params.eps)
@@ -162,24 +145,14 @@ def energy_ledger_step(
 
     rho_f_rr = f_partials(rv, cv, fspec, "rho_f_rho_rho")
     rhs1 = -params.eps * integrate_values(grid, rho_f_rr * grho_sq) * dt
-    gcv = to_physical(gradient(pre.c))
     rho_f_rc = f_partials(rv, cv, fspec, "rho_f_rho_c")
-    rhs2 = -params.eps * integrate_values(grid, rho_f_rc * np.sum(grho * gcv, axis=0)) * dt
+    rhs2 = -params.eps * integrate_values(grid, rho_f_rc * np.sum(grho * a.grad_c, axis=0)) * dt
 
-    ito1 = ito_grad_correction(pre.c, noise) * dt
-    ito2 = ito_value_correction(pre.rho, pre.c, noise, fspec) * dt
-
-    stoch = 0.0
+    ito1 = ito2 = stoch = 0.0
     if noise.K > 0:
-        muv = to_physical(mu)[0]
-        base = rv * muv
-        for i, k in enumerate(noise.modes):
-            if inc.dbeta[i] != 0.0:
-                stoch += (
-                    noise.alphas[i]
-                    * inc.dbeta[i]
-                    * integrate_values(grid, base * noise.family.value(k, cv))
-                )
+        ito1 = ito_grad_term(grid, noise, a.dsigma, a.grad_c) * dt
+        ito2 = ito_value_term(grid, noise, fspec, a.sigma, rv, cv) * dt
+        stoch = _stochastic_transfer(a, inc, rv * a.mu_values[0])
 
     residual = d_total + diss_visc + diss_mu + diss_eps + diss_art - rhs1 - rhs2 - ito1 - ito2 - stoch
     return EnergyLedger(
@@ -198,6 +171,19 @@ def energy_ledger_step(
         stochastic_increment=stoch,
         residual=residual,
     )
+
+
+def _stochastic_transfer(col: Collocation, inc: WienerIncrement, base: np.ndarray) -> float:
+    """sum_k alpha_k dbeta_k int base sigma_k(c), accumulated mode by mode."""
+    noise = col.params.noise
+    grid = col.grid
+    # integrate_values of every mode at once: one row sum per mode
+    integrals = np.sum((base * col.sigma).reshape(noise.K, -1), axis=1) * grid.spacing**grid.dim
+    total = 0.0
+    for i in range(noise.K):
+        if inc.dbeta[i] != 0.0:
+            total += noise.alphas[i] * inc.dbeta[i] * integrals[i]
+    return float(total)
 
 
 def mass(state: SchemeState) -> float:
@@ -220,8 +206,8 @@ def renormalized_residual(
     reduces to exact mass conservation; general b has an O(dt) defect.
     """
     grid = pre.rho.grid
-    rv0 = to_physical(pre.rho)[0]
-    rv1 = to_physical(post.rho)[0]
+    rv0 = collocation(pre, params).rho[0]
+    rv1 = collocation(post, params).rho[0]
     if min(float(np.min(rv0)), float(np.min(rv1))) <= params.fspec.rho_floor:
         raise PositivityError(min(float(np.min(rv0)), float(np.min(rv1))))
     dt = post.t - pre.t
@@ -257,33 +243,19 @@ def concentration_momentum_residual(
     dt = inc.dt
     phi_v = to_physical(phi)[0]
     gphi = to_physical(gradient(phi))
+    a = collocation(pre, params)
+    b = collocation(post, params)
 
-    rv0, cv0 = to_physical(pre.rho)[0], to_physical(pre.c)[0]
-    rv1, cv1 = to_physical(post.rho)[0], to_physical(post.c)[0]
-    d_pair = integrate_values(grid, (rv1 * cv1 - rv0 * cv0) * phi_v)
-
-    u_r, _ = cutoff(pre.u, params.R)
-    uv = to_physical(u_r)
-    transport = integrate_values(grid, rv0 * cv0 * np.sum(uv * gphi, axis=0))
-
-    mu = chemical_potential(pre.rho, pre.c, params.fspec)
-    gmu = to_physical(gradient(mu))
-    diffusion = integrate_values(grid, np.sum(gmu * gphi, axis=0))
-
-    grho = to_physical(gradient(pre.rho))
-    gc = to_physical(gradient(pre.c))
-    grad_cphi = gc * phi_v + cv0 * gphi
-    regularization = params.eps * integrate_values(grid, np.sum(grho * grad_cphi, axis=0))
+    rv0, cv0 = a.rho[0], a.c[0]
+    d_pair = integrate_values(grid, (b.rho[0] * b.c[0] - rv0 * cv0) * phi_v)
+    transport = integrate_values(grid, rv0 * cv0 * np.sum(a.u_r * gphi, axis=0))
+    diffusion = integrate_values(grid, np.sum(a.grad_mu * gphi, axis=0))
+    grad_cphi = a.grad_c * phi_v + cv0 * gphi
+    regularization = params.eps * integrate_values(grid, np.sum(a.grad_rho * grad_cphi, axis=0))
 
     stoch = 0.0
-    noise = params.noise
-    if noise.K > 0:
-        base = rv0 * phi_v
-        for i, k in enumerate(noise.modes):
-            if inc.dbeta[i] != 0.0:
-                stoch += noise.alphas[i] * inc.dbeta[i] * integrate_values(
-                    grid, base * noise.family.value(k, cv0)
-                )
+    if params.noise.K > 0:
+        stoch = _stochastic_transfer(a, inc, rv0 * phi_v)
     return float(d_pair - dt * (transport - diffusion - regularization) - stoch)
 
 
@@ -386,13 +358,11 @@ def holder_estimate(snapshots: list[tuple[float, SpectralField]], omega: float, 
 
 def v15_functional(state: SchemeState, gamma: float) -> float:
     """int [rho |u|^2 + rho^gamma + rho c^2 + |grad c|^2], the sup-bound integrand."""
-    grid = state.rho.grid
-    rv = to_physical(state.rho)[0]
-    uv = to_physical(state.u)
-    cv = to_physical(state.c)[0]
-    gcv = to_physical(gradient(state.c))
+    col = collocation(state)
+    rv = col.rho[0]
+    cv = col.c[0]
     return integrate_values(
-        grid, rv * np.sum(uv**2, axis=0) + rv**gamma + rv * cv**2 + np.sum(gcv**2, axis=0)
+        col.grid, rv * np.sum(col.u**2, axis=0) + rv**gamma + rv * cv**2 + np.sum(col.grad_c**2, axis=0)
     )
 
 

@@ -25,16 +25,23 @@ from .diagnostics import (
     total_energy,
     v15_functional,
 )
-from .errors import CutoffSaturatedWarning, GramSolveError, PositivityError, SchemeError, TimeStepError
+from .errors import (
+    CutoffSaturatedWarning,
+    GramSolveError,
+    NonFiniteError,
+    PositivityError,
+    SchemeError,
+    TimeStepError,
+)
 from .noise import path_generator
-from .scheme import ApproxParams, InitialData, SchemeState, step
+from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from .spectral import (
     SpectralField,
     TorusGrid,
     gradient,
     laplacian,
-    multiply,
     norm_l2,
+    to_spectral,
 )
 
 __all__ = [
@@ -52,6 +59,14 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 SUP_STATS = ("c_l2_sq", "grad_c_l2_sq", "lap_c_l2_sq", "v15")
+
+# scheme failures a trajectory records instead of raising, by report kind
+FAILURE_KINDS = {
+    NonFiniteError: "nonfinite",
+    PositivityError: "positivity_loss",
+    GramSolveError: "gram_failure",
+    TimeStepError: "timestep",
+}
 
 
 @dataclass(frozen=True)
@@ -110,6 +125,12 @@ def _state_functionals(state: SchemeState, gamma: float) -> dict[str, float]:
     }
 
 
+def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, SpectralField]:
+    """(t, rho c): the dealiased product from the state's collocation values."""
+    col = collocation(state, params)
+    return state.t, to_spectral(col.grid, col.rho * col.c)
+
+
 def run_trajectory(
     config: EnsembleConfig,
     path_index: int,
@@ -125,12 +146,12 @@ def run_trajectory(
     gen = path_generator(base, path_index, stream=0)
 
     gamma = params.fspec.gamma
+    rows = [initial_ledger_row(state, params)]
     stats0 = _state_functionals(state, gamma)
     sup = dict(stats0)
-    rows = [initial_ledger_row(state, params)]
     snaps: list[tuple[float, SpectralField]] = []
     if config.snapshot_stride > 0:
-        snaps.append((state.t, multiply(state.rho, state.c)))
+        snaps.append(_rho_c(state, params))
 
     failure = None
     chi_min = 1.0
@@ -139,13 +160,9 @@ def run_trajectory(
     for i in range(config.steps):
         try:
             new, rep = step(state, params, gen)
-        except (PositivityError, GramSolveError, TimeStepError) as exc:
+        except tuple(FAILURE_KINDS) as exc:
             failure = {
-                "kind": {
-                    PositivityError: "positivity_loss",
-                    GramSolveError: "gram_failure",
-                    TimeStepError: "timestep",
-                }[type(exc)],
+                "kind": FAILURE_KINDS[type(exc)],
                 "t": state.t,
                 "step": i,
                 "message": str(exc),
@@ -160,7 +177,7 @@ def run_trajectory(
         for k, v in _state_functionals(state, gamma).items():
             sup[k] = max(sup[k], v)
         if config.snapshot_stride > 0 and done % config.snapshot_stride == 0:
-            snaps.append((state.t, multiply(state.rho, state.c)))
+            snaps.append(_rho_c(state, params))
         if on_step is not None:
             on_step(done, state, gen, rep)
 

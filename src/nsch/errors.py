@@ -21,6 +21,10 @@ class PositivityError(SchemeError):
         super().__init__(f"density positivity lost{where}: min rho = {min_rho:.6g}")
 
 
+class NonFiniteError(SchemeError):
+    """A step produced NaN or infinite coefficients."""
+
+
 class GramSolveError(SchemeError):
     """Velocity recovery from the projected momentum failed to converge."""
 

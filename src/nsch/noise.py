@@ -17,6 +17,7 @@ import numpy as np
 from .constitutive import FreeEnergySpec, f_partials
 from .spectral import (
     SpectralField,
+    TorusGrid,
     gradient,
     integrate_values,
     to_physical,
@@ -32,7 +33,11 @@ __all__ = [
     "geometric_noise",
     "WienerIncrement",
     "sample_increment",
+    "sigma_table",
+    "noise_sum",
     "forcing",
+    "ito_grad_term",
+    "ito_value_term",
     "ito_grad_correction",
     "ito_value_correction",
     "splitmix64",
@@ -163,47 +168,68 @@ def sample_increment(dt: float, rng: np.random.Generator, spec: NoiseSpec) -> Wi
     return WienerIncrement(dt=dt, dbeta=rng.standard_normal(spec.K) * np.sqrt(dt))
 
 
+def sigma_table(spec: NoiseSpec, cv: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """sigma_k(c), or sigma_k'(c), for all K modes in one family call; shape (K,) + cv.shape, read-only."""
+    k = np.arange(1, spec.K + 1).reshape((-1,) + (1,) * cv.ndim)
+    fn = spec.family.d1 if deriv else spec.family.value
+    # constant and linear families return one grid of values for every mode
+    table = np.broadcast_to(fn(k, cv), (spec.K,) + cv.shape)
+    table.flags.writeable = False
+    return table
+
+
+def _mode_sum(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k weights_k table_k, accumulated mode by mode into a zero array."""
+    acc = np.zeros(table.shape[1:])
+    for term in weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table:
+        acc += term
+    return acc
+
+
+def noise_sum(sigma: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.ndarray:
+    """Grid values of sum_k alpha_k dbeta_k sigma_k(c), accumulated mode by mode."""
+    return _mode_sum(spec.alphas * inc.dbeta, sigma)
+
+
 def forcing(c: SpectralField, inc: WienerIncrement, spec: NoiseSpec) -> SpectralField:
     """Ito increment sum_k alpha_k sigma_k(c) dbeta_k as a spectral field."""
-    grid = c.grid
     if spec.K == 0:
-        return zeros(grid)
-    cv = to_physical(c)[0]
-    acc = np.zeros_like(cv)
-    for i, k in enumerate(spec.modes):
-        if inc.dbeta[i] != 0.0:
-            acc += spec.alphas[i] * inc.dbeta[i] * spec.family.value(k, cv)
-    return to_spectral(grid, acc)
+        return zeros(c.grid)
+    return to_spectral(c.grid, noise_sum(sigma_table(spec, to_physical(c)[0]), inc, spec))
 
 
-def _sigma_sq_sum(spec: NoiseSpec, cv: np.ndarray, deriv: bool) -> np.ndarray:
-    acc = np.zeros_like(cv)
-    fn = spec.family.d1 if deriv else spec.family.value
-    for i, k in enumerate(spec.modes):
-        acc += spec.alphas[i] ** 2 * fn(k, cv) ** 2
-    return acc
+def _sigma_sq_sum(spec: NoiseSpec, table: np.ndarray) -> np.ndarray:
+    return _mode_sum(spec.alphas**2, table**2)
+
+
+def ito_grad_term(grid: TorusGrid, spec: NoiseSpec, dsigma: np.ndarray, grad_cv: np.ndarray) -> float:
+    """(1/2) int sum_k alpha_k^2 sigma_k'(c)^2 |grad c|^2 from grid values."""
+    return 0.5 * integrate_values(grid, _sigma_sq_sum(spec, dsigma) * np.sum(grad_cv**2, axis=0))
+
+
+def ito_value_term(
+    grid: TorusGrid, spec: NoiseSpec, fspec: FreeEnergySpec, sigma: np.ndarray, rv: np.ndarray, cv: np.ndarray
+) -> float:
+    """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 from grid values."""
+    fcc = f_partials(rv, cv, fspec, "f_cc")
+    return 0.5 * integrate_values(grid, rv * fcc * _sigma_sq_sum(spec, sigma))
 
 
 def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:
     """(1/2) int sum_k alpha_k^2 |grad sigma_k(c)|^2 dx, by the chain rule."""
-    grid = c.grid
     if spec.K == 0:
         return 0.0
-    cv = to_physical(c)[0]
-    gv = to_physical(gradient(c))
-    grad_sq = np.sum(gv**2, axis=0)
-    return 0.5 * integrate_values(grid, _sigma_sq_sum(spec, cv, deriv=True) * grad_sq)
+    dsigma = sigma_table(spec, to_physical(c)[0], deriv=True)
+    return ito_grad_term(c.grid, spec, dsigma, to_physical(gradient(c)))
 
 
 def ito_value_correction(rho: SpectralField, c: SpectralField, spec: NoiseSpec, fspec: FreeEnergySpec) -> float:
     """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 dx."""
-    grid = c.grid
     if spec.K == 0:
         return 0.0
     rv = to_physical(rho)[0]
     cv = to_physical(c)[0]
-    fcc = f_partials(rv, cv, fspec, "f_cc")
-    return 0.5 * integrate_values(grid, rv * fcc * _sigma_sq_sum(spec, cv, deriv=False))
+    return ito_value_term(c.grid, spec, fspec, sigma_table(spec, cv), rv, cv)
 
 
 def splitmix64(x: int) -> int:

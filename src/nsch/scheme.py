@@ -17,38 +17,42 @@ The zero mode of rho is never touched by any right-hand side, so the total
 mass is conserved in exact floating-point arithmetic.  All nonlinear terms
 are evaluated at the pre-step state (Ito convention) so the energy ledger
 can compensate the stochastic transfer exactly in expectation.
+
+Grid values of a state come only from its collocation record
+(``collocation``), which the step shares with the energy ledger and the sup
+functionals, so each state is transformed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constitutive import (
     FreeEnergySpec,
     ViscositySpec,
-    chemical_potential,
-    korteweg,
+    chemical_potential_values,
+    free_energy,
+    korteweg_values,
     pressure,
     stress,
 )
-from .errors import GramSolveError, PositivityError, TimeStepError
-from .noise import NoiseSpec, WienerIncrement, forcing, sample_increment, silent_noise
+from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError
+from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
 from .spectral import (
     SpectralField,
     TorusGrid,
+    coeff_inner,
     div_tensor,
     divergence,
-    dot,
     grad_tensor,
     gradient,
-    inner_product,
+    integrate_values,
     laplacian,
     multiply,
     norm_l2,
-    outer,
-    pointwise,
     project,
     random_band_limited,
     to_physical,
@@ -60,6 +64,8 @@ __all__ = [
     "ApproxParams",
     "SchemeState",
     "StepReport",
+    "Collocation",
+    "collocation",
     "smoothstep",
     "cutoff",
     "continuity_rhs",
@@ -109,6 +115,10 @@ class SchemeState:
     u: SpectralField
     c: SpectralField
 
+    def __getstate__(self):
+        # the collocation record is a cache, rebuilt on demand: never pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_collocation"}
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -118,10 +128,138 @@ class StepReport:
     increment: WienerIncrement
 
 
+def _values(f: SpectralField) -> np.ndarray:
+    values = to_physical(f)
+    values.flags.writeable = False
+    return values
+
+
+class Collocation:
+    """Collocation values of one state under one parameter set.
+
+    This is the one place a state becomes grid values: every field,
+    derivative, constitutive quantity, noise table and energy below is
+    computed on first use and then shared by the step, the energy ledger and
+    the sup functionals.  Values keep the component axis of ``to_physical``
+    and are read-only.  Obtain records through ``collocation``.
+    """
+
+    def __init__(self, state: SchemeState, params: ApproxParams | None, rho: np.ndarray | None = None):
+        # a record-free twin of the state, so the state and its record form no reference cycle
+        self.state = replace(state)
+        self.params = params
+        self.grid = state.rho.grid
+        if rho is not None:
+            self.rho = rho
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return _values(self.state.rho)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _values(self.state.u)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return _values(self.state.c)
+
+    @cached_property
+    def grad_c(self) -> np.ndarray:
+        return _values(gradient(self.state.c))
+
+    @cached_property
+    def lap_c(self) -> np.ndarray:
+        return _values(laplacian(self.state.c))
+
+    @cached_property
+    def grad_rho(self) -> np.ndarray:
+        return _values(gradient(self.state.rho))
+
+    @cached_property
+    def grad_u(self) -> np.ndarray:
+        return _values(grad_tensor(self.state.u))
+
+    @cached_property
+    def visc_stress(self) -> np.ndarray:
+        return _values(stress(grad_tensor(self.state.u), self.params.visc))
+
+    @cached_property
+    def cut(self) -> tuple[SpectralField, float]:
+        """[u]_R and the cut-off factor chi."""
+        return cutoff(self.state.u, self.params.R)
+
+    @cached_property
+    def u_r(self) -> np.ndarray:
+        u_r, _ = self.cut
+        return self.u if u_r is self.state.u else _values(u_r)
+
+    @cached_property
+    def mu(self) -> SpectralField:
+        values = chemical_potential_values(self.rho[0], self.c[0], self.lap_c[0], self.params.fspec)
+        return to_spectral(self.grid, values)
+
+    @cached_property
+    def mu_values(self) -> np.ndarray:
+        return _values(self.mu)
+
+    @cached_property
+    def grad_mu(self) -> np.ndarray:
+        return _values(gradient(self.mu))
+
+    @cached_property
+    def lap_mu(self) -> np.ndarray:
+        return _values(laplacian(self.mu))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return sigma_table(self.params.noise, self.c[0])
+
+    @cached_property
+    def dsigma(self) -> np.ndarray:
+        return sigma_table(self.params.noise, self.c[0], deriv=True)
+
+    def energy_parts(self, fspec: FreeEnergySpec) -> tuple[float, float, float]:
+        """Kinetic, free and interface energy; raises if the density is not positive."""
+        grid = self.grid
+        rv = self.rho[0]
+        min_rho = float(np.min(rv))
+        if min_rho <= fspec.rho_floor:
+            raise PositivityError(min_rho, t=self.state.t)
+        uv = self.u
+        cv = self.c[0]
+        kinetic = 0.5 * integrate_values(grid, rv * np.sum(uv**2, axis=0))
+        free = integrate_values(grid, rv * free_energy(rv, cv, fspec))
+        interface = 0.5 * integrate_values(grid, np.sum(self.grad_c**2, axis=0))
+        return kinetic, free, interface
+
+    @cached_property
+    def energies(self) -> tuple[float, float, float]:
+        return self.energy_parts(self.params.fspec)
+
+    @cached_property
+    def artificial(self) -> float:
+        """sqrt(eps)/(alpha-1) int rho^alpha."""
+        p = self.params
+        return float(np.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self.rho[0] ** p.alpha_exp))
+
+
+def collocation(state: SchemeState, params: ApproxParams | None = None) -> Collocation:
+    """The collocation record of ``state``.
+
+    A record is kept on the state and reused while ``params`` is the object
+    it was built with; ``params=None`` accepts any record, for consumers of
+    parameter-free values only.
+    """
+    record = state.__dict__.get("_collocation")
+    if record is None or (params is not None and record.params is not params):
+        record = Collocation(state, params)
+        object.__setattr__(state, "_collocation", record)
+    return record
+
+
 def mean_density(rho: SpectralField) -> float:
-    grid = rho.grid
-    k0 = rho.coeffs[0, 0] if grid.dim == 1 else rho.coeffs[0, grid.kmax, 0]
-    return float(k0.real)
+    return float(rho.coeffs[0][rho.grid.zero_index].real)
 
 
 def smoothstep(r: float) -> float:
@@ -141,36 +279,35 @@ def cutoff(u: SpectralField, R: float) -> tuple[SpectralField, float]:
     return SpectralField(u.grid, chi * u.coeffs), chi
 
 
-def _transport_rho(rho: SpectralField, u_r: SpectralField) -> SpectralField:
+def _transport_rho(col: Collocation) -> SpectralField:
     """-Div(rho [u]_R); its zero mode is structurally zero."""
-    return SpectralField(rho.grid, -divergence(multiply(rho, u_r)).coeffs)
+    return SpectralField(col.grid, -divergence(to_spectral(col.grid, col.rho * col.u_r)).coeffs)
 
 
 def continuity_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
     """eps Lap rho - Div(rho [u]_R)."""
-    u_r, _ = cutoff(state.u, params.R)
     diff = laplacian(state.rho)
-    trans = _transport_rho(state.rho, u_r)
+    trans = _transport_rho(collocation(state, params))
     return SpectralField(state.rho.grid, params.eps * diff.coeffs + trans.coeffs)
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
     """Right-hand side of the projected momentum equation, in the order-m space."""
-    grid = state.rho.grid
+    col = collocation(state, params)
+    grid = col.grid
     m = params.m
-    u_r, chi = cutoff(state.u, params.R)
+    _, chi = col.cut
 
-    mom = multiply(state.rho, state.u)
-    transport = div_tensor(project(outer(mom, u_r), m))
+    mv = to_physical(to_spectral(grid, col.rho * col.u))
+    flux = np.stack([mv[i] * col.u_r[j] for i in range(grid.dim) for j in range(grid.dim)])
+    transport = div_tensor(project(to_spectral(grid, flux), m))
 
-    def p_art(rv, cv):
-        return pressure(rv[0], cv[0], params.fspec) + np.sqrt(params.eps) * rv[0] ** params.alpha_exp
-
-    p_field = pointwise(grid, p_art, state.rho, state.c)
-    press = gradient(project(p_field, m))
+    rv, cv = col.rho[0], col.c[0]
+    p_art = pressure(rv, cv, params.fspec) + np.sqrt(params.eps) * rv**params.alpha_exp
+    press = gradient(project(to_spectral(grid, p_art), m))
 
     visc = div_tensor(project(stress(grad_tensor(state.u), params.visc), m))
-    capillary = div_tensor(project(korteweg(gradient(state.c)), m))
+    capillary = div_tensor(project(to_spectral(grid, korteweg_values(col.grad_c)), m))
     eps_diff = laplacian(state.w)
 
     coeffs = (
@@ -185,31 +322,40 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
 
 def ch_drift(state: SchemeState, params: ApproxParams) -> SpectralField:
     """P_n[(1/rho) Lap mu - [u]_R . grad c]."""
-    grid = state.rho.grid
-    u_r, _ = cutoff(state.u, params.R)
-    mu = chemical_potential(state.rho, state.c, params.fspec)
-    lap_mu = laplacian(mu)
-    over_rho = pointwise(grid, lambda lv, rv: lv[0] / rv[0], lap_mu, state.rho)
-    transport = dot(u_r, gradient(state.c))
+    col = collocation(state, params)
+    grid = col.grid
+    over_rho = to_spectral(grid, col.lap_mu[0] / col.rho[0])
+    transport = to_spectral(grid, np.sum(col.u_r * col.grad_c, axis=0))
     return project(SpectralField(grid, over_rho.coeffs - transport.coeffs), params.n)
 
 
 def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> SpectralField:
     """P_n of the stochastic forcing increment."""
-    return project(forcing(state.c, inc, params.noise), params.n)
+    grid = state.c.grid
+    if params.noise.K == 0:
+        return zeros(grid)
+    increment = noise_sum(collocation(state, params).sigma, inc, params.noise)
+    return project(to_spectral(grid, increment), params.n)
 
 
 def recover_velocity(
-    rho: SpectralField, w: SpectralField, m: int, rho_floor: float = 1e-8, rtol: float = 1e-12, maxiter: int = 400
+    rho: SpectralField,
+    w: SpectralField,
+    m: int,
+    rho_floor: float = 1e-8,
+    rtol: float = 1e-12,
+    maxiter: int = 400,
+    rho_values: np.ndarray | None = None,
 ) -> tuple[SpectralField, int]:
     """Solve P_m(rho u) = w for u in the order-m space.
 
     The operator u -> P_m(rho u) is symmetric positive definite for positive
     rho, so a conjugate-gradient iteration preconditioned by the mean density
     converges quickly; failure to converge signals near-vacuum density.
+    ``rho_values`` are the grid values of rho when the caller has them.
     Returns the velocity and the iteration count.
     """
-    vals = to_physical(rho)[0]
+    vals = to_physical(rho)[0] if rho_values is None else rho_values
     min_rho = float(np.min(vals))
     if min_rho <= rho_floor:
         raise PositivityError(min_rho)
@@ -221,23 +367,24 @@ def recover_velocity(
     if wnorm == 0.0:
         return zeros(grid, w.ncomp), 0
 
-    def apply(v: SpectralField) -> SpectralField:
-        return project(multiply(rho, v), m)
+    def apply(v: np.ndarray) -> np.ndarray:
+        return project(to_spectral(grid, vals * to_physical(SpectralField(grid, v))), m).coeffs
 
-    x = SpectralField(grid, w.coeffs / rho_bar)
-    r = SpectralField(grid, w.coeffs - apply(x).coeffs)
+    # conjugate gradients on coefficient arrays
+    x = w.coeffs / rho_bar
+    r = w.coeffs - apply(x)
     p = r
-    rs = inner_product(r, r)
+    rs = coeff_inner(grid, r, r)
     tol = rtol * wnorm
     for it in range(1, maxiter + 1):
         if np.sqrt(rs) <= tol:
-            return x, it - 1
+            return SpectralField(grid, x), it - 1
         ap = apply(p)
-        alpha = rs / inner_product(p, ap)
-        x = SpectralField(grid, x.coeffs + alpha * p.coeffs)
-        r = SpectralField(grid, r.coeffs - alpha * ap.coeffs)
-        rs_new = inner_product(r, r)
-        p = SpectralField(grid, r.coeffs + (rs_new / rs) * p.coeffs)
+        alpha = rs / coeff_inner(grid, p, ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = coeff_inner(grid, r, r)
+        p = r + (rs_new / rs) * p
         rs = rs_new
     raise GramSolveError(
         f"velocity recovery stalled after {maxiter} iterations (residual {np.sqrt(rs) / wnorm:.3e}, min rho {min_rho:.3e})"
@@ -249,7 +396,7 @@ def check_timestep(state: SchemeState, params: ApproxParams):
     grid = state.rho.grid
     dx = grid.spacing
     rho_bar = mean_density(state.rho)
-    umax = float(np.max(np.abs(to_physical(state.u))))
+    umax = float(np.max(np.abs(collocation(state, params).u)))
     limit = params.cfl * dx**4 * rho_bar**2
     if umax > 0.0:
         limit = min(limit, params.cfl * dx / umax)
@@ -265,13 +412,14 @@ def _implicit_diffusion_factor(grid: TorusGrid, eps_dt: float) -> np.ndarray:
 
 
 def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> tuple[SchemeState, StepReport]:
-    """Advance one time step; raises on positivity loss or stability violation."""
+    """Advance one time step; raises on a non-finite state, positivity loss or stability violation."""
     grid = state.rho.grid
     dt = params.dt
+    col = collocation(state, params)
     check_timestep(state, params)
 
     inc = sample_increment(dt, rng, params.noise)
-    _, chi = cutoff(state.u, params.R)
+    _, chi = col.cut
     rho_bar = mean_density(state.rho)
 
     # concentration: exact exponential factor for the mean-density bilaplacian,
@@ -284,8 +432,7 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
     c_new = SpectralField(grid, propag * (state.c.coeffs + dt * explicit + noise_inc.coeffs))
 
     # density: implicit artificial diffusion, explicit transport
-    u_r, _ = cutoff(state.u, params.R)
-    trans = _transport_rho(state.rho, u_r)
+    trans = _transport_rho(col)
     fac = _implicit_diffusion_factor(grid, params.eps * dt)
     rho_new = SpectralField(grid, fac * (state.rho.coeffs + dt * trans.coeffs))
 
@@ -294,13 +441,22 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
     w_expl = rhs.coeffs - params.eps * laplacian(state.w).coeffs
     w_new = SpectralField(grid, fac * (state.w.coeffs + dt * w_expl))
 
-    min_rho = float(np.min(to_physical(rho_new)))
+    # NaN passes every ordered comparison, so it is caught before the positivity guards
+    bad = [name for name, f in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(f.coeffs).all()]
+    if bad:
+        raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
+
+    rho_vals = _values(rho_new)
+    min_rho = float(np.min(rho_vals))
     if min_rho <= params.fspec.rho_floor:
         raise PositivityError(min_rho, t=state.t + dt)
 
-    u_new, iters = recover_velocity(rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor)
+    u_new, iters = recover_velocity(
+        rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
+    )
 
     new_state = SchemeState(t=state.t + dt, rho=rho_new, w=w_new, u=u_new, c=c_new)
+    object.__setattr__(new_state, "_collocation", Collocation(new_state, params, rho=rho_vals))
     return new_state, StepReport(chi=chi, min_rho=min_rho, gram_iterations=iters, increment=inc)
 
 
@@ -332,10 +488,7 @@ class InitialData:
         else:
             rho = to_spectral(grid, np.full(grid.pshape, rho_mean))
         coeffs = rho.coeffs.copy()
-        if grid.dim == 1:
-            coeffs[0, 0] = rho_mean
-        else:
-            coeffs[0, grid.kmax, 0] = rho_mean
+        coeffs[0][grid.zero_index] = rho_mean
         rho = SpectralField(grid, coeffs)
 
         if self.u_amp > 0:
@@ -349,10 +502,7 @@ class InitialData:
             c = zeros(grid)
         if self.c_mean != 0.0:
             cc = c.coeffs.copy()
-            if grid.dim == 1:
-                cc[0, 0] += self.c_mean
-            else:
-                cc[0, grid.kmax, 0] += self.c_mean
+            cc[0][grid.zero_index] += self.c_mean
             c = SpectralField(grid, cc)
         c = project(c, params.n)
 

@@ -12,7 +12,7 @@ that quadratic products are alias-free after re-truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -38,6 +38,7 @@ __all__ = [
     "outer",
     "pointwise",
     "inner_product",
+    "coeff_inner",
     "norm_l2",
     "norm_sobolev",
     "integral",
@@ -82,6 +83,11 @@ class TorusGrid:
     def band_shape(self) -> tuple[int, ...]:
         k = self.kmax
         return (k + 1,) if self.dim == 1 else (2 * k + 1, k + 1)
+
+    @property
+    def zero_index(self) -> tuple[int, ...]:
+        """Position of the k = 0 coefficient in the band."""
+        return (0,) if self.dim == 1 else (self.kmax, 0)
 
     @property
     def spacing(self) -> float:
@@ -189,10 +195,7 @@ def zeros(grid: TorusGrid, ncomp: int = 1) -> SpectralField:
 
 def constant(grid: TorusGrid, value: float) -> SpectralField:
     c = np.zeros((1,) + grid.band_shape, dtype=np.complex128)
-    if grid.dim == 1:
-        c[0, 0] = value
-    else:
-        c[0, grid.kmax, 0] = value
+    c[0][grid.zero_index] = value
     return SpectralField(grid, c)
 
 
@@ -251,10 +254,16 @@ def project(f: SpectralField, order: int) -> SpectralField:
     grid = f.grid
     if not 0 <= order <= grid.kmax:
         raise ValueError(f"projection order {order} outside [0, {grid.kmax}]")
+    return SpectralField(grid, np.where(_band_mask(grid, order), f.coeffs, 0.0))
+
+
+@cache
+def _band_mask(grid: TorusGrid, order: int) -> np.ndarray:
     mask = np.ones(grid.band_shape, dtype=bool)
     for ka in grid.k_axes:
         mask &= np.abs(ka) <= order
-    return SpectralField(grid, np.where(mask, f.coeffs, 0.0))
+    mask.flags.writeable = False
+    return mask
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -374,8 +383,12 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     _check_same_grid(f, g)
     if f.ncomp != g.ncomp:
         raise ValueError("inner product requires matching component counts")
-    w = f.grid.parseval_weights
-    return float(f.grid.volume * np.sum(w * (f.coeffs * g.coeffs.conj()).real))
+    return coeff_inner(f.grid, f.coeffs, g.coeffs)
+
+
+def coeff_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product of two coefficient arrays of the same shape on ``grid``."""
+    return float(grid.volume * np.sum(grid.parseval_weights * (a * b.conj()).real))
 
 
 def norm_l2(f: SpectralField) -> float:
@@ -394,8 +407,7 @@ def integral(f: SpectralField) -> float:
     grid = f.grid
     if not f.is_scalar:
         raise ValueError("integral expects a scalar field")
-    k0 = f.coeffs[0, 0] if grid.dim == 1 else f.coeffs[0, grid.kmax, 0]
-    return float(grid.volume * k0.real)
+    return float(grid.volume * f.coeffs[0][grid.zero_index].real)
 
 
 def integrate_values(grid: TorusGrid, values: np.ndarray) -> float:
@@ -419,10 +431,7 @@ def random_band_limited(
     f = project(from_coeffs(grid, raw), band)
     coeffs = f.coeffs.copy()
     if zero_mean:
-        if grid.dim == 1:
-            coeffs[:, 0] = 0.0
-        else:
-            coeffs[:, grid.kmax, 0] = 0.0
+        coeffs[(slice(None), *grid.zero_index)] = 0.0
     f = SpectralField(grid, coeffs)
     sup = np.max(np.abs(to_physical(f)))
     if sup == 0.0:

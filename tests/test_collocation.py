@@ -1,0 +1,165 @@
+import pickle
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from nsch.config import parse_config
+from nsch.constitutive import FreeEnergySpec, chemical_potential, f_partials
+from nsch.diagnostics import energy_ledger_step, initial_ledger_row
+from nsch.ensemble import EnsembleConfig, run_trajectory
+from nsch.noise import (
+    ConstantDiffusion,
+    LinearDiffusion,
+    NoiseSpec,
+    SineDiffusion,
+    geometric_noise,
+    ito_grad_term,
+    ito_value_term,
+    noise_sum,
+    path_generator,
+    sample_increment,
+    sigma_table,
+)
+from nsch.scheme import SchemeState, collocation, step
+from nsch.spectral import TorusGrid, gradient, integrate_values, random_band_limited, to_physical
+
+# the default physics: 1D, 32 modes, geometric noise with K = 20
+DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
+
+# transforms per step (step + ledger row + sup functionals) on DEFAULT_NOISY;
+# the step, the ledger and the functionals share one collocation record per
+# state.  Lower it when a change removes transforms; never raise it.
+MAX_FFT_CALLS_PER_STEP = 41
+
+
+def default_config(steps: int) -> EnsembleConfig:
+    config = parse_config(DEFAULT_NOISY.format(horizon=steps * 1e-5))
+    assert config.grid == TorusGrid(dim=1, modes_per_dim=32) and config.params.noise.K == 20
+    return EnsembleConfig(
+        grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon
+    )
+
+
+def fresh(state: SchemeState) -> SchemeState:
+    """The same state as a new object, so its collocation record starts empty."""
+    return SchemeState(t=state.t, rho=state.rho, w=state.w, u=state.u, c=state.c)
+
+
+def test_fft_calls_per_step_bounded(monkeypatch):
+    calls = {"n": 0}
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    steps = 20
+    at_step = {}
+    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, calls["n"]))
+    per_step = (at_step[steps] - at_step[1]) / (steps - 1)
+    assert 0 < per_step <= MAX_FFT_CALLS_PER_STEP
+
+
+def test_warm_ledger_rows_equal_cold_recomputation():
+    config = default_config(30)
+    states, increments = [], []
+
+    def keep(done, state, gen, rep):
+        states.append(state)
+        increments.append(rep.increment)
+
+    initial = config.initial.build(config.grid, config.params, path_generator(config.base_seed, 0, stream=1))
+    result = run_trajectory(config, 0, initial_state=initial, on_step=keep)
+    assert result.failure is None and len(result.rows) == 31
+
+    params = config.params
+    chain = [fresh(initial)] + [fresh(s) for s in states]
+    assert result.rows[0] == initial_ledger_row(fresh(initial), params)
+    for i, inc in enumerate(increments):
+        cold = energy_ledger_step(fresh(chain[i]), fresh(chain[i + 1]), inc, params)
+        assert result.rows[i + 1] == cold, f"step {i + 1}"
+
+
+def test_record_is_reused_per_params_and_read_only(rng):
+    config = default_config(1)
+    state = config.initial.build(config.grid, config.params, rng)
+    col = collocation(state, config.params)
+    assert collocation(state, config.params) is col
+    assert collocation(state) is col
+    other = collocation(state, replace(config.params))
+    assert other is not col and collocation(state) is other
+    for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
+                   col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.dsigma):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[...] = 0.0
+
+
+def test_record_is_not_pickled(rng):
+    config = default_config(1)
+    state = config.initial.build(config.grid, config.params, rng)
+    collocation(state, config.params).energies
+    copy = pickle.loads(pickle.dumps(state))
+    assert "_collocation" not in vars(copy)
+    assert collocation(copy, config.params).energies == collocation(state, config.params).energies
+
+
+@pytest.mark.parametrize("family", [SineDiffusion(), ConstantDiffusion(0.7), LinearDiffusion()])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sigma_table_matches_each_mode(family, dim, rng):
+    grid = TorusGrid(dim=dim, modes_per_dim=8)
+    spec = NoiseSpec(K=6, alphas=0.5 ** np.arange(1, 7), family=family)
+    cv = to_physical(random_band_limited(grid, rng, amplitude=2.0))[0]
+    for deriv, fn in ((False, family.value), (True, family.d1)):
+        table = sigma_table(spec, cv, deriv=deriv)
+        assert table.shape == (spec.K,) + grid.pshape
+        for i, k in enumerate(spec.modes):
+            assert np.array_equal(table[i], np.broadcast_to(fn(k, cv), grid.pshape))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mode_sums_equal_per_mode_loops(dim, rng):
+    # the table-based sums must round exactly like accumulating mode by mode
+    grid = TorusGrid(dim=dim, modes_per_dim=16)
+    spec = geometric_noise(K=20, alpha0=1.0)
+    fspec = FreeEnergySpec()
+    c = random_band_limited(grid, rng, amplitude=2.0)
+    cv = to_physical(c)[0]
+    rv = 1.0 + 0.5 * np.cos(cv)
+    gv = to_physical(gradient(c))
+    inc = sample_increment(1e-3, rng, spec)
+
+    forced = np.zeros(grid.pshape)
+    value_sq = np.zeros(grid.pshape)
+    d1_sq = np.zeros(grid.pshape)
+    for i, k in enumerate(spec.modes):
+        forced += spec.alphas[i] * inc.dbeta[i] * spec.family.value(k, cv)
+        value_sq += spec.alphas[i] ** 2 * spec.family.value(k, cv) ** 2
+        d1_sq += spec.alphas[i] ** 2 * spec.family.d1(k, cv) ** 2
+
+    sigma, dsigma = sigma_table(spec, cv), sigma_table(spec, cv, deriv=True)
+    assert np.array_equal(noise_sum(sigma, inc, spec), forced)
+    assert ito_grad_term(grid, spec, dsigma, gv) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
+    fcc = f_partials(rv, cv, fspec, "f_cc")
+    assert ito_value_term(grid, spec, fspec, sigma, rv, cv) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
+
+
+def test_stochastic_transfer_equals_per_mode_loop():
+    config = default_config(1)
+    params = config.params
+    pre = config.initial.build(config.grid, params, path_generator(3, 0, stream=1))
+    post, rep = step(pre, params, path_generator(3, 0))
+    row = energy_ledger_step(pre, post, rep.increment, params)
+
+    noise, grid = params.noise, config.grid
+    rv = to_physical(pre.rho)[0]
+    cv = to_physical(pre.c)[0]
+    base = rv * to_physical(chemical_potential(pre.rho, pre.c, params.fspec))[0]
+    expected = 0.0
+    for i, k in enumerate(noise.modes):
+        expected += noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
+    assert row.stochastic_increment == expected

@@ -179,6 +179,50 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["ensemble", str(cfg), "--out", str(out)]) in (0, 4)
 
+    def test_nonfinite_run_exit_code(self, tmp_path, capsys, monkeypatch):
+        from nsch.scheme import InitialData, SchemeState
+        from nsch.spectral import SpectralField
+
+        build = InitialData.build
+
+        def poisoned(self, grid, params, rng):
+            state = build(self, grid, params, rng)
+            coeffs = state.c.coeffs.copy()
+            coeffs[0, 1] = np.nan
+            return SchemeState(t=state.t, rho=state.rho, w=state.w, u=state.u, c=SpectralField(grid, coeffs))
+
+        monkeypatch.setattr(InitialData, "build", poisoned)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "run failed at step 0" in err and "nonfinite" in err
+
+    def test_verify_loads_with_configured_density_floor(self, tmp_path, capsys):
+        from nsch.checkpoint import save_checkpoint
+        from nsch.diagnostics import initial_ledger_row, ledger_to_csv
+        from nsch.noise import path_generator
+        from nsch.scheme import SchemeState
+        from nsch.spectral import constant, multiply, project, to_physical, to_spectral
+
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text("[grid]\nmodes = 16\n\n[scheme]\nm = 2\nn = 5\n\n[free_energy]\nrho_floor = 1e-10\n")
+        config = parse_config(cfg.read_text())
+        grid, params = config.grid, config.params
+        (x,) = grid.mesh()
+        rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
+        assert 1e-10 < np.min(to_physical(rho)) < 1e-8
+        u = to_spectral(grid, 0.1 * np.sin(x))
+        state = SchemeState(t=0.0, rho=rho, w=project(multiply(rho, u), params.m), u=u, c=constant(grid, 0.0))
+        out = tmp_path / "out"
+        out.mkdir()
+        save_checkpoint(out / "chk_00000000.nsch", state, path_generator(0, 0), params.m, params.n, 0)
+        (out / "ledger.csv").write_text(ledger_to_csv([initial_ledger_row(state, params)]))
+        code = main(["verify", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "unreadable" not in captured.err
+        assert code == 0 and "all checks passed" in captured.out
+
     def test_2d_run_verify_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "run2d.cfg"
         cfg.write_text(

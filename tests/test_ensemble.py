@@ -13,7 +13,8 @@ from nsch.ensemble import (
 )
 from nsch.errors import SchemeError
 from nsch.noise import geometric_noise, silent_noise
-from nsch.scheme import ApproxParams, InitialData
+from nsch.noise import path_generator
+from nsch.scheme import ApproxParams, InitialData, SchemeState
 from nsch.spectral import SpectralField, TorusGrid, norm_l2
 
 
@@ -37,6 +38,19 @@ def small_config(**kw):
         horizon=kw.pop("horizon", 3e-3),
         **kw,
     )
+
+
+class TestFailureRecords:
+    def test_nonfinite_path_is_recorded_as_nonfinite(self):
+        config = small_config(paths=1)
+        good = config.initial.build(config.grid, config.params, path_generator(config.base_seed, 0, stream=1))
+        coeffs = good.c.coeffs.copy()
+        coeffs[0, 1] = np.nan
+        bad = SchemeState(t=good.t, rho=good.rho, w=good.w, u=good.u, c=SpectralField(config.grid, coeffs))
+        result = run_trajectory(config, 0, initial_state=bad)
+        assert result.failure is not None
+        assert result.failure["kind"] == "nonfinite"
+        assert result.failure["step"] == 0 and result.steps_done == 0
 
 
 class TestRunPaths:

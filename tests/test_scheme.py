@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nsch.checkpoint import load_checkpoint, save_checkpoint
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ZeroFunction
-from nsch.errors import CheckpointError, PositivityError, TimeStepError
+from nsch.errors import CheckpointError, NonFiniteError, PositivityError, TimeStepError
 from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import (
     ApproxParams,
@@ -375,6 +377,19 @@ class TestStep:
         with pytest.raises(TimeStepError):
             step(state, params, path_generator(0, 0))
 
+    @pytest.mark.parametrize("field", ["rho", "c"])
+    def test_nonfinite_state_is_reported_as_such(self, rng, field):
+        # NaN passes every ordered comparison, so a NaN density used to slip
+        # past the positivity guards and stall the Gram solve
+        grid = grid16()
+        params = small_params(noise=geometric_noise(K=20, alpha0=0.2))
+        state = generic_state(grid, params, rng)
+        coeffs = getattr(state, field).coeffs.copy()
+        coeffs[0, 1] = np.nan
+        state = replace(state, **{field: from_coeffs(grid, coeffs[0])})
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            step(state, params, path_generator(0, 0))
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, rng, tmp_path):
@@ -417,6 +432,22 @@ class TestCheckpoint:
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
         assert np.array_equal(resumed.c.coeffs, full.c.coeffs)
         assert resumed.t == full.t
+
+    def test_load_uses_the_given_density_floor(self, tmp_path):
+        grid = grid16()
+        params = small_params(m=2)
+        (x,) = grid.mesh()
+        rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
+        assert 1e-10 < np.min(to_physical(rho)) < 1e-8
+        u = to_spectral(grid, 0.1 * np.sin(x))
+        state = SchemeState(t=0.0, rho=rho, w=project(multiply(rho, u), params.m), u=u, c=constant(grid, 0.0))
+        path = tmp_path / "thin.nsch"
+        save_checkpoint(path, state, path_generator(0, 0), params.m, params.n, 0)
+        with pytest.raises(PositivityError):
+            load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
+        assert np.array_equal(loaded.w.coeffs, state.w.coeffs)
+        assert norm_l2(loaded.u) > 0.0
 
     def test_corruption_detected(self, rng, tmp_path):
         grid = grid16()

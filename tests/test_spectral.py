@@ -68,6 +68,14 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(dim=1, modes_per_dim=0)
 
+    def test_zero_index_holds_the_mean(self, rng, grid1d, grid2d):
+        assert grid1d.zero_index == (0,)
+        assert grid2d.zero_index == (grid2d.kmax, 0)
+        for grid in (grid1d, grid2d):
+            assert constant(grid, 2.5).coeffs[0][grid.zero_index] == 2.5
+            f = random_band_limited(grid, rng, ncomp=2, amplitude=1.0)
+            assert np.all(f.coeffs[(slice(None), *grid.zero_index)] == 0.0)
+
     def test_padding_covers_dealiasing(self):
         for n in (8, 16, 32, 64, 128):
             g = TorusGrid(dim=1, modes_per_dim=n)
