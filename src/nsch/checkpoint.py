@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .scheme import SchemeState, recover_velocity
-from .spectral import SpectralField, TorusGrid, norm_l2, zeros
+from .spectral import SpectralField, TorusGrid
 
 __all__ = ["CheckpointMeta", "save_checkpoint", "load_checkpoint"]
 
@@ -108,9 +108,6 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
     # the velocity is not stored: it is the unique order-m solution of
     # P_m(rho u) = w, and the recovery is deterministic, so a restart is
     # bit-identical to the uninterrupted run
-    if norm_l2(w) == 0.0:
-        u = zeros(grid, grid.dim)
-    else:
-        u, _ = recover_velocity(rho, w, m, rho_floor=rho_floor)
+    u, _ = recover_velocity(rho, w, m, rho_floor=rho_floor)
     state = SchemeState(t=t, rho=rho, w=w, u=u, c=c)
     return state, rng, CheckpointMeta(dim, modes, m, n, noise_modes)

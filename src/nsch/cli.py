@@ -44,15 +44,17 @@ def _load_config(path: str | None, seed: int | None) -> RunConfig:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("NSCH_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """--workers, else NSCH_WORKERS, else 1; a count that is not a positive integer is rejected."""
+    source, value = "--workers", args.workers
+    if value is None:
+        source, value = "NSCH_WORKERS", os.environ.get("NSCH_WORKERS") or "1"
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"{source} must be a positive integer, got {value!r}"])
+    return workers
 
 
 def _ensemble_config(config: RunConfig, workers: int = 1, paths: int | None = None) -> EnsembleConfig:
@@ -75,7 +77,7 @@ def cmd_run(args) -> int:
     ens = _ensemble_config(config, paths=1)
     params = config.params
 
-    state0 = config.initial.build(config.grid, params, path_generator(ens.base_seed, 0, stream=1))
+    state0 = ens.initial_state()
     save_checkpoint(
         outdir / "chk_00000000.nsch", state0, path_generator(ens.base_seed, 0, stream=0),
         params.m, params.n, params.noise.K,
@@ -108,8 +110,8 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     ens = _ensemble_config(config, workers=_workers(args))
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
         report, _ = run_paths(ens)
     except SchemeError as exc:
@@ -181,7 +183,6 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -191,6 +192,7 @@ def cmd_sweep(args) -> int:
         print("sweep: empty --values", file=sys.stderr)
         return EXIT_CONFIG
     ens = _ensemble_config(config, workers=_workers(args))
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
         cells = sweep(ens, args.param, values)
     except SchemeError as exc:

@@ -60,6 +60,9 @@ SCHEMA_VERSION = 1
 
 SUP_STATS = ("c_l2_sq", "grad_c_l2_sq", "lap_c_l2_sq", "v15")
 
+# a path warns when the velocity cut-off is fully engaged on more than this share of its steps
+CUTOFF_WARN_FRACTION = 0.5
+
 # scheme failures a trajectory records instead of raising, by report kind
 FAILURE_KINDS = {
     NonFiniteError: "nonfinite",
@@ -81,7 +84,6 @@ class EnsembleConfig:
     base_seed: int | None = None
     workers: int = 1
     keep_final_state: bool = False
-    cutoff_warn_fraction: float = 0.5
 
     def __post_init__(self):
         if self.paths < 1:
@@ -97,6 +99,10 @@ class EnsembleConfig:
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.params.dt))
+
+    def initial_state(self) -> SchemeState:
+        """The shared initial state, drawn from stream 1 of path 0 (the data stream)."""
+        return self.initial.build(self.grid, self.params, path_generator(self.base_seed, 0, stream=1))
 
 
 @dataclass
@@ -139,11 +145,8 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """One seeded path: ledger rows, running sup functionals, failure record."""
     params = config.params
-    base = config.base_seed
-    if initial_state is None:
-        initial_state = config.initial.build(config.grid, params, path_generator(base, 0, stream=1))
-    state = initial_state
-    gen = path_generator(base, path_index, stream=0)
+    state = config.initial_state() if initial_state is None else initial_state
+    gen = path_generator(config.base_seed, path_index, stream=0)
 
     gamma = params.fspec.gamma
     rows = [initial_ledger_row(state, params)]
@@ -182,7 +185,7 @@ def run_trajectory(
             on_step(done, state, gen, rep)
 
     frac = chi_zero / max(done, 1)
-    if failure is None and frac > config.cutoff_warn_fraction:
+    if failure is None and frac > CUTOFF_WARN_FRACTION:
         warnings.warn(
             f"velocity cut-off fully engaged on {frac:.0%} of steps (path {path_index})",
             CutoffSaturatedWarning,
@@ -290,7 +293,7 @@ def _one_path(args) -> TrajectoryResult:
 
 def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryResult]]:
     """Run the ensemble and aggregate; results are merged by path index."""
-    state0 = config.initial.build(config.grid, config.params, path_generator(config.base_seed, 0, stream=1))
+    state0 = config.initial_state()
     jobs = [(config, i, state0) for i in range(config.paths)]
     if config.workers > 1 and config.paths > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -68,7 +68,6 @@ __all__ = [
     "collocation",
     "smoothstep",
     "cutoff",
-    "continuity_rhs",
     "momentum_rhs",
     "ch_drift",
     "ch_diffusion",
@@ -282,13 +281,6 @@ def cutoff(u: SpectralField, R: float) -> tuple[SpectralField, float]:
 def _transport_rho(col: Collocation) -> SpectralField:
     """-Div(rho [u]_R); its zero mode is structurally zero."""
     return SpectralField(col.grid, -divergence(to_spectral(col.grid, col.rho * col.u_r)).coeffs)
-
-
-def continuity_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
-    """eps Lap rho - Div(rho [u]_R)."""
-    diff = laplacian(state.rho)
-    trans = _transport_rho(collocation(state, params))
-    return SpectralField(state.rho.grid, params.eps * diff.coeffs + trans.coeffs)
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
@@ -507,8 +499,5 @@ class InitialData:
         c = project(c, params.n)
 
         w = project(multiply(rho, u0), params.m)
-        if norm_l2(w) == 0.0:
-            u = zeros(grid, grid.dim)
-        else:
-            u, _ = recover_velocity(rho, w, params.m, rho_floor=params.fspec.rho_floor)
+        u, _ = recover_velocity(rho, w, params.m, rho_floor=params.fspec.rho_floor)
         return SchemeState(t=0.0, rho=rho, w=w, u=u, c=c)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "TorusGrid",
@@ -72,8 +71,16 @@ class TorusGrid:
 
     @cached_property
     def points_per_dim(self) -> int:
-        # exact dealiased quadratic products need >= 3*kmax + 1 points per dim
-        return next_fast_len(3 * self.kmax + 1, real=True)
+        # dealiased quadratic products need >= 3*kmax + 1 points; the smallest 5-smooth such count is a fast FFT size
+        n = 3 * self.kmax + 1
+        while True:
+            rest = n
+            for p in (2, 3, 5):
+                while rest % p == 0:
+                    rest //= p
+            if rest == 1:
+                return n
+            n += 1
 
     @property
     def pshape(self) -> tuple[int, ...]:

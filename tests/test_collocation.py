@@ -72,7 +72,7 @@ def test_warm_ledger_rows_equal_cold_recomputation():
         states.append(state)
         increments.append(rep.increment)
 
-    initial = config.initial.build(config.grid, config.params, path_generator(config.base_seed, 0, stream=1))
+    initial = config.initial_state()
     result = run_trajectory(config, 0, initial_state=initial, on_step=keep)
     assert result.failure is None and len(result.rows) == 31
 

@@ -179,6 +179,25 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["ensemble", str(cfg), "--out", str(out)]) in (0, 4)
 
+    @pytest.mark.parametrize("command", [["ensemble"], ["sweep", "--param", "eps", "--values", "1e-2"]])
+    def test_nonpositive_workers_flag_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main([command[0], str(cfg), "--out", str(out), "--workers", "0", *command[1:]]) == 2
+        assert "--workers must be a positive integer, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_workers_env_rejected(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(FAST_RUN)
+        monkeypatch.setenv("NSCH_WORKERS", value)
+        out = tmp_path / "out"
+        assert main(["ensemble", str(cfg), "--out", str(out)]) == 2
+        assert f"NSCH_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_run_exit_code(self, tmp_path, capsys, monkeypatch):
         from nsch.scheme import InitialData, SchemeState
         from nsch.spectral import SpectralField

@@ -13,7 +13,6 @@ from nsch.ensemble import (
 )
 from nsch.errors import SchemeError
 from nsch.noise import geometric_noise, silent_noise
-from nsch.noise import path_generator
 from nsch.scheme import ApproxParams, InitialData, SchemeState
 from nsch.spectral import SpectralField, TorusGrid, norm_l2
 
@@ -43,7 +42,7 @@ def small_config(**kw):
 class TestFailureRecords:
     def test_nonfinite_path_is_recorded_as_nonfinite(self):
         config = small_config(paths=1)
-        good = config.initial.build(config.grid, config.params, path_generator(config.base_seed, 0, stream=1))
+        good = config.initial_state()
         coeffs = good.c.coeffs.copy()
         coeffs[0, 1] = np.nan
         bad = SchemeState(t=good.t, rho=good.rho, w=good.w, u=good.u, c=SpectralField(config.grid, coeffs))

@@ -13,7 +13,6 @@ from nsch.scheme import (
     SchemeState,
     ch_diffusion,
     ch_drift,
-    continuity_rhs,
     cutoff,
     momentum_rhs,
     recover_velocity,
@@ -97,18 +96,19 @@ class TestCutoff:
         assert 0 < chis[2] < chis[1] < chis[0] < 1
 
 
-class TestContinuityRhs:
+class TestDensityUpdate:
+    """The density half-step of ``step``: backward-Euler eps Lap rho, explicit -Div(rho [u]_R)."""
+
     def test_pure_decay_mode(self):
+        # at rest every density mode decays by the backward-Euler factor alone
         grid = grid16()
         params = small_params()
         (x,) = grid.mesh()
-        delta = 0.2
-        rho = to_spectral(grid, 1.0 + delta * np.cos(x))
+        rho = to_spectral(grid, 1.0 + 0.2 * np.cos(x))
         state = SchemeState(t=0.0, rho=rho, w=zeros(grid, 1), u=zeros(grid, 1), c=constant(grid, 0.0))
-        rhs = continuity_rhs(state, params)
-        np.testing.assert_allclose(
-            to_physical(rhs)[0], -params.eps * delta * np.cos(x), atol=1e-12
-        )
+        new, _ = step(state, params, path_generator(0, 0))
+        expected = rho.coeffs / (1.0 + params.eps * params.dt * grid.k_squared)
+        np.testing.assert_allclose(new.rho.coeffs, expected, rtol=1e-15, atol=0.0)
 
     def test_constant_density_solenoidal_velocity(self):
         # in 2D a divergence-free velocity transports constant density nowhere
@@ -117,16 +117,16 @@ class TestContinuityRhs:
         xs, ys = grid.mesh()
         u = to_spectral(grid, np.stack([np.sin(ys), np.sin(xs)]))
         rho = constant(grid, 2.0)
-        state = SchemeState(t=0.0, rho=rho, w=u, u=u, c=constant(grid, 0.0))
-        rhs = continuity_rhs(state, params)
-        assert norm_l2(rhs) < 1e-12
+        state = SchemeState(t=0.0, rho=rho, w=project(multiply(rho, u), params.m), u=u, c=constant(grid, 0.0))
+        new, _ = step(state, params, path_generator(0, 0))
+        assert np.max(np.abs(new.rho.coeffs - rho.coeffs)) < 1e-12
 
     def test_zero_mode_exactly_zero(self, rng):
         grid = grid16()
         params = small_params()
         state = generic_state(grid, params, rng)
-        rhs = continuity_rhs(state, params)
-        assert rhs.coeffs[0, 0] == 0.0
+        new, _ = step(state, params, path_generator(0, 0))
+        assert new.rho.coeffs[0][grid.zero_index] == state.rho.coeffs[0][grid.zero_index]
 
 
 class TestMomentumRhs:
@@ -448,6 +448,19 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
         assert np.array_equal(loaded.w.coeffs, state.w.coeffs)
         assert norm_l2(loaded.u) > 0.0
+
+    def test_zero_momentum_load_keeps_the_positivity_guard(self, tmp_path):
+        grid = grid16()
+        params = small_params(m=2)
+        (x,) = grid.mesh()
+        rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
+        state = SchemeState(t=0.0, rho=rho, w=zeros(grid, 1), u=zeros(grid, 1), c=constant(grid, 0.0))
+        path = tmp_path / "thin_rest.nsch"
+        save_checkpoint(path, state, path_generator(0, 0), params.m, params.n, 0)
+        with pytest.raises(PositivityError):
+            load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
+        assert norm_l2(loaded.u) == 0.0
 
     def test_corruption_detected(self, rng, tmp_path):
         grid = grid16()

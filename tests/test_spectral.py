@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,6 +86,21 @@ class TestTorusGrid:
             g = TorusGrid(dim=1, modes_per_dim=n)
             assert g.points_per_dim >= 3 * g.kmax + 1
             assert g.points_per_dim >= 2 * (n // 2)
+
+    def test_points_per_dim_match_scipy_fast_lengths(self):
+        from scipy.fft import next_fast_len
+
+        for modes in range(2, 1025, 2):
+            for dim in (1, 2):
+                g = TorusGrid(dim=dim, modes_per_dim=modes)
+                assert g.points_per_dim == next_fast_len(3 * g.kmax + 1, real=True), modes
+
+    def test_cli_import_needs_numpy_only(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, nsch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_coords_uniform_on_torus(self, grid1d):
         (x,) = grid1d.coords

@@ -72,8 +72,7 @@ class TestTrajectoryAudits:
         params = ApproxParams(eps=1e-2, R=0.5, m=3, n=5, dt=1e-5, noise=silent_noise())
         initial = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=3.0, c_amp=0.1)
         config = EnsembleConfig(
-            grid=grid, params=params, initial=initial, paths=1, horizon=2e-4, base_seed=7,
-            cutoff_warn_fraction=0.5,
+            grid=grid, params=params, initial=initial, paths=1, horizon=2e-4, base_seed=7
         )
         with pytest.warns(CutoffSaturatedWarning):
             result = run_trajectory(config, 0)
