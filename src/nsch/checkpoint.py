@@ -16,13 +16,17 @@ Layout (all little-endian):
     rng     PCG64 position: state u128, inc u128, has_uint32 u32, uinteger u32
 
 The generator block captures the exact stream position, so a restart replays
-the remaining increments bit-identically.
+the remaining increments bit-identically.  Output files are written through
+``atomic_open``, so a crash or kill mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .errors import CheckpointError
 from .scheme import SchemeState, recover_velocity
 from .spectral import SpectralField, TorusGrid
 
-__all__ = ["CheckpointMeta", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointMeta", "atomic_open", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NSCH"
 VERSION = 1
@@ -46,6 +50,24 @@ class CheckpointMeta:
     noise_modes: int
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a hidden temporary file next to ``path`` and move it onto ``path`` on success.
+
+    The temporary name ``.<name>.tmp`` matches no output pattern (``chk_*.nsch``);
+    on an exception it is removed and ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _coeff_bytes(f: SpectralField) -> bytes:
     return np.ascontiguousarray(f.coeffs).astype("<c16", copy=False).tobytes()
 
@@ -55,7 +77,7 @@ def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, 
     st = rng.bit_generator.state
     if st["bit_generator"] != "PCG64":
         raise CheckpointError(f"unsupported generator {st['bit_generator']}")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, grid.dim, grid.modes_per_dim, m, n, noise_modes, state.t))
         fh.write(_coeff_bytes(state.rho))
         fh.write(_coeff_bytes(state.w))

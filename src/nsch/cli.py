@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, format_config, parse_config
 from .constitutive import chemical_potential
 from .diagnostics import audit_ledger_rows, korn_check, ledger_from_csv, ledger_to_csv, mass, poincare_check
@@ -41,6 +41,11 @@ def _load_config(path: str | None, seed: int | None) -> RunConfig:
         config.raw["noise"]["seed"] = int(seed)
         config = parse_config(format_config(config))
     return config
+
+
+def _write(path: Path, text: str):
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _workers(args) -> int:
@@ -92,8 +97,8 @@ def cmd_run(args) -> int:
             )
 
     result = run_trajectory(ens, 0, initial_state=state0, on_step=on_step)
-    (outdir / "ledger.csv").write_text(ledger_to_csv(result.rows))
-    (outdir / "config.cfg").write_text(format_config(config))
+    _write(outdir / "ledger.csv", ledger_to_csv(result.rows))
+    _write(outdir / "config.cfg", format_config(config))
     if result.failure is not None:
         print(
             f"run failed at step {result.failure['step']} (t = {result.failure['t']:.17g}): "
@@ -117,7 +122,7 @@ def cmd_ensemble(args) -> int:
     except SchemeError as exc:
         print(f"ensemble failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    (outdir / "report.json").write_text(report.to_json() + "\n")
+    _write(outdir / "report.json", report.to_json() + "\n")
     mart = report.martingale
     print(
         f"ensemble complete: {report.survivors}/{report.paths} paths survived, "
@@ -202,13 +207,9 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     trend = sweep_trend_csv(cells)
-    (outdir / "trend.csv").write_text(trend)
-    (outdir / "cells.json").write_text(
-        json.dumps(
-            [{"value": c.value, "report": json.loads(c.report.to_json())} for c in cells], indent=2
-        )
-        + "\n"
-    )
+    _write(outdir / "trend.csv", trend)
+    reports = [{"value": c.value, "report": json.loads(c.report.to_json())} for c in cells]
+    _write(outdir / "cells.json", json.dumps(reports, indent=2) + "\n")
     print(trend, end="")
     print(f"trend table written to {outdir / 'trend.csv'}")
     return EXIT_OK

@@ -369,11 +369,15 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
     """One ensemble per value with common random numbers across cells."""
     if parameter not in _SWEEPABLE:
         raise ValueError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
-    cells = []
+    kind = type(getattr(config.params, parameter))
     for v in values:
         if not np.isfinite(v):
             raise ValueError(f"sweep value {v} is not finite")
-        params = replace(config.params, **{parameter: type(getattr(config.params, parameter))(v)})
+        if kind is int and v != int(v):
+            raise ValueError(f"sweep value {v} of the integer parameter {parameter} is not an integer")
+    cells = []
+    for v in values:
+        params = replace(config.params, **{parameter: kind(v)})
         cell_config = replace(config, params=params, keep_final_state=True)
         report, results = run_paths(cell_config)
         survivors = [r for r in results if r.failure is None]

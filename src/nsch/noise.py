@@ -179,11 +179,8 @@ def sigma_table(spec: NoiseSpec, cv: np.ndarray, deriv: bool = False) -> np.ndar
 
 
 def _mode_sum(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k weights_k table_k, accumulated mode by mode into a zero array."""
-    acc = np.zeros(table.shape[1:])
-    for term in weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table:
-        acc += term
-    return acc
+    """sum_k weights_k table_k; the reduction over the leading axis adds the modes in order."""
+    return np.sum(weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table, axis=0)
 
 
 def noise_sum(sigma: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -133,6 +134,28 @@ def _values(f: SpectralField) -> np.ndarray:
     return values
 
 
+def _split(stack, sizes: list[int]) -> list:
+    """Consecutive row blocks of ``stack`` with the given sizes, as views."""
+    return [stack[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+
+
+def _stacked_values(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Grid values of coefficient blocks, all in one inverse transform; read-only."""
+    values = _values(SpectralField(grid, np.concatenate(blocks)))
+    return _split(values, [len(b) for b in blocks])
+
+
+def _stacked_fields(grid: TorusGrid, blocks: list[np.ndarray]) -> list[SpectralField]:
+    """Fields of grid-value blocks, all in one forward transform."""
+    coeffs = to_spectral(grid, np.concatenate(blocks)).coeffs
+    return [SpectralField(grid, part) for part in _split(coeffs, [len(b) for b in blocks])]
+
+
+def _part(stack: str, index: int) -> property:
+    """Block ``index`` of the stacked transform ``stack`` of the record."""
+    return property(lambda self: getattr(self, stack)[index], doc=f"block {index} of {stack}")
+
+
 class Collocation:
     """Collocation values of one state under one parameter set.
 
@@ -141,6 +164,13 @@ class Collocation:
     computed on first use and then shared by the step, the energy ledger and
     the sup functionals.  Values keep the component axis of ``to_physical``
     and are read-only.  Obtain records through ``collocation``.
+
+    Fields are transformed in stacks, one transform call per stack: the
+    fields linear in the state (``_linear``), the pre-step products
+    (``_products``), mu with its derivatives and the dealiased momentum
+    (``_resampled``), and the products of those (``_second_products``).
+    Each named field is a view of its stack.  The density has its own
+    transform, because the velocity recovery of a new state needs it first.
     """
 
     def __init__(self, state: SchemeState, params: ApproxParams | None, rho: np.ndarray | None = None):
@@ -156,32 +186,22 @@ class Collocation:
         return _values(self.state.rho)
 
     @cached_property
-    def u(self) -> np.ndarray:
-        return _values(self.state.u)
+    def _linear(self) -> list[np.ndarray]:
+        s = self.state
+        grad_u = grad_tensor(s.u)
+        blocks = [s.u, s.c, gradient(s.c), laplacian(s.c), gradient(s.rho), grad_u]
+        # the viscous stress needs parameters; parameter-free records leave it out
+        if self.params is not None:
+            blocks.append(stress(grad_u, self.params.visc))
+        return _stacked_values(self.grid, [f.coeffs for f in blocks])
 
-    @cached_property
-    def c(self) -> np.ndarray:
-        return _values(self.state.c)
-
-    @cached_property
-    def grad_c(self) -> np.ndarray:
-        return _values(gradient(self.state.c))
-
-    @cached_property
-    def lap_c(self) -> np.ndarray:
-        return _values(laplacian(self.state.c))
-
-    @cached_property
-    def grad_rho(self) -> np.ndarray:
-        return _values(gradient(self.state.rho))
-
-    @cached_property
-    def grad_u(self) -> np.ndarray:
-        return _values(grad_tensor(self.state.u))
-
-    @cached_property
-    def visc_stress(self) -> np.ndarray:
-        return _values(stress(grad_tensor(self.state.u), self.params.visc))
+    u = _part("_linear", 0)
+    c = _part("_linear", 1)
+    grad_c = _part("_linear", 2)
+    lap_c = _part("_linear", 3)
+    grad_rho = _part("_linear", 4)
+    grad_u = _part("_linear", 5)
+    visc_stress = _part("_linear", 6)
 
     @cached_property
     def cut(self) -> tuple[SpectralField, float]:
@@ -194,21 +214,47 @@ class Collocation:
         return self.u if u_r is self.state.u else _values(u_r)
 
     @cached_property
-    def mu(self) -> SpectralField:
-        values = chemical_potential_values(self.rho[0], self.c[0], self.lap_c[0], self.params.fspec)
-        return to_spectral(self.grid, values)
+    def _products(self) -> list[SpectralField]:
+        p = self.params
+        rv, cv = self.rho[0], self.c[0]
+        mu = chemical_potential_values(rv, cv, self.lap_c[0], p.fspec)
+        p_art = pressure(rv, cv, p.fspec) + np.sqrt(p.eps) * rv**p.alpha_exp
+        blocks = [
+            mu[None],
+            self.rho * self.u,
+            p_art[None],
+            korteweg_values(self.grad_c),
+            np.sum(self.u_r * self.grad_c, axis=0)[None],
+            self.rho * self.u_r,
+        ]
+        return _stacked_fields(self.grid, blocks)
+
+    mu = _part("_products", 0)
+    momentum = _part("_products", 1)
+    art_pressure = _part("_products", 2)
+    korteweg = _part("_products", 3)
+    u_r_grad_c = _part("_products", 4)
+    rho_u_r = _part("_products", 5)
 
     @cached_property
-    def mu_values(self) -> np.ndarray:
-        return _values(self.mu)
+    def _resampled(self) -> list[np.ndarray]:
+        mu = self.mu
+        return _stacked_values(self.grid, [mu.coeffs, gradient(mu).coeffs, laplacian(mu).coeffs, self.momentum.coeffs])
+
+    mu_values = _part("_resampled", 0)
+    grad_mu = _part("_resampled", 1)
+    lap_mu = _part("_resampled", 2)
+    momentum_values = _part("_resampled", 3)
 
     @cached_property
-    def grad_mu(self) -> np.ndarray:
-        return _values(gradient(self.mu))
+    def _second_products(self) -> list[SpectralField]:
+        mv, u_r = self.momentum_values, self.u_r
+        dim = self.grid.dim
+        flux = np.stack([mv[i] * u_r[j] for i in range(dim) for j in range(dim)])
+        return _stacked_fields(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
-    @cached_property
-    def lap_mu(self) -> np.ndarray:
-        return _values(laplacian(self.mu))
+    lap_mu_over_rho = _part("_second_products", 0)
+    momentum_flux = _part("_second_products", 1)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -280,7 +326,7 @@ def cutoff(u: SpectralField, R: float) -> tuple[SpectralField, float]:
 
 def _transport_rho(col: Collocation) -> SpectralField:
     """-Div(rho [u]_R); its zero mode is structurally zero."""
-    return SpectralField(col.grid, -divergence(to_spectral(col.grid, col.rho * col.u_r)).coeffs)
+    return SpectralField(col.grid, -divergence(col.rho_u_r).coeffs)
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
@@ -290,16 +336,10 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
     m = params.m
     _, chi = col.cut
 
-    mv = to_physical(to_spectral(grid, col.rho * col.u))
-    flux = np.stack([mv[i] * col.u_r[j] for i in range(grid.dim) for j in range(grid.dim)])
-    transport = div_tensor(project(to_spectral(grid, flux), m))
-
-    rv, cv = col.rho[0], col.c[0]
-    p_art = pressure(rv, cv, params.fspec) + np.sqrt(params.eps) * rv**params.alpha_exp
-    press = gradient(project(to_spectral(grid, p_art), m))
-
+    transport = div_tensor(project(col.momentum_flux, m))
+    press = gradient(project(col.art_pressure, m))
     visc = div_tensor(project(stress(grad_tensor(state.u), params.visc), m))
-    capillary = div_tensor(project(to_spectral(grid, korteweg_values(col.grad_c)), m))
+    capillary = div_tensor(project(col.korteweg, m))
     eps_diff = laplacian(state.w)
 
     coeffs = (
@@ -315,10 +355,7 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
 def ch_drift(state: SchemeState, params: ApproxParams) -> SpectralField:
     """P_n[(1/rho) Lap mu - [u]_R . grad c]."""
     col = collocation(state, params)
-    grid = col.grid
-    over_rho = to_spectral(grid, col.lap_mu[0] / col.rho[0])
-    transport = to_spectral(grid, np.sum(col.u_r * col.grad_c, axis=0))
-    return project(SpectralField(grid, over_rho.coeffs - transport.coeffs), params.n)
+    return project(SpectralField(col.grid, col.lap_mu_over_rho.coeffs - col.u_r_grad_c.coeffs), params.n)
 
 
 def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> SpectralField:
@@ -342,8 +379,9 @@ def recover_velocity(
     """Solve P_m(rho u) = w for u in the order-m space.
 
     The operator u -> P_m(rho u) is symmetric positive definite for positive
-    rho, so a conjugate-gradient iteration preconditioned by the mean density
-    converges quickly; failure to converge signals near-vacuum density.
+    rho, so a conjugate-gradient iteration converges quickly from the start
+    P_m(w / rho), which is exact for constant density; failure to converge
+    signals near-vacuum density.
     ``rho_values`` are the grid values of rho when the caller has them.
     Returns the velocity and the iteration count.
     """
@@ -353,7 +391,6 @@ def recover_velocity(
         raise PositivityError(min_rho)
 
     grid = rho.grid
-    rho_bar = mean_density(rho)
     w = project(w, m)
     wnorm = norm_l2(w)
     if wnorm == 0.0:
@@ -363,7 +400,7 @@ def recover_velocity(
         return project(to_spectral(grid, vals * to_physical(SpectralField(grid, v))), m).coeffs
 
     # conjugate gradients on coefficient arrays
-    x = w.coeffs / rho_bar
+    x = project(to_spectral(grid, to_physical(w) / vals), m).coeffs
     r = w.coeffs - apply(x)
     p = r
     rs = coeff_inner(grid, r, r)

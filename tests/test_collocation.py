@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nsch.config import parse_config
-from nsch.constitutive import FreeEnergySpec, chemical_potential, f_partials
+from nsch.constitutive import FreeEnergySpec, chemical_potential, f_partials, stress
 from nsch.diagnostics import energy_ledger_step, initial_ledger_row
 from nsch.ensemble import EnsembleConfig, run_trajectory
 from nsch.noise import (
@@ -22,15 +22,27 @@ from nsch.noise import (
     sigma_table,
 )
 from nsch.scheme import SchemeState, collocation, step
-from nsch.spectral import TorusGrid, gradient, integrate_values, random_band_limited, to_physical
+from nsch.spectral import (
+    TorusGrid,
+    grad_tensor,
+    gradient,
+    integrate_values,
+    laplacian,
+    random_band_limited,
+    to_physical,
+)
 
 # the default physics: 1D, 32 modes, geometric noise with K = 20
 DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 
 # transforms per step (step + ledger row + sup functionals) on DEFAULT_NOISY;
 # the step, the ledger and the functionals share one collocation record per
-# state.  Lower it when a change removes transforms; never raise it.
-MAX_FFT_CALLS_PER_STEP = 41
+# state, which transforms its fields in stacks.  Lower it when a change
+# removes transforms; never raise it.
+MAX_FFT_CALLS_PER_STEP = 18
+
+# conjugate-gradient iterations of one velocity recovery, started from P_m(w / rho)
+MAX_GRAM_ITERATIONS = 4
 
 
 def default_config(steps: int) -> EnsembleConfig:
@@ -46,7 +58,9 @@ def fresh(state: SchemeState) -> SchemeState:
     return SchemeState(t=state.t, rho=state.rho, w=state.w, u=state.u, c=state.c)
 
 
-def test_fft_calls_per_step_bounded(monkeypatch):
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Running count of numpy.fft.rfftn and irfftn calls."""
     calls = {"n": 0}
     for name in ("rfftn", "irfftn"):
         original = getattr(np.fft, name)
@@ -56,12 +70,61 @@ def test_fft_calls_per_step_bounded(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
+
+def test_fft_calls_per_step_bounded(fft_calls):
     steps = 20
     at_step = {}
-    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, calls["n"]))
+    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, fft_calls["n"]))
     per_step = (at_step[steps] - at_step[1]) / (steps - 1)
     assert 0 < per_step <= MAX_FFT_CALLS_PER_STEP
+
+
+def test_ledger_row_after_step_transforms_at_most_once(fft_calls):
+    config = default_config(1)
+    params = config.params
+    pre = config.initial_state()
+    post, rep = step(pre, params, path_generator(config.base_seed, 0))
+    before = fft_calls["n"]
+    energy_ledger_step(pre, post, rep.increment, params)
+    assert fft_calls["n"] - before <= 1
+
+
+def test_gram_iterations_bounded():
+    iterations = []
+    run_trajectory(default_config(20), 0, on_step=lambda done, state, gen, rep: iterations.append(rep.gram_iterations))
+    assert len(iterations) == 20 and max(iterations) <= MAX_GRAM_ITERATIONS
+
+    config = parse_config("[grid]\ndim = 2\nmodes = 16\n\n[noise]\nseed = 7\n")
+    state = config.initial.build(config.grid, config.params, path_generator(7, 0, stream=1))
+    _, rep = step(state, config.params, path_generator(7, 0))
+    assert rep.gram_iterations <= MAX_GRAM_ITERATIONS
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_fields_equal_separate_transforms(dim):
+    config = parse_config(f"[grid]\ndim = {dim}\nmodes = 16\n\n[noise]\nseed = 7\n")
+    params = config.params
+    state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
+    col = collocation(state, params)
+    grad_u = grad_tensor(state.u)
+    separate = {
+        "u": state.u,
+        "c": state.c,
+        "grad_c": gradient(state.c),
+        "lap_c": laplacian(state.c),
+        "grad_rho": gradient(state.rho),
+        "grad_u": grad_u,
+        "visc_stress": stress(grad_u, params.visc),
+        "mu_values": col.mu,
+        "grad_mu": gradient(col.mu),
+        "lap_mu": laplacian(col.mu),
+    }
+    for name, f in separate.items():
+        assert np.array_equal(getattr(col, name), to_physical(f)), name
+    # the stacked forward transform of the products gives mu exactly as a transform of its own
+    assert np.array_equal(col.mu.coeffs, chemical_potential(state.rho, state.c, params.fspec).coeffs)
 
 
 def test_warm_ledger_rows_equal_cold_recomputation():

@@ -172,6 +172,14 @@ class TestCli:
         cells = json.loads((out / "cells.json").read_text())
         assert [c["value"] for c in cells] == [1e-2, 1e-3]
 
+    def test_sweep_rejects_non_integral_order(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FAST_RUN.replace("paths = 8", "paths = 2"))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--param", "m", "--values", "3,3.7"]) == 2
+        assert "sweep value 3.7 of the integer parameter m is not an integer" in capsys.readouterr().err
+        assert not (out / "trend.csv").exists()
+
     def test_workers_env(self, tmp_path, monkeypatch):
         cfg = tmp_path / "ens.cfg"
         cfg.write_text(FAST_RUN.replace("paths = 8", "paths = 2"))

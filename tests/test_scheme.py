@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nsch.checkpoint import load_checkpoint, save_checkpoint
+from nsch import checkpoint
+from nsch.checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ZeroFunction
 from nsch.errors import CheckpointError, NonFiniteError, PositivityError, TimeStepError
 from nsch.noise import geometric_noise, path_generator, silent_noise
@@ -461,6 +462,43 @@ class TestCheckpoint:
             load_checkpoint(path)
         loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
         assert norm_l2(loaded.u) == 0.0
+
+    def test_failed_write_keeps_the_previous_file(self, rng, tmp_path, monkeypatch):
+        grid = grid16()
+        params = small_params()
+        path = tmp_path / "chk_00000000.nsch"
+        save_checkpoint(path, rest_state(grid, params), path_generator(0, 0), params.m, params.n, 0)
+        before = path.read_bytes()
+
+        blocks = []
+        original = checkpoint._coeff_bytes
+
+        def fail_on_second_block(f):
+            blocks.append(f)
+            if len(blocks) == 2:
+                raise OSError("disk full")
+            return original(f)
+
+        # the header and the density block are written before the failure
+        monkeypatch.setattr(checkpoint, "_coeff_bytes", fail_on_second_block)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, generic_state(grid, params, rng), path_generator(1, 0), params.m, params.n, 0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_atomic_open_keeps_the_previous_text(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("killed")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_corruption_detected(self, rng, tmp_path):
         grid = grid16()
