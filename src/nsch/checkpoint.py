@@ -106,6 +106,13 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
             raise CheckpointError(f"bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}")
+        if dim not in (1, 2):
+            raise CheckpointError(f"dimension {dim} is not 1 or 2")
+        if modes == 0 or modes % 2:
+            raise CheckpointError(f"modes per dimension {modes} is not a positive even number")
+        for name, order in (("m", m), ("n", n)):
+            if not 1 <= order <= modes // 2:
+                raise CheckpointError(f"Galerkin order {name} = {order} outside [1, {modes // 2}]")
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         band = grid.band_shape
         rho = SpectralField(grid, _read_block(fh, (1,) + band))

@@ -17,7 +17,15 @@ from pathlib import Path
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, format_config, parse_config
 from .constitutive import chemical_potential
-from .diagnostics import audit_ledger_rows, korn_check, ledger_from_csv, ledger_to_csv, mass, poincare_check
+from .diagnostics import (
+    audit_ledger_rows,
+    korn_check,
+    ledger_from_csv,
+    ledger_to_csv,
+    mass,
+    poincare_check,
+    worst_relative_residual,
+)
 from .ensemble import _SWEEPABLE, EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from .errors import CheckpointError, ConfigError, SchemeError
 from .noise import path_generator
@@ -149,6 +157,9 @@ def cmd_verify(args) -> int:
     ledger_problems = audit_ledger_rows(rows)
     problems.extend(ledger_problems)
     print(f"ledger: {len(rows)} rows, {'ok' if not ledger_problems else 'VIOLATIONS'}")
+    if rows:
+        worst_step, worst = worst_relative_residual(rows)
+        print(f"ledger: worst relative residual {worst:.3e} at step {worst_step}")
 
     snaps = sorted(outdir.glob("chk_*.nsch")) + [p for p in (outdir / "final.nsch",) if p.exists()]
     k0_ref = None

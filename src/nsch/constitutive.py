@@ -16,6 +16,7 @@ regularize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +98,8 @@ class DoubleWell:
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
 
-    def _consts(self):
+    @cached_property
+    def _consts(self) -> tuple[float, ...]:
         cs, kap = self.cstar, self.kappa
         a = 3.0 * cs**2 - 1.0  # curvature at the joint
         b = 6.0 * cs  # its slope
@@ -109,47 +111,62 @@ class DoubleWell:
         p0 = f0 + w1 + a / 2.0 + b / 6.0 + cc / 12.0 + dd / 20.0
         return a, b, cc, dd, w1, f0, p1, p0
 
-    def value(self, c):
+    def _piecewise(self, c, inner, blend, linear, linear_at):
+        """inner(c), overwritten beyond cstar by blend(r, sign) or, where linear_at(s, q), by linear(q, sign).
+
+        With s = |c|: r = min(s - cstar, 1) and q = s - cstar - 1.  Only the
+        points beyond cstar evaluate the outer pieces.
+        """
         c = np.asarray(c, dtype=float)
-        s = np.abs(c)
-        a, b, cc, dd, w1, f0, p1, p0 = self._consts()
-        r = np.clip(s - self.cstar, 0.0, 1.0)
-        q = np.maximum(s - self.cstar - 1.0, 0.0)
-        inner = 0.25 * (c**2 - 1.0) ** 2 - 0.25
-        mid = f0 + w1 * r + a * r**2 / 2.0 + b * r**3 / 6.0 + cc * r**4 / 12.0 + dd * r**5 / 20.0
-        out = p0 + p1 * q + 0.5 * self.kappa * q**2
-        return np.where(s <= self.cstar, inner, np.where(q > 0.0, out, mid))
+        out = np.asarray(inner(c), dtype=float)
+        beyond = np.abs(c) > self.cstar
+        if beyond.any():
+            cb = c[beyond]
+            s, sg = np.abs(cb), np.sign(cb)
+            r = np.minimum(s - self.cstar, 1.0)
+            q = s - self.cstar - 1.0
+            out[beyond] = np.where(linear_at(s, q), linear(q, sg), blend(r, sg))
+        return out
+
+    def value(self, c):
+        a, b, cc, dd, w1, f0, p1, p0 = self._consts
+        return self._piecewise(
+            c,
+            lambda c: 0.25 * (c**2 - 1.0) ** 2 - 0.25,
+            lambda r, sg: f0 + w1 * r + a * r**2 / 2.0 + b * r**3 / 6.0 + cc * r**4 / 12.0 + dd * r**5 / 20.0,
+            lambda q, sg: p0 + p1 * q + 0.5 * self.kappa * q**2,
+            lambda s, q: q > 0.0,
+        )
 
     def d1(self, c):
-        c = np.asarray(c, dtype=float)
-        s = np.abs(c)
-        sg = np.sign(c)
-        a, b, cc, dd, w1, _, p1, _ = self._consts()
-        r = np.clip(s - self.cstar, 0.0, 1.0)
-        q = np.maximum(s - self.cstar - 1.0, 0.0)
-        inner = c**3 - c
-        mid = sg * (w1 + a * r + b * r**2 / 2.0 + cc * r**3 / 3.0 + dd * r**4 / 4.0)
-        out = sg * (p1 + self.kappa * q)
-        return np.where(s <= self.cstar, inner, np.where(q > 0.0, out, mid))
+        a, b, cc, dd, w1, _, p1, _ = self._consts
+        return self._piecewise(
+            c,
+            lambda c: c**3 - c,
+            lambda r, sg: sg * (w1 + a * r + b * r**2 / 2.0 + cc * r**3 / 3.0 + dd * r**4 / 4.0),
+            lambda q, sg: sg * (p1 + self.kappa * q),
+            lambda s, q: q > 0.0,
+        )
 
     def d2(self, c):
-        c = np.asarray(c, dtype=float)
-        s = np.abs(c)
-        a, b, cc, dd, *_ = self._consts()
-        r = np.clip(s - self.cstar, 0.0, 1.0)
-        inner = 3.0 * c**2 - 1.0
-        mid = a + b * r + cc * r**2 + dd * r**3
-        return np.where(s <= self.cstar, inner, np.where(s >= self.cstar + 1.0, self.kappa, mid))
+        a, b, cc, dd, *_ = self._consts
+        return self._piecewise(
+            c,
+            lambda c: 3.0 * c**2 - 1.0,
+            lambda r, sg: a + b * r + cc * r**2 + dd * r**3,
+            lambda q, sg: self.kappa,
+            lambda s, q: s >= self.cstar + 1.0,
+        )
 
     def d3(self, c):
-        c = np.asarray(c, dtype=float)
-        s = np.abs(c)
-        sg = np.sign(c)
-        a, b, cc, dd, *_ = self._consts()
-        r = np.clip(s - self.cstar, 0.0, 1.0)
-        inner = 6.0 * c
-        mid = sg * (b + 2.0 * cc * r + 3.0 * dd * r**2)
-        return np.where(s <= self.cstar, inner, np.where(s >= self.cstar + 1.0, 0.0, mid))
+        a, b, cc, dd, *_ = self._consts
+        return self._piecewise(
+            c,
+            lambda c: 6.0 * c,
+            lambda r, sg: sg * (b + 2.0 * cc * r + 3.0 * dd * r**2),
+            lambda q, sg: 0.0,
+            lambda s, q: s >= self.cstar + 1.0,
+        )
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ __all__ = [
     "holder_estimate",
     "ledger_to_csv",
     "ledger_from_csv",
+    "worst_relative_residual",
     "audit_ledger_rows",
     "v15_functional",
 ]
@@ -384,6 +385,16 @@ def ledger_from_csv(text: str) -> list[EnergyLedger]:
     return [EnergyLedger(*(float(x) for x in row)) for row in reader if row]
 
 
+def _ledger_scale(row: EnergyLedger) -> float:
+    """Energy scale a ledger row's residuals are measured against."""
+    return max(1.0, abs(row.kinetic) + abs(row.free) + abs(row.interface))
+
+
+def worst_relative_residual(rows: list[EnergyLedger]) -> tuple[int, float]:
+    """Step and size of the largest |residual| relative to its row's energy scale."""
+    return max(((i, abs(row.residual) / _ledger_scale(row)) for i, row in enumerate(rows)), key=lambda x: x[1])
+
+
 def audit_ledger_rows(rows: list[EnergyLedger], tol: float = 1e-9) -> list[str]:
     """Re-derive each residual from consecutive rows and check sign constraints.
 
@@ -423,8 +434,7 @@ def audit_ledger_rows(rows: list[EnergyLedger], tol: float = 1e-9) -> list[str]:
             - row.ito2
             - row.stochastic_increment
         )
-        scale = max(1.0, abs(row.kinetic) + abs(row.free) + abs(row.interface))
-        if abs(recomputed - row.residual) > tol * scale:
+        if abs(recomputed - row.residual) > tol * _ledger_scale(row):
             problems.append(
                 f"step {i}: stored residual {row.residual:.6e} disagrees with recomputed {recomputed:.6e}"
             )

@@ -2,7 +2,7 @@
 
 Each path owns a generator derived from (base seed, path index), so the
 ensemble is reproducible for any worker count and any path ordering.  Failed
-paths (positivity loss, stalled velocity recovery, stability aborts) are
+paths (positivity loss, failed velocity recovery, stability aborts) are
 recorded with their failure time and excluded from the survivor statistics;
 the survivor fraction is itself a first-class output.
 """

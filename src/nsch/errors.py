@@ -26,7 +26,11 @@ class NonFiniteError(SchemeError):
 
 
 class GramSolveError(SchemeError):
-    """Velocity recovery from the projected momentum failed to converge."""
+    """Velocity recovery from the projected momentum failed.
+
+    The momentum was not finite, the direct solve was singular or missed its
+    residual tolerance, or conjugate gradients did not converge.
+    """
 
 
 class TimeStepError(SchemeError):

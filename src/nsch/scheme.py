@@ -26,7 +26,7 @@ functionals, so each state is transformed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -48,6 +48,7 @@ from .spectral import (
     coeff_inner,
     div_tensor,
     divergence,
+    from_coeffs,
     grad_tensor,
     gradient,
     integrate_values,
@@ -170,7 +171,8 @@ class Collocation:
     (``_products``), mu with its derivatives and the dealiased momentum
     (``_resampled``), and the products of those (``_second_products``).
     Each named field is a view of its stack.  The density has its own
-    transform, because the velocity recovery of a new state needs it first.
+    transform, because the positivity guard of the velocity recovery of a
+    new state needs it first.
     """
 
     def __init__(self, state: SchemeState, params: ApproxParams | None, rho: np.ndarray | None = None):
@@ -367,6 +369,68 @@ def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams)
     return project(to_spectral(grid, increment), params.n)
 
 
+# largest Gram system, (2m+1)^dim unknowns, solved directly; CG above it.  In
+# 1D the direct solve wins up to 49 unknowns and loses from 65 (see CHANGES.md)
+DIRECT_GRAM_MAX_SIZE = 49
+
+
+@cache
+def _gram_tables(grid: TorusGrid, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the direct Gram solve on the order-m band [-m, m]^dim.
+
+    Tables index ``_two_sided(a)`` of half-spectrum arrays a, so a_hat(q) is
+    read for any wavevector q.  Returns the table of the Gram matrix
+    rho_hat(j - k) and of the right-hand side w_hat(j), then the rows of the
+    solution on the stored half and their places in the band.
+    """
+    shape = grid.band_shape
+    size = int(np.prod(shape))
+    # band axes run over -kmax..kmax except the last, the stored half 0..kmax
+    offset = np.array([grid.kmax] * (grid.dim - 1) + [0])
+    axis = np.arange(-m, m + 1)
+    full = np.stack(np.meshgrid(*(axis,) * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+
+    def table(q: np.ndarray) -> np.ndarray:
+        """Position of a_hat(q) in ``_two_sided(a)``: stored, conjugated (a_hat(-q)) or zero out of band."""
+        conj = q[..., -1] < 0
+        inside = (np.abs(q) <= grid.kmax).all(axis=-1)
+        stored = np.where(conj[..., None], -q, q) + offset
+        flat = np.ravel_multi_index(tuple(np.moveaxis(np.where(inside[..., None], stored, 0), -1, 0)), shape)
+        return np.where(inside, flat + size * conj, 2 * size)
+
+    rows = np.flatnonzero(full[:, -1] >= 0)
+    band = np.ravel_multi_index(tuple((full[rows] + offset).T), shape)
+    return table(full[:, None] - full[None, :]), table(full), rows, band
+
+
+def _two_sided(a: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients (flat on the last axis), their conjugates and a zero."""
+    return np.concatenate([a, a.conj(), np.zeros(a.shape[:-1] + (1,))], axis=-1)
+
+
+def _direct_gram_solve(rho: SpectralField, w: SpectralField, m: int, rtol: float, min_rho: float) -> SpectralField:
+    """Solve P_m(rho u) = w directly in coefficient space; nothing is transformed.
+
+    The collocation grid resolves rho u alias-free on the order-m band, so
+    the projected product is exactly the (block-)Toeplitz matrix
+    G[j, k] = rho_hat(j - k) over the two-sided band.
+    """
+    grid = rho.grid
+    gram, rhs_table, rows, band = _gram_tables(grid, m)
+    matrix = _two_sided(rho.coeffs[0].ravel())[gram]
+    rhs = _two_sided(w.coeffs.reshape(w.ncomp, -1))[:, rhs_table].T
+    try:
+        x = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise GramSolveError(f"velocity recovery failed: {exc} (min rho {min_rho:.3e})") from None
+    residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
+    if not residual <= rtol:
+        raise GramSolveError(f"velocity recovery failed: relative residual {residual:.3e} (min rho {min_rho:.3e})")
+    coeffs = np.zeros((w.ncomp, int(np.prod(grid.band_shape))), dtype=np.complex128)
+    coeffs[:, band] = x[rows].T
+    return from_coeffs(grid, coeffs.reshape((w.ncomp,) + grid.band_shape))
+
+
 def recover_velocity(
     rho: SpectralField,
     w: SpectralField,
@@ -378,10 +442,13 @@ def recover_velocity(
 ) -> tuple[SpectralField, int]:
     """Solve P_m(rho u) = w for u in the order-m space.
 
-    The operator u -> P_m(rho u) is symmetric positive definite for positive
-    rho, so a conjugate-gradient iteration converges quickly from the start
+    A system of at most ``DIRECT_GRAM_MAX_SIZE`` unknowns is solved directly
+    in coefficient space (0 iterations).  Larger ones use conjugate
+    gradients: the operator u -> P_m(rho u) is symmetric positive definite
+    for positive rho, so the iteration converges quickly from the start
     P_m(w / rho), which is exact for constant density; failure to converge
-    signals near-vacuum density.
+    signals near-vacuum density.  Either way the relative residual must fall
+    to ``rtol``, else ``GramSolveError`` is raised.
     ``rho_values`` are the grid values of rho when the caller has them.
     Returns the velocity and the iteration count.
     """
@@ -395,6 +462,10 @@ def recover_velocity(
     wnorm = norm_l2(w)
     if wnorm == 0.0:
         return zeros(grid, w.ncomp), 0
+    if not np.isfinite(wnorm):
+        raise GramSolveError(f"velocity recovery failed: non-finite momentum (min rho {min_rho:.3e})")
+    if (2 * m + 1) ** grid.dim <= DIRECT_GRAM_MAX_SIZE:
+        return _direct_gram_solve(rho, w, m, rtol, min_rho), 0
 
     def apply(v: np.ndarray) -> np.ndarray:
         return project(to_spectral(grid, vals * to_physical(SpectralField(grid, v))), m).coeffs

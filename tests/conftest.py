@@ -17,3 +17,18 @@ def grid1d():
 @pytest.fixture
 def grid2d():
     return TorusGrid(dim=2, modes_per_dim=32)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Running count of numpy.fft.rfftn and irfftn calls."""
+    calls = {"n": 0}
+    for name in ("rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

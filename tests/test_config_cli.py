@@ -124,6 +124,39 @@ class TestCli:
         assert main(["verify", str(cfg), "--out", str(out)]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_verify_prints_worst_relative_residual(self, tmp_path, capsys):
+        from nsch.diagnostics import ledger_from_csv
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "ledger: 21 rows, ok" and lines[-1] == "verify: all checks passed"
+        rows = ledger_from_csv((out / "ledger.csv").read_text())
+        relative = [abs(r.residual) / max(1.0, abs(r.kinetic) + abs(r.free) + abs(r.interface)) for r in rows]
+        step = int(np.argmax(relative))
+        assert lines[1] == f"ledger: worst relative residual {relative[step]:.3e} at step {step}"
+
+    def test_verify_lists_corrupt_checkpoint_header(self, tmp_path, capsys):
+        from nsch.checkpoint import _HEADER
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        snap = out / "chk_00000010.nsch"
+        raw = snap.read_bytes()
+        head = list(_HEADER.unpack_from(raw))
+        head[4] = 99  # m beyond the 8 modes of a 16-mode grid
+        snap.write_bytes(_HEADER.pack(*head) + raw[_HEADER.size :])
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "chk_00000010.nsch: unreadable" in err and "99" in err
+
     def test_verify_detects_tampered_ledger(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_RUN)

@@ -36,7 +36,58 @@ def spec_plain(**kw):
     return FreeEnergySpec(**kw)
 
 
+def nested_where_well(well: DoubleWell):
+    """The double well as three pieces evaluated everywhere and picked by nested np.where."""
+    cs, kap = well.cstar, well.kappa
+    a = 3.0 * cs**2 - 1.0
+    b = 6.0 * cs
+    cc = 3.0 * (kap - a) - 2.0 * b
+    dd = 2.0 * (a - kap) + b
+    w1 = cs**3 - cs
+    f0 = 0.25 * (cs**2 - 1.0) ** 2 - 0.25
+    p1 = w1 + a + b / 2.0 + cc / 3.0 + dd / 4.0
+    p0 = f0 + w1 + a / 2.0 + b / 6.0 + cc / 12.0 + dd / 20.0
+
+    def pieces(c):
+        s = np.abs(c)
+        return s, np.sign(c), np.clip(s - cs, 0.0, 1.0), np.maximum(s - cs - 1.0, 0.0)
+
+    def value(c):
+        s, _, r, q = pieces(c)
+        inner = 0.25 * (c**2 - 1.0) ** 2 - 0.25
+        mid = f0 + w1 * r + a * r**2 / 2.0 + b * r**3 / 6.0 + cc * r**4 / 12.0 + dd * r**5 / 20.0
+        out = p0 + p1 * q + 0.5 * kap * q**2
+        return np.where(s <= cs, inner, np.where(q > 0.0, out, mid))
+
+    def d1(c):
+        s, sg, r, q = pieces(c)
+        mid = sg * (w1 + a * r + b * r**2 / 2.0 + cc * r**3 / 3.0 + dd * r**4 / 4.0)
+        return np.where(s <= cs, c**3 - c, np.where(q > 0.0, sg * (p1 + kap * q), mid))
+
+    def d2(c):
+        s, _, r, _ = pieces(c)
+        return np.where(s <= cs, 3.0 * c**2 - 1.0, np.where(s >= cs + 1.0, kap, a + b * r + cc * r**2 + dd * r**3))
+
+    def d3(c):
+        s, sg, r, _ = pieces(c)
+        mid = sg * (b + 2.0 * cc * r + 3.0 * dd * r**2)
+        return np.where(s <= cs, 6.0 * c, np.where(s >= cs + 1.0, 0.0, mid))
+
+    return {"value": value, "d1": d1, "d2": d2, "d3": d3}
+
+
 class TestWellProfiles:
+    @pytest.mark.parametrize("well", [DoubleWell(), DoubleWell(cstar=1.5, kappa=2.5)])
+    def test_double_well_equals_nested_where_oracle(self, well):
+        # the outer pieces are evaluated only beyond cstar, bit-identically
+        oracle = nested_where_well(well)
+        wide = np.concatenate([np.linspace(-5.0, 5.0, 20_001), [-3.0, -2.5, -2.0, -1.5, 1.5, 2.0, 2.5, 3.0, 3.5]])
+        inner = np.linspace(-0.99 * well.cstar, 0.99 * well.cstar, 50)
+        for c in (wide, inner, inner.reshape(5, 10), np.array(0.25), np.array(4.0)):
+            for name, fn in oracle.items():
+                got = getattr(well, name)(c)
+                assert got.shape == c.shape and np.array_equal(got, fn(c)), name
+
     def test_double_well_inner_values(self):
         w = DoubleWell(cstar=2.0, kappa=1.0)
         c = np.linspace(-1.5, 1.5, 7)

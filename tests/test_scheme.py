@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nsch import checkpoint
+from nsch import checkpoint, scheme
 from nsch.checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ZeroFunction
-from nsch.errors import CheckpointError, NonFiniteError, PositivityError, TimeStepError
+from nsch.errors import CheckpointError, GramSolveError, NonFiniteError, PositivityError, TimeStepError
 from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import (
     ApproxParams,
@@ -21,6 +21,7 @@ from nsch.scheme import (
     step,
 )
 from nsch.spectral import (
+    SpectralField,
     TorusGrid,
     constant,
     from_coeffs,
@@ -248,14 +249,61 @@ class TestRecoverVelocity:
         u, iters = recover_velocity(rho, w, 4)
         assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-12
 
-    def test_round_trip(self, rng):
+    def test_round_trip(self, rng, monkeypatch):
+        # 81 unknowns, solved directly
+        monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 81)
         grid = TorusGrid(dim=2, modes_per_dim=16)
         rho = to_spectral(grid, 1.0 + 0.4 * to_physical(random_band_limited(grid, rng, band=2))[0])
         v = random_band_limited(grid, rng, ncomp=2, band=4, amplitude=1.0)
         w = project(multiply(rho, v), 4)
-        u, _ = recover_velocity(rho, w, 4)
-        assert norm_l2(from_coeffs(grid, (project(multiply(rho, u), 4).coeffs - w.coeffs)[0])) <= 1e-10 * norm_l2(w)
-        assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-9
+        u, iters = recover_velocity(rho, w, 4)
+        assert iters == 0
+        assert norm_l2(from_coeffs(grid, (project(multiply(rho, u), 4).coeffs - w.coeffs)[0])) <= 1e-14 * norm_l2(w)
+        assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "dim, modes, m",
+        [(1, 32, 6), (1, 64, 24), (1, 64, 32), (2, 16, 3), (2, 16, 4), (2, 32, 8)],
+        ids=["1d-13", "1d-49", "1d-65", "2d-49", "2d-81", "2d-289"],
+    )
+    def test_direct_solve_equals_cg(self, rng, monkeypatch, dim, modes, m):
+        # the same system on both paths, on both sides of the size rule
+        grid = TorusGrid(dim=dim, modes_per_dim=modes)
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(random_band_limited(grid, rng, band=3))[0])
+        w = project(multiply(rho, random_band_limited(grid, rng, ncomp=dim, band=m)), m)
+        default_path, default_iters = recover_velocity(rho, w, m, rtol=1e-14)
+        assert (default_iters == 0) == ((2 * m + 1) ** dim <= scheme.DIRECT_GRAM_MAX_SIZE)
+        monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 0)
+        cg, cg_iters = recover_velocity(rho, w, m, rtol=1e-14)
+        monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", (2 * m + 1) ** dim)
+        direct, direct_iters = recover_velocity(rho, w, m, rtol=1e-14)
+        assert cg_iters > 0 and direct_iters == 0
+        assert norm_l2(SpectralField(grid, direct.coeffs - cg.coeffs)) <= 1e-12 * norm_l2(cg)
+        assert np.array_equal(default_path.coeffs, direct.coeffs if default_iters == 0 else cg.coeffs)
+
+    @pytest.mark.parametrize("size_rule", [10**9, 0], ids=["direct", "cg"])
+    def test_nonfinite_momentum_fails_without_iterating(self, rng, monkeypatch, fft_calls, size_rule):
+        monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", size_rule)
+        grid = grid16()
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(random_band_limited(grid, rng, band=2))[0])
+        coeffs = random_band_limited(grid, rng, band=4).coeffs.copy()
+        coeffs[0, 2] = np.nan
+        w, rho_values = from_coeffs(grid, coeffs[0]), to_physical(rho)[0]
+        before = fft_calls["n"]
+        with pytest.raises(GramSolveError, match="non-finite momentum"):
+            recover_velocity(rho, w, 4, rho_values=rho_values)
+        assert fft_calls["n"] == before
+
+    def test_failed_direct_solve_is_reported(self, rng):
+        grid = grid16()
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(random_band_limited(grid, rng, band=2))[0])
+        w = random_band_limited(grid, rng, band=4)
+        with pytest.raises(GramSolveError, match="relative residual .*min rho"):
+            recover_velocity(rho, w, 4, rtol=0.0)
+        # density coefficients that disagree with the grid values the positivity guard saw
+        for rho, message in ((zeros(grid), "Singular matrix"), (constant(grid, np.nan), "failed: .*")):
+            with pytest.raises(GramSolveError, match=f"{message} .*min rho 1.000e\\+00"):
+                recover_velocity(rho, w, 4, rho_values=np.ones(grid.pshape))
 
     def test_near_vacuum_guard(self, rng):
         grid = grid16()
@@ -513,6 +561,22 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_bytes(bytes(raw)[:40])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 3), ("dim", 0), ("modes", 15), ("modes", 0), ("m", 0), ("m", 99), ("n", 0), ("n", 9)],
+    )
+    def test_corrupt_header_rejected(self, tmp_path, field, value):
+        grid = grid16()
+        params = small_params()
+        path = tmp_path / "bad.nsch"
+        save_checkpoint(path, rest_state(grid, params), path_generator(0, 0), params.m, params.n, 0)
+        raw = path.read_bytes()
+        head = dict(zip(["magic", "version", "dim", "modes", "m", "n", "K", "t"], checkpoint._HEADER.unpack_from(raw)))
+        head[field] = value
+        path.write_bytes(checkpoint._HEADER.pack(*head.values()) + raw[checkpoint._HEADER.size :])
+        with pytest.raises(CheckpointError, match=f"{value}"):
             load_checkpoint(path)
 
 
