@@ -171,10 +171,12 @@ def cmd_verify(args) -> int:
             continue
         grid = state.rho.grid
         k0 = state.rho.coeffs[0][grid.zero_index]
+        mass_note = "mass ok"
         if k0_ref is None:
             k0_ref = k0
         elif k0 != k0_ref:
-            problems.append(f"{snap.name}: mass drifted (zero mode {k0!r} != {k0_ref!r})")
+            mass_note = f"mass drifted (zero mode {k0!r} != {k0_ref!r})"
+            problems.append(f"{snap.name}: {mass_note}")
         korn = korn_check(state.u, config.params.visc)
         if not korn.passed:
             problems.append(f"{snap.name}: Korn inequality violated (margin {korn.margin:.3e})")
@@ -185,7 +187,7 @@ def cmd_verify(args) -> int:
             rep = poincare_check(state.rho, fld, total_mass=mass(state), gamma=config.params.fspec.gamma)
             if not rep.passed:
                 problems.append(f"{snap.name}: Poincare inequality violated on {name} (margin {rep.margin:.3e})")
-        print(f"{snap.name}: t = {state.t:.17g}, mass ok, inequality checks run")
+        print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, inequality checks run")
 
     if problems:
         print("verify FAILED:", file=sys.stderr)

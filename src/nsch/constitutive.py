@@ -23,6 +23,7 @@ import numpy as np
 from .errors import PositivityError
 from .spectral import (
     SpectralField,
+    TorusGrid,
     laplacian,
     to_physical,
     to_spectral,
@@ -34,6 +35,7 @@ __all__ = [
     "ZeroFunction",
     "TanhMixing",
     "FreeEnergySpec",
+    "FreeEnergyValues",
     "ViscositySpec",
     "free_energy",
     "pressure",
@@ -41,6 +43,7 @@ __all__ = [
     "chemical_potential_values",
     "f_partials",
     "stress",
+    "stress_coeffs",
     "korteweg",
     "korteweg_values",
 ]
@@ -245,22 +248,88 @@ class ViscositySpec:
             raise ValueError("nu_bulk must be nonnegative")
 
 
-def check_positive(rho: np.ndarray, floor: float):
-    m = float(np.min(rho))
-    if m <= floor:
-        raise PositivityError(m)
+_PARTIALS = ("f_c", "f_cc", "rho_f_rho_rho", "rho_f_rho_c")
+
+
+def _profile(which: str, method: str) -> cached_property:
+    """``spec.<which>.<method>(c)`` of a FreeEnergyValues, evaluated on first use."""
+    return cached_property(lambda self: getattr(getattr(self.spec, which), method)(self.c))
+
+
+class FreeEnergyValues:
+    """f, p and the partials of f at grid values of (rho, c), for one spec.
+
+    Positivity is checked once, on construction (``t`` names the state's
+    time in the error).  log(rho) and each profile H, H', H'', fc, fc',
+    fc'' are evaluated once, on first use, and shared by every quantity
+    below; each quantity is the one place its formula is written.
+    """
+
+    def __init__(self, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, t: float | None = None):
+        min_rho = float(np.min(rho))
+        if min_rho <= spec.rho_floor:
+            raise PositivityError(min_rho, t=t)
+        self.rho = rho
+        self.c = c
+        self.spec = spec
+
+    @cached_property
+    def log_rho(self) -> np.ndarray:
+        return np.log(self.rho)
+
+    mixing = _profile("mixing", "value")
+    mixing_d1 = _profile("mixing", "d1")
+    mixing_d2 = _profile("mixing", "d2")
+    well = _profile("well", "value")
+    well_d1 = _profile("well", "d1")
+    well_d2 = _profile("well", "d2")
+
+    @property
+    def free_energy(self) -> np.ndarray:
+        """f = a rho^(gamma-1) + log(rho) H(c) + fc(c)."""
+        s = self.spec
+        return s.a * self.rho ** (s.gamma - 1.0) + self.log_rho * self.mixing + self.well
+
+    @property
+    def pressure(self) -> np.ndarray:
+        """p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)."""
+        s = self.spec
+        return s.a * (s.gamma - 1.0) * self.rho**s.gamma + self.rho * self.mixing
+
+    @property
+    def f_c(self) -> np.ndarray:
+        """df/dc = log(rho) H'(c) + fc'(c)."""
+        return self.log_rho * self.mixing_d1 + self.well_d1
+
+    @property
+    def f_cc(self) -> np.ndarray:
+        """d2f/dc2 = log(rho) H''(c) + fc''(c)."""
+        return self.log_rho * self.mixing_d2 + self.well_d2
+
+    @property
+    def rho_f_rho_rho(self) -> np.ndarray:
+        """d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho."""
+        g = self.spec.gamma
+        return self.spec.a * g * (g - 1.0) * self.rho ** (g - 2.0) + self.mixing / self.rho
+
+    @property
+    def rho_f_rho_c(self) -> np.ndarray:
+        """d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)."""
+        return (1.0 + self.log_rho) * self.mixing_d1 + self.well_d1
+
+    def chemical_potential(self, lap_c: np.ndarray) -> np.ndarray:
+        """mu = df/dc - (1/rho) Lap c, from grid values of Lap c."""
+        return self.f_c - lap_c / self.rho
 
 
 def free_energy(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
     """f(rho, c) evaluated pointwise."""
-    check_positive(rho, spec.rho_floor)
-    return spec.a * rho ** (spec.gamma - 1.0) + np.log(rho) * spec.mixing.value(c) + spec.well.value(c)
+    return FreeEnergyValues(rho, c, spec).free_energy
 
 
 def pressure(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
     """p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)."""
-    check_positive(rho, spec.rho_floor)
-    return spec.a * (spec.gamma - 1.0) * rho**spec.gamma + rho * spec.mixing.value(c)
+    return FreeEnergyValues(rho, c, spec).pressure
 
 
 def f_partials(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, which: str) -> np.ndarray:
@@ -271,22 +340,15 @@ def f_partials(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, which: str)
            "rho_f_rho_rho" d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho
            "rho_f_rho_c"   d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)
     """
-    check_positive(rho, spec.rho_floor)
-    if which == "f_c":
-        return np.log(rho) * spec.mixing.d1(c) + spec.well.d1(c)
-    if which == "f_cc":
-        return np.log(rho) * spec.mixing.d2(c) + spec.well.d2(c)
-    if which == "rho_f_rho_rho":
-        g = spec.gamma
-        return spec.a * g * (g - 1.0) * rho ** (g - 2.0) + spec.mixing.value(c) / rho
-    if which == "rho_f_rho_c":
-        return (1.0 + np.log(rho)) * spec.mixing.d1(c) + spec.well.d1(c)
-    raise ValueError(f"unknown partial {which!r}")
+    values = FreeEnergyValues(rho, c, spec)
+    if which not in _PARTIALS:
+        raise ValueError(f"unknown partial {which!r}")
+    return getattr(values, which)
 
 
 def chemical_potential_values(rv: np.ndarray, cv: np.ndarray, lap_cv: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
     """mu = df/dc - (1/rho) Lap c pointwise, from grid values of rho, c and Lap c."""
-    return f_partials(rv, cv, spec, "f_c") - lap_cv / rv
+    return FreeEnergyValues(rv, cv, spec).chemical_potential(lap_cv)
 
 
 def chemical_potential(rho: SpectralField, c: SpectralField, spec: FreeEnergySpec) -> SpectralField:
@@ -305,30 +367,35 @@ def stress(grad_u: SpectralField, visc: ViscositySpec) -> SpectralField:
     n = grid.dim
     if grad_u.ncomp != n * n:
         raise ValueError(f"expected {n * n} tensor components, got {grad_u.ncomp}")
-    g = grad_u.coeffs
+    return SpectralField(grid, stress_coeffs(grid, grad_u.coeffs, visc))
+
+
+def stress_coeffs(grid: TorusGrid, g: np.ndarray, visc: ViscositySpec) -> np.ndarray:
+    """``stress`` on the coefficient array of a velocity gradient."""
+    n = grid.dim
     tr = sum(g[i * n + i] for i in range(n))
-    comps = []
+    out = np.empty_like(g)
     for i in range(n):
         for j in range(n):
             s = visc.nu_shear * (g[i * n + j] + g[j * n + i])
             if i == j:
                 s = s - visc.nu_shear * (2.0 / n) * tr + visc.nu_bulk * tr
-            comps.append(s)
-    return SpectralField(grid, np.stack(comps))
+            out[i * n + j] = s
+    return out
 
 
 def korteweg_values(gv: np.ndarray) -> np.ndarray:
     """Capillary stress grad c x grad c - |grad c|^2 I / 2 from grid values of grad c, flattened as i*N+j."""
     n = gv.shape[0]
     sq = np.sum(gv**2, axis=0)
-    comps = []
+    out = np.empty((n * n,) + gv.shape[1:])
     for i in range(n):
         for j in range(n):
             t = gv[i] * gv[j]
             if i == j:
                 t = t - 0.5 * sq
-            comps.append(t)
-    return np.stack(comps)
+            out[i * n + j] = t
+    return out
 
 
 def korteweg(grad_c: SpectralField) -> SpectralField:

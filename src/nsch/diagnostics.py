@@ -26,9 +26,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constitutive import FreeEnergySpec, ViscositySpec, f_partials, stress
+from .constitutive import FreeEnergySpec, ViscositySpec, stress
 from .errors import PositivityError
-from .noise import WienerIncrement, ito_grad_term, ito_value_term
+from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand
 from .scheme import ApproxParams, Collocation, SchemeState, collocation, cutoff
 from .spectral import (
     SpectralField,
@@ -36,6 +36,7 @@ from .spectral import (
     grad_tensor,
     gradient,
     integral,
+    integrate_rows,
     integrate_values,
     laplacian,
     norm_sobolev,
@@ -125,34 +126,38 @@ def energy_ledger_step(
     art0 = a.artificial
     d_total = (kin1 + fre1 + int1 + art1) - (kin0 + fre0 + int0 + art0)
 
+    # every integrand of the row, integrated by one row sum over their stack
     rv = a.rho[0]
-    cv = a.c[0]
     gv = a.grad_u
-    diss_visc = integrate_values(grid, np.sum(a.visc_stress * gv, axis=0)) * dt
-    diss_mu = integrate_values(grid, np.sum(a.grad_mu**2, axis=0)) * dt
-
-    grad_u_sq = np.sum(gv**2, axis=0)
-    diss_eps = params.eps * integrate_values(grid, rv * grad_u_sq) * dt
-
     grho = a.grad_rho
     grho_sq = np.sum(grho**2, axis=0)
-    diss_art = (
-        np.sqrt(params.eps)
-        * params.eps
-        * params.alpha_exp
-        * integrate_values(grid, rv ** (params.alpha_exp - 2.0) * grho_sq)
-        * dt
-    )
+    values = a.free_energy_values(params.fspec)
+    integrands = [
+        np.sum(a.visc_stress * gv, axis=0),
+        np.sum(a.grad_mu**2, axis=0),
+        rv * np.sum(gv**2, axis=0),
+        rv ** (params.alpha_exp - 2.0) * grho_sq,
+        values.rho_f_rho_rho * grho_sq,
+        values.rho_f_rho_c * np.sum(grho * a.grad_c, axis=0),
+    ]
+    if noise.K > 0:
+        integrands += [
+            ito_grad_integrand(noise, a.dsigma, a.grad_c_sq),
+            ito_value_integrand(noise, a.sigma, rv, values.f_cc),
+        ]
+    visc, mu, eps, art, rhs_rr, rhs_rc, *ito = integrate_rows(grid, integrands)
 
-    rho_f_rr = f_partials(rv, cv, fspec, "rho_f_rho_rho")
-    rhs1 = -params.eps * integrate_values(grid, rho_f_rr * grho_sq) * dt
-    rho_f_rc = f_partials(rv, cv, fspec, "rho_f_rho_c")
-    rhs2 = -params.eps * integrate_values(grid, rho_f_rc * np.sum(grho * a.grad_c, axis=0)) * dt
+    diss_visc = visc * dt
+    diss_mu = mu * dt
+    diss_eps = params.eps * eps * dt
+    diss_art = np.sqrt(params.eps) * params.eps * params.alpha_exp * art * dt
+    rhs1 = -params.eps * rhs_rr * dt
+    rhs2 = -params.eps * rhs_rc * dt
 
     ito1 = ito2 = stoch = 0.0
     if noise.K > 0:
-        ito1 = ito_grad_term(grid, noise, a.dsigma, a.grad_c) * dt
-        ito2 = ito_value_term(grid, noise, fspec, a.sigma, rv, cv) * dt
+        ito1 = 0.5 * ito[0] * dt
+        ito2 = 0.5 * ito[1] * dt
         stoch = _stochastic_transfer(a, inc, rv * a.mu_values[0])
 
     residual = d_total + diss_visc + diss_mu + diss_eps + diss_art - rhs1 - rhs2 - ito1 - ito2 - stoch
@@ -177,13 +182,12 @@ def energy_ledger_step(
 def _stochastic_transfer(col: Collocation, inc: WienerIncrement, base: np.ndarray) -> float:
     """sum_k alpha_k dbeta_k int base sigma_k(c), accumulated mode by mode."""
     noise = col.params.noise
-    grid = col.grid
-    # integrate_values of every mode at once: one row sum per mode
-    integrals = np.sum((base * col.sigma).reshape(noise.K, -1), axis=1) * grid.spacing**grid.dim
+    integrals = integrate_rows(col.grid, base * col.sigma)
+    # Python floats add in the same order and round the same as numpy scalars, at less cost
     total = 0.0
-    for i in range(noise.K):
-        if inc.dbeta[i] != 0.0:
-            total += noise.alphas[i] * inc.dbeta[i] * integrals[i]
+    for alpha, dbeta, value in zip(noise.alphas.tolist(), inc.dbeta.tolist(), integrals):
+        if dbeta != 0.0:
+            total += alpha * dbeta * value
     return float(total)
 
 
@@ -361,10 +365,7 @@ def v15_functional(state: SchemeState, gamma: float) -> float:
     """int [rho |u|^2 + rho^gamma + rho c^2 + |grad c|^2], the sup-bound integrand."""
     col = collocation(state)
     rv = col.rho[0]
-    cv = col.c[0]
-    return integrate_values(
-        col.grid, rv * np.sum(col.u**2, axis=0) + rv**gamma + rv * cv**2 + np.sum(col.grad_c**2, axis=0)
-    )
+    return integrate_values(col.grid, col.rho_u_sq + rv**gamma + rv * col.c[0] ** 2 + col.grad_c_sq)
 
 
 def ledger_to_csv(rows: list[EnergyLedger]) -> str:

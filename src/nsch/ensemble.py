@@ -17,14 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import (
-    EnergyLedger,
-    artificial_energy,
-    energy_ledger_step,
-    initial_ledger_row,
-    total_energy,
-    v15_functional,
-)
+from .diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row, v15_functional
 from .errors import (
     CutoffSaturatedWarning,
     GramSolveError,
@@ -38,9 +31,10 @@ from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from .spectral import (
     SpectralField,
     TorusGrid,
-    gradient,
-    laplacian,
+    gradient_coeffs,
+    laplacian_coeffs,
     norm_l2,
+    norms_l2_squared,
     to_spectral,
 )
 
@@ -122,13 +116,10 @@ class TrajectoryResult:
 
 
 def _state_functionals(state: SchemeState, gamma: float) -> dict[str, float]:
-    c = state.c
-    return {
-        "c_l2_sq": norm_l2(c) ** 2,
-        "grad_c_l2_sq": norm_l2(gradient(c)) ** 2,
-        "lap_c_l2_sq": norm_l2(laplacian(c)) ** 2,
-        "v15": v15_functional(state, gamma),
-    }
+    grid = state.c.grid
+    c = state.c.coeffs
+    c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient_coeffs(grid, c), laplacian_coeffs(grid, c)])
+    return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, gamma)}
 
 
 def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, SpectralField]:
@@ -185,6 +176,7 @@ def run_trajectory(
             on_step(done, state, gen, rep)
 
     frac = chi_zero / max(done, 1)
+    final = collocation(state, params)
     if failure is None and frac > CUTOFF_WARN_FRACTION:
         warnings.warn(
             f"velocity cut-off fully engaged on {frac:.0%} of steps (path {path_index})",
@@ -196,8 +188,8 @@ def run_trajectory(
         rows=rows,
         sup_stats=sup,
         initial_stats=stats0,
-        final_energy=total_energy(state, params.fspec) if failure is None else float("nan"),
-        final_artificial=artificial_energy(state, params) if failure is None else float("nan"),
+        final_energy=float(sum(final.energies)) if failure is None else float("nan"),
+        final_artificial=final.artificial if failure is None else float("nan"),
         failure=failure,
         chi_min=chi_min,
         chi_zero_fraction=frac,
@@ -366,19 +358,27 @@ class SweepCell:
 
 
 def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
-    """One ensemble per value with common random numbers across cells."""
+    """One ensemble per value with common random numbers across cells.
+
+    Every cell is built and validated before the first one runs, so a bad
+    value is rejected with nothing run.
+    """
     if parameter not in _SWEEPABLE:
         raise ValueError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
     kind = type(getattr(config.params, parameter))
+    kmax = config.grid.kmax
     for v in values:
         if not np.isfinite(v):
             raise ValueError(f"sweep value {v} is not finite")
         if kind is int and v != int(v):
             raise ValueError(f"sweep value {v} of the integer parameter {parameter} is not an integer")
+        if kind is int and v > kmax:
+            raise ValueError(f"sweep value {parameter} = {int(v)} exceeds the grid truncation {kmax}")
+    cell_configs = [
+        replace(config, params=replace(config.params, **{parameter: kind(v)}), keep_final_state=True) for v in values
+    ]
     cells = []
-    for v in values:
-        params = replace(config.params, **{parameter: kind(v)})
-        cell_config = replace(config, params=params, keep_final_state=True)
+    for v, cell_config in zip(values, cell_configs):
         report, results = run_paths(cell_config)
         survivors = [r for r in results if r.failure is None]
         acc = float(np.mean([abs(sum(row.residual for row in r.rows)) for r in survivors]))

@@ -36,7 +36,9 @@ __all__ = [
     "sigma_table",
     "noise_sum",
     "forcing",
+    "ito_grad_integrand",
     "ito_grad_term",
+    "ito_value_integrand",
     "ito_value_term",
     "ito_grad_correction",
     "ito_value_correction",
@@ -199,9 +201,19 @@ def _sigma_sq_sum(spec: NoiseSpec, table: np.ndarray) -> np.ndarray:
     return _mode_sum(spec.alphas**2, table**2)
 
 
+def ito_grad_integrand(spec: NoiseSpec, dsigma: np.ndarray, grad_c_sq: np.ndarray) -> np.ndarray:
+    """sum_k alpha_k^2 sigma_k'(c)^2 |grad c|^2 pointwise, from the table of sigma_k'(c) and |grad c|^2."""
+    return _sigma_sq_sum(spec, dsigma) * grad_c_sq
+
+
 def ito_grad_term(grid: TorusGrid, spec: NoiseSpec, dsigma: np.ndarray, grad_cv: np.ndarray) -> float:
     """(1/2) int sum_k alpha_k^2 sigma_k'(c)^2 |grad c|^2 from grid values."""
-    return 0.5 * integrate_values(grid, _sigma_sq_sum(spec, dsigma) * np.sum(grad_cv**2, axis=0))
+    return 0.5 * integrate_values(grid, ito_grad_integrand(spec, dsigma, np.sum(grad_cv**2, axis=0)))
+
+
+def ito_value_integrand(spec: NoiseSpec, sigma: np.ndarray, rv: np.ndarray, fcc: np.ndarray) -> np.ndarray:
+    """rho f_cc sum_k alpha_k^2 sigma_k(c)^2 pointwise, from the table of sigma_k(c) and f_cc."""
+    return rv * fcc * _sigma_sq_sum(spec, sigma)
 
 
 def ito_value_term(
@@ -209,7 +221,7 @@ def ito_value_term(
 ) -> float:
     """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 from grid values."""
     fcc = f_partials(rv, cv, fspec, "f_cc")
-    return 0.5 * integrate_values(grid, rv * fcc * _sigma_sq_sum(spec, sigma))
+    return 0.5 * integrate_values(grid, ito_value_integrand(spec, sigma, rv, fcc))
 
 
 def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:

@@ -26,36 +26,30 @@ functionals, so each state is transformed once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .constitutive import (
-    FreeEnergySpec,
-    ViscositySpec,
-    chemical_potential_values,
-    free_energy,
-    korteweg_values,
-    pressure,
-    stress,
-)
+from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress_coeffs
 from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError
 from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
 from .spectral import (
     SpectralField,
     TorusGrid,
     coeff_inner,
-    div_tensor,
-    divergence,
+    div_tensor_coeffs,
+    divergence_coeffs,
     from_coeffs,
-    grad_tensor,
-    gradient,
+    grad_tensor_coeffs,
+    gradient_coeffs,
+    integrate_rows,
     integrate_values,
-    laplacian,
+    laplacian_coeffs,
     multiply,
     norm_l2,
     project,
+    project_coeffs,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -129,10 +123,13 @@ class StepReport:
     increment: WienerIncrement
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _values(f: SpectralField) -> np.ndarray:
-    values = to_physical(f)
-    values.flags.writeable = False
-    return values
+    return _read_only(to_physical(f))
 
 
 def _split(stack, sizes: list[int]) -> list:
@@ -146,10 +143,10 @@ def _stacked_values(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarra
     return _split(values, [len(b) for b in blocks])
 
 
-def _stacked_fields(grid: TorusGrid, blocks: list[np.ndarray]) -> list[SpectralField]:
-    """Fields of grid-value blocks, all in one forward transform."""
+def _stacked_coeffs(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Coefficients of grid-value blocks, all in one forward transform; read-only."""
     coeffs = to_spectral(grid, np.concatenate(blocks)).coeffs
-    return [SpectralField(grid, part) for part in _split(coeffs, [len(b) for b in blocks])]
+    return _split(coeffs, [len(b) for b in blocks])
 
 
 def _part(stack: str, index: int) -> property:
@@ -168,11 +165,13 @@ class Collocation:
 
     Fields are transformed in stacks, one transform call per stack: the
     fields linear in the state (``_linear``), the pre-step products
-    (``_products``), mu with its derivatives and the dealiased momentum
-    (``_resampled``), and the products of those (``_second_products``).
-    Each named field is a view of its stack.  The density has its own
-    transform, because the positivity guard of the velocity recovery of a
-    new state needs it first.
+    (``_products``, kept as coefficients), mu with its derivatives and the
+    dealiased momentum (``_resampled``), and the products of those
+    (``_second_products``, coefficients).  Each named field is a view of its
+    stack.  The density has its own transform, because the positivity guard
+    of the velocity recovery of a new state needs it first.  The pointwise
+    constitutive values (log rho and the free-energy profiles) are evaluated
+    once per state, in ``free_energy_values``.
     """
 
     def __init__(self, state: SchemeState, params: ApproxParams | None, rho: np.ndarray | None = None):
@@ -188,14 +187,27 @@ class Collocation:
         return _values(self.state.rho)
 
     @cached_property
-    def _linear(self) -> list[np.ndarray]:
-        s = self.state
-        grad_u = grad_tensor(s.u)
-        blocks = [s.u, s.c, gradient(s.c), laplacian(s.c), gradient(s.rho), grad_u]
+    def _linear_coeffs(self) -> list[np.ndarray]:
+        s, grid = self.state, self.grid
+        grad_u = grad_tensor_coeffs(grid, s.u.coeffs)
+        blocks = [
+            s.u.coeffs,
+            s.c.coeffs,
+            gradient_coeffs(grid, s.c.coeffs),
+            laplacian_coeffs(grid, s.c.coeffs),
+            gradient_coeffs(grid, s.rho.coeffs),
+            grad_u,
+        ]
         # the viscous stress needs parameters; parameter-free records leave it out
         if self.params is not None:
-            blocks.append(stress(grad_u, self.params.visc))
-        return _stacked_values(self.grid, [f.coeffs for f in blocks])
+            blocks.append(stress_coeffs(grid, grad_u, self.params.visc))
+        return [_read_only(b) for b in blocks]
+
+    visc_stress_coeffs = _part("_linear_coeffs", 6)
+
+    @cached_property
+    def _linear(self) -> list[np.ndarray]:
+        return _stacked_values(self.grid, self._linear_coeffs)
 
     u = _part("_linear", 0)
     c = _part("_linear", 1)
@@ -215,23 +227,36 @@ class Collocation:
         u_r, _ = self.cut
         return self.u if u_r is self.state.u else _values(u_r)
 
+    def free_energy_values(self, fspec: FreeEnergySpec) -> FreeEnergyValues:
+        """f and its partials at this state's values, kept for the last spec asked for.
+
+        Raises PositivityError, at the state's time, if the density is not positive.
+        """
+        values = self.__dict__.get("_free_energy_values")
+        if values is None or values.spec is not fspec:
+            values = FreeEnergyValues(self.rho[0], self.c[0], fspec, t=self.state.t)
+            self._free_energy_values = values
+        return values
+
     @cached_property
-    def _products(self) -> list[SpectralField]:
+    def _rho_alpha(self) -> np.ndarray:
+        """rho^alpha, shared by the artificial pressure and the artificial energy."""
+        return self.rho[0] ** self.params.alpha_exp
+
+    @cached_property
+    def _products(self) -> list[np.ndarray]:
         p = self.params
-        rv, cv = self.rho[0], self.c[0]
-        mu = chemical_potential_values(rv, cv, self.lap_c[0], p.fspec)
-        p_art = pressure(rv, cv, p.fspec) + np.sqrt(p.eps) * rv**p.alpha_exp
+        values = self.free_energy_values(p.fspec)
         blocks = [
-            mu[None],
+            values.chemical_potential(self.lap_c[0])[None],
             self.rho * self.u,
-            p_art[None],
+            (values.pressure + np.sqrt(p.eps) * self._rho_alpha)[None],
             korteweg_values(self.grad_c),
             np.sum(self.u_r * self.grad_c, axis=0)[None],
             self.rho * self.u_r,
         ]
-        return _stacked_fields(self.grid, blocks)
+        return _stacked_coeffs(self.grid, blocks)
 
-    mu = _part("_products", 0)
     momentum = _part("_products", 1)
     art_pressure = _part("_products", 2)
     korteweg = _part("_products", 3)
@@ -239,9 +264,14 @@ class Collocation:
     rho_u_r = _part("_products", 5)
 
     @cached_property
+    def mu(self) -> SpectralField:
+        return SpectralField(self.grid, self._products[0])
+
+    @cached_property
     def _resampled(self) -> list[np.ndarray]:
-        mu = self.mu
-        return _stacked_values(self.grid, [mu.coeffs, gradient(mu).coeffs, laplacian(mu).coeffs, self.momentum.coeffs])
+        grid = self.grid
+        mu = self._products[0]
+        return _stacked_values(grid, [mu, gradient_coeffs(grid, mu), laplacian_coeffs(grid, mu), self.momentum])
 
     mu_values = _part("_resampled", 0)
     grad_mu = _part("_resampled", 1)
@@ -249,11 +279,11 @@ class Collocation:
     momentum_values = _part("_resampled", 3)
 
     @cached_property
-    def _second_products(self) -> list[SpectralField]:
+    def _second_products(self) -> list[np.ndarray]:
         mv, u_r = self.momentum_values, self.u_r
-        dim = self.grid.dim
-        flux = np.stack([mv[i] * u_r[j] for i in range(dim) for j in range(dim)])
-        return _stacked_fields(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
+        # flux component i*N+j is mv_i u_r_j
+        flux = (mv[:, None] * u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
+        return _stacked_coeffs(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
     lap_mu_over_rho = _part("_second_products", 0)
     momentum_flux = _part("_second_products", 1)
@@ -266,19 +296,21 @@ class Collocation:
     def dsigma(self) -> np.ndarray:
         return sigma_table(self.params.noise, self.c[0], deriv=True)
 
+    @cached_property
+    def rho_u_sq(self) -> np.ndarray:
+        """rho |u|^2, the kinetic energy integrand without its factor 1/2."""
+        return _read_only(self.rho[0] * np.sum(self.u**2, axis=0))
+
+    @cached_property
+    def grad_c_sq(self) -> np.ndarray:
+        """|grad c|^2."""
+        return _read_only(np.sum(self.grad_c**2, axis=0))
+
     def energy_parts(self, fspec: FreeEnergySpec) -> tuple[float, float, float]:
         """Kinetic, free and interface energy; raises if the density is not positive."""
-        grid = self.grid
-        rv = self.rho[0]
-        min_rho = float(np.min(rv))
-        if min_rho <= fspec.rho_floor:
-            raise PositivityError(min_rho, t=self.state.t)
-        uv = self.u
-        cv = self.c[0]
-        kinetic = 0.5 * integrate_values(grid, rv * np.sum(uv**2, axis=0))
-        free = integrate_values(grid, rv * free_energy(rv, cv, fspec))
-        interface = 0.5 * integrate_values(grid, np.sum(self.grad_c**2, axis=0))
-        return kinetic, free, interface
+        free = self.rho[0] * self.free_energy_values(fspec).free_energy
+        kinetic, free, interface = integrate_rows(self.grid, [self.rho_u_sq, free, self.grad_c_sq])
+        return 0.5 * kinetic, free, 0.5 * interface
 
     @cached_property
     def energies(self) -> tuple[float, float, float]:
@@ -288,7 +320,7 @@ class Collocation:
     def artificial(self) -> float:
         """sqrt(eps)/(alpha-1) int rho^alpha."""
         p = self.params
-        return float(np.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self.rho[0] ** p.alpha_exp))
+        return float(np.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self._rho_alpha))
 
 
 def collocation(state: SchemeState, params: ApproxParams | None = None) -> Collocation:
@@ -326,9 +358,9 @@ def cutoff(u: SpectralField, R: float) -> tuple[SpectralField, float]:
     return SpectralField(u.grid, chi * u.coeffs), chi
 
 
-def _transport_rho(col: Collocation) -> SpectralField:
-    """-Div(rho [u]_R); its zero mode is structurally zero."""
-    return SpectralField(col.grid, -divergence(col.rho_u_r).coeffs)
+def _transport_rho(col: Collocation) -> np.ndarray:
+    """Coefficients of -Div(rho [u]_R); its zero mode is structurally zero."""
+    return -divergence_coeffs(col.grid, col.rho_u_r)
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
@@ -338,26 +370,20 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
     m = params.m
     _, chi = col.cut
 
-    transport = div_tensor(project(col.momentum_flux, m))
-    press = gradient(project(col.art_pressure, m))
-    visc = div_tensor(project(stress(grad_tensor(state.u), params.visc), m))
-    capillary = div_tensor(project(col.korteweg, m))
-    eps_diff = laplacian(state.w)
+    transport = div_tensor_coeffs(grid, project_coeffs(grid, col.momentum_flux, m))
+    press = gradient_coeffs(grid, project_coeffs(grid, col.art_pressure, m))
+    visc = div_tensor_coeffs(grid, project_coeffs(grid, col.visc_stress_coeffs, m))
+    capillary = div_tensor_coeffs(grid, project_coeffs(grid, col.korteweg, m))
+    eps_diff = laplacian_coeffs(grid, state.w.coeffs)
 
-    coeffs = (
-        -transport.coeffs
-        - chi * press.coeffs
-        + params.eps * eps_diff.coeffs
-        + visc.coeffs
-        - chi * capillary.coeffs
-    )
-    return project(SpectralField(grid, coeffs), m)
+    coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
+    return SpectralField(grid, project_coeffs(grid, coeffs, m))
 
 
 def ch_drift(state: SchemeState, params: ApproxParams) -> SpectralField:
     """P_n[(1/rho) Lap mu - [u]_R . grad c]."""
     col = collocation(state, params)
-    return project(SpectralField(col.grid, col.lap_mu_over_rho.coeffs - col.u_r_grad_c.coeffs), params.n)
+    return SpectralField(col.grid, project_coeffs(col.grid, col.lap_mu_over_rho - col.u_r_grad_c, params.n))
 
 
 def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> SpectralField:
@@ -507,8 +533,17 @@ def check_timestep(state: SchemeState, params: ApproxParams):
         )
 
 
-def _implicit_diffusion_factor(grid: TorusGrid, eps_dt: float) -> np.ndarray:
-    return 1.0 / (1.0 + eps_dt * grid.k_squared)
+@lru_cache(maxsize=32)
+def _step_factors(grid: TorusGrid, dt: float, eps: float, rho_bar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only coefficient factors of one step at mean density ``rho_bar``.
+
+    The stiffness -|k|^4 / rho_bar^2 of the mean-density bilaplacian, its
+    exponential propagator over dt, and the backward-Euler factor of the
+    artificial diffusion.  The mean density is the exactly conserved zero
+    mode, so a trajectory computes them once.
+    """
+    stiff = -(grid.k_squared**2) / rho_bar**2
+    return _read_only(stiff), _read_only(np.exp(dt * stiff)), _read_only(1.0 / (1.0 + eps * dt * grid.k_squared))
 
 
 def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> tuple[SchemeState, StepReport]:
@@ -520,25 +555,21 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
 
     inc = sample_increment(dt, rng, params.noise)
     _, chi = col.cut
-    rho_bar = mean_density(state.rho)
+    stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(state.rho))
 
     # concentration: exact exponential factor for the mean-density bilaplacian,
     # everything else explicit at the pre-step state
     drift = ch_drift(state, params)
-    stiff = -(grid.k_squared**2) / rho_bar**2
     explicit = drift.coeffs - stiff * state.c.coeffs
-    propag = np.exp(dt * stiff)
     noise_inc = ch_diffusion(state, inc, params)
     c_new = SpectralField(grid, propag * (state.c.coeffs + dt * explicit + noise_inc.coeffs))
 
     # density: implicit artificial diffusion, explicit transport
-    trans = _transport_rho(col)
-    fac = _implicit_diffusion_factor(grid, params.eps * dt)
-    rho_new = SpectralField(grid, fac * (state.rho.coeffs + dt * trans.coeffs))
+    rho_new = SpectralField(grid, fac * (state.rho.coeffs + dt * _transport_rho(col)))
 
     # momentum: implicit artificial diffusion, explicit remainder
     rhs = momentum_rhs(state, params)
-    w_expl = rhs.coeffs - params.eps * laplacian(state.w).coeffs
+    w_expl = rhs.coeffs - params.eps * laplacian_coeffs(grid, state.w.coeffs)
     w_new = SpectralField(grid, fac * (state.w.coeffs + dt * w_expl))
 
     # NaN passes every ordered comparison, so it is caught before the positivity guards

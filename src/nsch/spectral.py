@@ -25,13 +25,19 @@ __all__ = [
     "to_physical",
     "to_spectral",
     "project",
+    "project_coeffs",
     "derivative",
     "gradient",
+    "gradient_coeffs",
     "divergence",
+    "divergence_coeffs",
     "laplacian",
+    "laplacian_coeffs",
     "bilaplacian",
     "grad_tensor",
+    "grad_tensor_coeffs",
     "div_tensor",
+    "div_tensor_coeffs",
     "multiply",
     "dot",
     "outer",
@@ -39,9 +45,11 @@ __all__ = [
     "inner_product",
     "coeff_inner",
     "norm_l2",
+    "norms_l2_squared",
     "norm_sobolev",
     "integral",
     "integrate_values",
+    "integrate_rows",
     "random_band_limited",
 ]
 
@@ -82,11 +90,11 @@ class TorusGrid:
                 return n
             n += 1
 
-    @property
+    @cached_property
     def pshape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.dim
 
-    @property
+    @cached_property
     def band_shape(self) -> tuple[int, ...]:
         k = self.kmax
         return (k + 1,) if self.dim == 1 else (2 * k + 1, k + 1)
@@ -122,6 +130,13 @@ class TorusGrid:
         kx = np.arange(-k, k + 1, dtype=float)[:, None]
         ky = np.arange(0, k + 1, dtype=float)[None, :]
         return (kx, ky)
+
+    @cached_property
+    def _ik(self) -> np.ndarray:
+        """i k_j over the band, one row per axis j: the factor of d/dx_j."""
+        ik = np.stack([np.broadcast_to(1j * ka, self.band_shape) for ka in self.k_axes])
+        ik.flags.writeable = False
+        return ik
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -258,10 +273,14 @@ def to_spectral(grid: TorusGrid, values: np.ndarray) -> SpectralField:
 
 def project(f: SpectralField, order: int) -> SpectralField:
     """Orthogonal projection onto the subspace with all |k_i| <= order."""
-    grid = f.grid
+    return SpectralField(f.grid, project_coeffs(f.grid, f.coeffs, order))
+
+
+def project_coeffs(grid: TorusGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
+    """``project`` on a coefficient array."""
     if not 0 <= order <= grid.kmax:
         raise ValueError(f"projection order {order} outside [0, {grid.kmax}]")
-    return SpectralField(grid, np.where(_band_mask(grid, order), f.coeffs, 0.0))
+    return np.where(_band_mask(grid, order), coeffs, 0.0)
 
 
 @cache
@@ -277,9 +296,12 @@ def gradient(f: SpectralField) -> SpectralField:
     """Gradient of a scalar field; output has grid.dim components."""
     if not f.is_scalar:
         raise ValueError("gradient expects a scalar field")
-    grid = f.grid
-    comps = [1j * ka * f.coeffs[0] for ka in grid.k_axes]
-    return SpectralField(grid, np.stack(comps))
+    return SpectralField(f.grid, gradient_coeffs(f.grid, f.coeffs))
+
+
+def gradient_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``gradient`` on the coefficient array of a scalar field."""
+    return grid._ik * coeffs[0]
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -288,14 +310,24 @@ def divergence(f: SpectralField) -> SpectralField:
     grid = f.grid
     if f.ncomp != grid.dim:
         raise ValueError(f"divergence expects {grid.dim} components, got {f.ncomp} (scalar input?)")
+    return SpectralField(grid, divergence_coeffs(grid, f.coeffs))
+
+
+def divergence_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``divergence`` on the coefficient array of a vector field."""
     out = np.zeros(grid.band_shape, dtype=np.complex128)
-    for i, ka in enumerate(grid.k_axes):
-        out += 1j * ka * f.coeffs[i]
-    return SpectralField(grid, out[None, ...])
+    for i in range(grid.dim):
+        out += grid._ik[i] * coeffs[i]
+    return out[None, ...]
 
 
 def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.k_squared * f.coeffs)
+    return SpectralField(f.grid, laplacian_coeffs(f.grid, f.coeffs))
+
+
+def laplacian_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``laplacian`` on a coefficient array."""
+    return -grid.k_squared * coeffs
 
 
 def bilaplacian(f: SpectralField) -> SpectralField:
@@ -318,8 +350,12 @@ def grad_tensor(u: SpectralField) -> SpectralField:
     grid = u.grid
     if u.ncomp != grid.dim:
         raise ValueError("grad_tensor expects a vector field")
-    comps = [1j * grid.k_axes[j] * u.coeffs[i] for i in range(grid.dim) for j in range(grid.dim)]
-    return SpectralField(grid, np.stack(comps))
+    return SpectralField(grid, grad_tensor_coeffs(grid, u.coeffs))
+
+
+def grad_tensor_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``grad_tensor`` on the coefficient array of a vector field."""
+    return (grid._ik[None] * coeffs[:, None]).reshape((grid.dim**2,) + grid.band_shape)
 
 
 def div_tensor(t: SpectralField) -> SpectralField:
@@ -328,13 +364,17 @@ def div_tensor(t: SpectralField) -> SpectralField:
     n = grid.dim
     if t.ncomp != n * n:
         raise ValueError(f"div_tensor expects {n * n} components, got {t.ncomp}")
-    comps = []
+    return SpectralField(grid, div_tensor_coeffs(grid, t.coeffs))
+
+
+def div_tensor_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``div_tensor`` on the coefficient array of a flattened tensor field."""
+    n = grid.dim
+    out = np.zeros((n,) + grid.band_shape, dtype=np.complex128)
     for i in range(n):
-        out = np.zeros(grid.band_shape, dtype=np.complex128)
         for j in range(n):
-            out += 1j * grid.k_axes[j] * t.coeffs[i * n + j]
-        comps.append(out)
-    return SpectralField(grid, np.stack(comps))
+            out[i] += grid._ik[j] * coeffs[i * n + j]
+    return out
 
 
 def _check_same_grid(f: SpectralField, g: SpectralField):
@@ -402,6 +442,23 @@ def norm_l2(f: SpectralField) -> float:
     return float(np.sqrt(max(inner_product(f, f), 0.0)))
 
 
+def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
+    """norm_l2(f) ** 2 of the field of each coefficient block, rounded exactly as that.
+
+    The single-component blocks share one stacked Parseval row sum; a block
+    of several components keeps one pairwise sum over all of them, as in
+    norm_l2, because a sum of its row sums would round differently.
+    """
+    stack = np.concatenate(blocks)
+    weighted = (grid.parseval_weights * (stack * stack.conj()).real).reshape(len(stack), -1)
+    row_sums = weighted.sum(axis=1).tolist()
+    sums, start = [], 0
+    for b in blocks:
+        sums.append(row_sums[start] if len(b) == 1 else float(np.sum(weighted[start : start + len(b)])))
+        start += len(b)
+    return [float(np.sqrt(max(grid.volume * s, 0.0))) ** 2 for s in sums]
+
+
 def norm_sobolev(f: SpectralField, order: float) -> float:
     """Sobolev norm with coefficient weights (1 + |k|^2)^order; order may be negative."""
     w = f.grid.parseval_weights * (1.0 + f.grid.k_squared) ** order
@@ -420,6 +477,17 @@ def integral(f: SpectralField) -> float:
 def integrate_values(grid: TorusGrid, values: np.ndarray) -> float:
     """Uniform-grid quadrature of physical values over the torus."""
     return float(np.sum(values) * grid.spacing**grid.dim)
+
+
+def integrate_rows(grid: TorusGrid, integrands: list[np.ndarray]) -> list[float]:
+    """integrate_values of each integrand, from one row sum over their stack.
+
+    A row sum over a C-contiguous stack adds each row in the same pairwise
+    order as a sum over that row alone, so every value rounds exactly like
+    integrate_values.
+    """
+    stack = np.asarray(integrands).reshape(len(integrands), -1)
+    return (stack.sum(axis=1) * grid.spacing**grid.dim).tolist()
 
 
 def random_band_limited(

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from ledger_reference import reference_energies, reference_functionals, reference_ledger_row
 
 from nsch import scheme
 from nsch.config import parse_config
-from nsch.constitutive import FreeEnergySpec, chemical_potential, f_partials, stress
-from nsch.diagnostics import energy_ledger_step, initial_ledger_row
-from nsch.ensemble import EnsembleConfig, run_trajectory
+from nsch.constitutive import DoubleWell, FreeEnergySpec, TanhMixing, chemical_potential, f_partials, stress
+from nsch.diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row
+from nsch.ensemble import EnsembleConfig, _state_functionals, run_trajectory
 from nsch.noise import (
     ConstantDiffusion,
     LinearDiffusion,
@@ -24,6 +25,7 @@ from nsch.noise import (
 )
 from nsch.scheme import SchemeState, collocation, step
 from nsch.spectral import (
+    SpectralField,
     TorusGrid,
     grad_tensor,
     gradient,
@@ -41,6 +43,15 @@ DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 # state, which transforms its fields in stacks, and the velocity recovery
 # transforms nothing.  Lower it when a change removes transforms; never raise it.
 MAX_FFT_CALLS_PER_STEP = 7
+
+# SpectralField constructions and free-energy profile evaluations (TanhMixing
+# and DoubleWell value, d1, d2) per step, over the same step + ledger row + sup
+# functionals on DEFAULT_NOISY.  The step builds its right-hand sides on
+# coefficient arrays and wraps a field only where one is returned or
+# transformed; each state evaluates log rho and each profile once, for the
+# step and the ledger together.  For each count: lower it, never raise it.
+MAX_FIELDS_PER_STEP = 13
+MAX_PROFILE_CALLS_PER_STEP = 6
 
 # iterations of one velocity recovery: conjugate gradients start from
 # P_m(w / rho); the direct solve of small systems reports 0
@@ -66,6 +77,66 @@ def test_fft_calls_per_step_bounded(fft_calls):
     run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, fft_calls["n"]))
     per_step = (at_step[steps] - at_step[1]) / (steps - 1)
     assert 0 < per_step <= MAX_FFT_CALLS_PER_STEP
+
+
+def test_fields_and_profile_calls_per_step_bounded(monkeypatch):
+    calls = {"fields": 0, "profiles": 0}
+    construct = SpectralField.__post_init__
+
+    def counted_construct(self):
+        calls["fields"] += 1
+        construct(self)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counted_construct)
+    for profile in (TanhMixing, DoubleWell):
+        for name in ("value", "d1", "d2"):
+
+            def counted(self, c, _method=getattr(profile, name)):
+                calls["profiles"] += 1
+                return _method(self, c)
+
+            monkeypatch.setattr(profile, name, counted)
+    steps = 20
+    at_step = {}
+    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
+    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in calls}
+    assert 0 < per_step["fields"] <= MAX_FIELDS_PER_STEP
+    assert 0 < per_step["profiles"] <= MAX_PROFILE_CALLS_PER_STEP
+
+
+ORACLE_CONFIGS = {
+    "noisy-1d-32": "[noise]\nseed = 7\n",
+    "noisy-2d-16": "[grid]\ndim = 2\nmodes = 16\n\n[noise]\nseed = 7\n",
+    "silent-1d-32": "[noise]\nkind = off\nseed = 7\n",
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
+    steps = 5
+    config = parse_config(ORACLE_CONFIGS[name] + f"\n[run]\nhorizon = {steps * 1e-5!r}\n")
+    assert (config.params.noise.K == 0) == name.startswith("silent")
+    ens = EnsembleConfig(grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon)
+    params = config.params
+    gamma = params.fspec.gamma
+    chain, increments = [ens.initial_state()], []
+
+    def keep(done, state, gen, rep):
+        chain.append(state)
+        increments.append(rep.increment)
+
+    result = run_trajectory(ens, 0, initial_state=chain[0], on_step=keep)
+    assert result.failure is None and len(increments) == steps
+
+    assert result.rows[0] == EnergyLedger(*reference_energies(chain[0], params), *[0.0] * 10)
+    for i, inc in enumerate(increments):
+        expected = reference_ledger_row(chain[i], chain[i + 1], inc, params)
+        assert result.rows[i + 1] == expected, f"step {i + 1}"
+        assert energy_ledger_step(chain[i], chain[i + 1], inc, params) == expected, f"step {i + 1}"
+    for state in chain:
+        assert _state_functionals(state, gamma) == reference_functionals(state, gamma), f"t = {state.t}"
+    assert result.final_energy == sum(reference_energies(chain[-1], params)[:3])
+    assert result.final_artificial == reference_energies(chain[-1], params)[3]
 
 
 def test_ledger_row_after_step_transforms_at_most_once(fft_calls):
@@ -144,8 +215,12 @@ def test_record_is_reused_per_params_and_read_only(rng):
     assert collocation(state) is col
     other = collocation(state, replace(config.params))
     assert other is not col and collocation(state) is other
+    params = config.params
+    step_factors = scheme._step_factors(config.grid, params.dt, params.eps, scheme.mean_density(state.rho))
     for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
-                   col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.dsigma):
+                   col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.dsigma, col.rho_u_sq,
+                   col.grad_c_sq, col.visc_stress_coeffs, col.momentum, col.rho_u_r, col.momentum_flux,
+                   *step_factors):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[...] = 0.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "chk_00000010.nsch: unreadable" in err and "99" in err
 
+    def test_verify_reports_mass_drift_on_the_checkpoint_line(self, tmp_path, capsys):
+        from nsch.checkpoint import load_checkpoint, save_checkpoint
+        from nsch.spectral import SpectralField
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        snap = out / "chk_00000010.nsch"
+        state, gen, meta = load_checkpoint(snap)
+        coeffs = state.rho.coeffs.copy()
+        coeffs[0, 0] *= 1.001
+        state = replace(state, rho=SpectralField(state.rho.grid, coeffs))
+        save_checkpoint(snap, state, gen, meta.m, meta.n, meta.noise_modes)
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        (line,) = [line for line in captured.out.splitlines() if line.startswith("chk_00000010.nsch:")]
+        assert "mass drifted" in line and "mass ok" not in line
+        assert "chk_00000010.nsch: mass drifted" in captured.err
+
     def test_verify_detects_tampered_ledger(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_RUN)
@@ -211,6 +233,29 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["sweep", str(cfg), "--out", str(out), "--param", "m", "--values", "3,3.7"]) == 2
         assert "sweep value 3.7 of the integer parameter m is not an integer" in capsys.readouterr().err
+        assert not (out / "trend.csv").exists()
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("dt", "1e-4,3e-5", "horizon 0.002 is not an integral number of steps at dt = 3e-05"),
+            ("m", "4,9", "sweep value m = 9 exceeds the grid truncation 8"),
+            ("n", "5,12", "sweep value n = 12 exceeds the grid truncation 8"),
+            ("eps", "1e-2,-1", "eps must be positive"),
+        ],
+    )
+    def test_sweep_validates_every_cell_before_running_any(self, tmp_path, capsys, monkeypatch, param, values, message):
+        from nsch import ensemble
+
+        def never(config):
+            raise AssertionError("a sweep cell ran before every cell was validated")
+
+        monkeypatch.setattr(ensemble, "run_paths", never)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FAST_RUN.replace("paths = 8", "paths = 2"))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--param", param, "--values", values]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "trend.csv").exists()
 
     def test_workers_env(self, tmp_path, monkeypatch):
