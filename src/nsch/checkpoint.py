@@ -22,6 +22,7 @@ the remaining increments bit-identically.  Output files are written through
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -88,10 +89,7 @@ def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, 
 
 
 def _read_block(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = fh.read(count * 16)
-    if len(raw) != count * 16:
-        raise CheckpointError("truncated coefficient block")
+    raw = fh.read(16 * int(np.prod(shape)))
     return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
 
 
@@ -115,17 +113,19 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
                 raise CheckpointError(f"Galerkin order {name} = {order} outside [1, {modes // 2}]")
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         band = grid.band_shape
+        # rho, w and c blocks, then the generator state; checked before any read,
+        # since the header alone sets how much is read
+        expected = _HEADER.size + 16 * math.prod(band) * (2 + dim) + 40
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CheckpointError(f"file holds {size} bytes but its header implies {expected}")
         rho = SpectralField(grid, _read_block(fh, (1,) + band))
         w = SpectralField(grid, _read_block(fh, (dim,) + band))
         c = SpectralField(grid, _read_block(fh, (1,) + band))
         raw = fh.read(40)
-        if len(raw) != 40:
-            raise CheckpointError("truncated generator state")
         state_int = int.from_bytes(raw[:16], "little")
         inc_int = int.from_bytes(raw[16:32], "little")
         has_uint32, uinteger = struct.unpack("<II", raw[32:40])
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after checkpoint payload")
     bg = np.random.PCG64()
     bg.state = {
         "bit_generator": "PCG64",

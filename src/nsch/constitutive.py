@@ -37,14 +37,9 @@ __all__ = [
     "FreeEnergySpec",
     "FreeEnergyValues",
     "ViscositySpec",
-    "free_energy",
-    "pressure",
     "chemical_potential",
-    "chemical_potential_values",
-    "f_partials",
     "stress",
     "stress_coeffs",
-    "korteweg",
     "korteweg_values",
 ]
 
@@ -248,9 +243,6 @@ class ViscositySpec:
             raise ValueError("nu_bulk must be nonnegative")
 
 
-_PARTIALS = ("f_c", "f_cc", "rho_f_rho_rho", "rho_f_rho_c")
-
-
 def _profile(which: str, method: str) -> cached_property:
     """``spec.<which>.<method>(c)`` of a FreeEnergyValues, evaluated on first use."""
     return cached_property(lambda self: getattr(getattr(self.spec, which), method)(self.c))
@@ -322,39 +314,10 @@ class FreeEnergyValues:
         return self.f_c - lap_c / self.rho
 
 
-def free_energy(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
-    """f(rho, c) evaluated pointwise."""
-    return FreeEnergyValues(rho, c, spec).free_energy
-
-
-def pressure(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
-    """p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)."""
-    return FreeEnergyValues(rho, c, spec).pressure
-
-
-def f_partials(rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, which: str) -> np.ndarray:
-    """Closed-form partial derivatives of f and of rho*f.
-
-    which: "f_c"           df/dc           = log(rho) H'(c) + fc'(c)
-           "f_cc"          d2f/dc2         = log(rho) H''(c) + fc''(c)
-           "rho_f_rho_rho" d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho
-           "rho_f_rho_c"   d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)
-    """
-    values = FreeEnergyValues(rho, c, spec)
-    if which not in _PARTIALS:
-        raise ValueError(f"unknown partial {which!r}")
-    return getattr(values, which)
-
-
-def chemical_potential_values(rv: np.ndarray, cv: np.ndarray, lap_cv: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
-    """mu = df/dc - (1/rho) Lap c pointwise, from grid values of rho, c and Lap c."""
-    return FreeEnergyValues(rv, cv, spec).chemical_potential(lap_cv)
-
-
 def chemical_potential(rho: SpectralField, c: SpectralField, spec: FreeEnergySpec) -> SpectralField:
     """mu = df/dc - (1/rho) Lap c as a spectral field."""
-    values = chemical_potential_values(to_physical(rho)[0], to_physical(c)[0], to_physical(laplacian(c))[0], spec)
-    return to_spectral(rho.grid, values)
+    values = FreeEnergyValues(to_physical(rho)[0], to_physical(c)[0], spec)
+    return to_spectral(rho.grid, values.chemical_potential(to_physical(laplacian(c))[0]))
 
 
 def stress(grad_u: SpectralField, visc: ViscositySpec) -> SpectralField:
@@ -397,10 +360,3 @@ def korteweg_values(gv: np.ndarray) -> np.ndarray:
             out[i * n + j] = t
     return out
 
-
-def korteweg(grad_c: SpectralField) -> SpectralField:
-    """Capillary stress grad c x grad c - |grad c|^2 I / 2, dealiased."""
-    grid = grad_c.grid
-    if grad_c.ncomp != grid.dim:
-        raise ValueError(f"expected {grid.dim} gradient components, got {grad_c.ncomp}")
-    return to_spectral(grid, korteweg_values(to_physical(grad_c)))

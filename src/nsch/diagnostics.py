@@ -26,10 +26,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constitutive import FreeEnergySpec, ViscositySpec, stress
+from .constitutive import ViscositySpec, stress
 from .errors import PositivityError
 from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand
-from .scheme import ApproxParams, Collocation, SchemeState, collocation, cutoff
+from .scheme import ApproxParams, Collocation, SchemeState, collocation
 from .spectral import (
     SpectralField,
     divergence,
@@ -47,7 +47,6 @@ __all__ = [
     "EnergyLedger",
     "LEDGER_COLUMNS",
     "total_energy",
-    "artificial_energy",
     "initial_ledger_row",
     "energy_ledger_step",
     "mass",
@@ -88,14 +87,9 @@ class EnergyLedger:
 LEDGER_COLUMNS = [f.name for f in fields(EnergyLedger)]
 
 
-def total_energy(state: SchemeState, fspec: FreeEnergySpec) -> float:
+def total_energy(state: SchemeState, params: ApproxParams) -> float:
     """int [ rho |u|^2 / 2 + rho f(rho, c) + |grad c|^2 / 2 ]."""
-    return float(sum(collocation(state).energy_parts(fspec)))
-
-
-def artificial_energy(state: SchemeState, params: ApproxParams) -> float:
-    """sqrt(eps)/(alpha-1) int rho^alpha."""
-    return collocation(state, params).artificial
+    return float(sum(collocation(state, params).energies))
 
 
 def initial_ledger_row(state: SchemeState, params: ApproxParams) -> EnergyLedger:
@@ -116,7 +110,6 @@ def energy_ledger_step(
     a = collocation(pre, params)
     b = collocation(post, params)
     grid = a.grid
-    fspec = params.fspec
     dt = inc.dt
     noise = params.noise
 
@@ -131,7 +124,7 @@ def energy_ledger_step(
     gv = a.grad_u
     grho = a.grad_rho
     grho_sq = np.sum(grho**2, axis=0)
-    values = a.free_energy_values(params.fspec)
+    values = a.free_energy_values
     integrands = [
         np.sum(a.visc_stress * gv, axis=0),
         np.sum(a.grad_mu**2, axis=0),
@@ -211,12 +204,13 @@ def renormalized_residual(
     reduces to exact mass conservation; general b has an O(dt) defect.
     """
     grid = pre.rho.grid
-    rv0 = collocation(pre, params).rho[0]
+    a = collocation(pre, params)
+    rv0 = a.rho[0]
     rv1 = collocation(post, params).rho[0]
     if min(float(np.min(rv0)), float(np.min(rv1))) <= params.fspec.rho_floor:
         raise PositivityError(min(float(np.min(rv0)), float(np.min(rv1))))
     dt = post.t - pre.t
-    u_r, _ = cutoff(pre.u, params.R)
+    u_r, _ = a.cut
     div_u = to_physical(divergence(u_r))[0]
     lap_rho = to_physical(laplacian(pre.rho))[0]
     d_b = integrate_values(grid, b(rv1) - b(rv0))
@@ -361,11 +355,11 @@ def holder_estimate(snapshots: list[tuple[float, SpectralField]], omega: float, 
     return worst
 
 
-def v15_functional(state: SchemeState, gamma: float) -> float:
+def v15_functional(state: SchemeState, params: ApproxParams) -> float:
     """int [rho |u|^2 + rho^gamma + rho c^2 + |grad c|^2], the sup-bound integrand."""
-    col = collocation(state)
+    col = collocation(state, params)
     rv = col.rho[0]
-    return integrate_values(col.grid, col.rho_u_sq + rv**gamma + rv * col.c[0] ** 2 + col.grad_c_sq)
+    return integrate_values(col.grid, col.rho_u_sq + rv**params.fspec.gamma + rv * col.c[0] ** 2 + col.grad_c_sq)
 
 
 def ledger_to_csv(rows: list[EnergyLedger]) -> str:

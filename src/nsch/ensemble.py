@@ -115,11 +115,11 @@ class TrajectoryResult:
     rho_c_snapshots: list[tuple[float, SpectralField]] = field(default_factory=list)
 
 
-def _state_functionals(state: SchemeState, gamma: float) -> dict[str, float]:
+def _state_functionals(state: SchemeState, params: ApproxParams) -> dict[str, float]:
     grid = state.c.grid
     c = state.c.coeffs
     c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient_coeffs(grid, c), laplacian_coeffs(grid, c)])
-    return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, gamma)}
+    return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, params)}
 
 
 def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, SpectralField]:
@@ -139,9 +139,8 @@ def run_trajectory(
     state = config.initial_state() if initial_state is None else initial_state
     gen = path_generator(config.base_seed, path_index, stream=0)
 
-    gamma = params.fspec.gamma
     rows = [initial_ledger_row(state, params)]
-    stats0 = _state_functionals(state, gamma)
+    stats0 = _state_functionals(state, params)
     sup = dict(stats0)
     snaps: list[tuple[float, SpectralField]] = []
     if config.snapshot_stride > 0:
@@ -168,7 +167,7 @@ def run_trajectory(
         chi_min = min(chi_min, rep.chi)
         if rep.chi == 0.0:
             chi_zero += 1
-        for k, v in _state_functionals(state, gamma).items():
+        for k, v in _state_functionals(state, params).items():
             sup[k] = max(sup[k], v)
         if config.snapshot_stride > 0 and done % config.snapshot_stride == 0:
             snaps.append(_rho_c(state, params))

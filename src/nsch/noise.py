@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import FreeEnergySpec, f_partials
+from .constitutive import FreeEnergySpec, FreeEnergyValues
 from .spectral import (
     SpectralField,
-    TorusGrid,
     gradient,
     integrate_values,
     to_physical,
@@ -37,9 +36,7 @@ __all__ = [
     "noise_sum",
     "forcing",
     "ito_grad_integrand",
-    "ito_grad_term",
     "ito_value_integrand",
-    "ito_value_term",
     "ito_grad_correction",
     "ito_value_correction",
     "splitmix64",
@@ -206,22 +203,9 @@ def ito_grad_integrand(spec: NoiseSpec, dsigma: np.ndarray, grad_c_sq: np.ndarra
     return _sigma_sq_sum(spec, dsigma) * grad_c_sq
 
 
-def ito_grad_term(grid: TorusGrid, spec: NoiseSpec, dsigma: np.ndarray, grad_cv: np.ndarray) -> float:
-    """(1/2) int sum_k alpha_k^2 sigma_k'(c)^2 |grad c|^2 from grid values."""
-    return 0.5 * integrate_values(grid, ito_grad_integrand(spec, dsigma, np.sum(grad_cv**2, axis=0)))
-
-
 def ito_value_integrand(spec: NoiseSpec, sigma: np.ndarray, rv: np.ndarray, fcc: np.ndarray) -> np.ndarray:
     """rho f_cc sum_k alpha_k^2 sigma_k(c)^2 pointwise, from the table of sigma_k(c) and f_cc."""
     return rv * fcc * _sigma_sq_sum(spec, sigma)
-
-
-def ito_value_term(
-    grid: TorusGrid, spec: NoiseSpec, fspec: FreeEnergySpec, sigma: np.ndarray, rv: np.ndarray, cv: np.ndarray
-) -> float:
-    """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 from grid values."""
-    fcc = f_partials(rv, cv, fspec, "f_cc")
-    return 0.5 * integrate_values(grid, ito_value_integrand(spec, sigma, rv, fcc))
 
 
 def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:
@@ -229,7 +213,8 @@ def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:
     if spec.K == 0:
         return 0.0
     dsigma = sigma_table(spec, to_physical(c)[0], deriv=True)
-    return ito_grad_term(c.grid, spec, dsigma, to_physical(gradient(c)))
+    grad_c_sq = np.sum(to_physical(gradient(c)) ** 2, axis=0)
+    return 0.5 * integrate_values(c.grid, ito_grad_integrand(spec, dsigma, grad_c_sq))
 
 
 def ito_value_correction(rho: SpectralField, c: SpectralField, spec: NoiseSpec, fspec: FreeEnergySpec) -> float:
@@ -238,7 +223,8 @@ def ito_value_correction(rho: SpectralField, c: SpectralField, spec: NoiseSpec, 
         return 0.0
     rv = to_physical(rho)[0]
     cv = to_physical(c)[0]
-    return ito_value_term(c.grid, spec, fspec, sigma_table(spec, cv), rv, cv)
+    fcc = FreeEnergyValues(rv, cv, fspec).f_cc
+    return 0.5 * integrate_values(c.grid, ito_value_integrand(spec, sigma_table(spec, cv), rv, fcc))
 
 
 def splitmix64(x: int) -> int:

@@ -174,7 +174,7 @@ class Collocation:
     once per state, in ``free_energy_values``.
     """
 
-    def __init__(self, state: SchemeState, params: ApproxParams | None, rho: np.ndarray | None = None):
+    def __init__(self, state: SchemeState, params: ApproxParams, rho: np.ndarray | None = None):
         # a record-free twin of the state, so the state and its record form no reference cycle
         self.state = replace(state)
         self.params = params
@@ -197,10 +197,8 @@ class Collocation:
             laplacian_coeffs(grid, s.c.coeffs),
             gradient_coeffs(grid, s.rho.coeffs),
             grad_u,
+            stress_coeffs(grid, grad_u, self.params.visc),
         ]
-        # the viscous stress needs parameters; parameter-free records leave it out
-        if self.params is not None:
-            blocks.append(stress_coeffs(grid, grad_u, self.params.visc))
         return [_read_only(b) for b in blocks]
 
     visc_stress_coeffs = _part("_linear_coeffs", 6)
@@ -227,16 +225,13 @@ class Collocation:
         u_r, _ = self.cut
         return self.u if u_r is self.state.u else _values(u_r)
 
-    def free_energy_values(self, fspec: FreeEnergySpec) -> FreeEnergyValues:
-        """f and its partials at this state's values, kept for the last spec asked for.
+    @cached_property
+    def free_energy_values(self) -> FreeEnergyValues:
+        """f and its partials at this state's values.
 
         Raises PositivityError, at the state's time, if the density is not positive.
         """
-        values = self.__dict__.get("_free_energy_values")
-        if values is None or values.spec is not fspec:
-            values = FreeEnergyValues(self.rho[0], self.c[0], fspec, t=self.state.t)
-            self._free_energy_values = values
-        return values
+        return FreeEnergyValues(self.rho[0], self.c[0], self.params.fspec, t=self.state.t)
 
     @cached_property
     def _rho_alpha(self) -> np.ndarray:
@@ -246,7 +241,7 @@ class Collocation:
     @cached_property
     def _products(self) -> list[np.ndarray]:
         p = self.params
-        values = self.free_energy_values(p.fspec)
+        values = self.free_energy_values
         blocks = [
             values.chemical_potential(self.lap_c[0])[None],
             self.rho * self.u,
@@ -306,15 +301,12 @@ class Collocation:
         """|grad c|^2."""
         return _read_only(np.sum(self.grad_c**2, axis=0))
 
-    def energy_parts(self, fspec: FreeEnergySpec) -> tuple[float, float, float]:
-        """Kinetic, free and interface energy; raises if the density is not positive."""
-        free = self.rho[0] * self.free_energy_values(fspec).free_energy
-        kinetic, free, interface = integrate_rows(self.grid, [self.rho_u_sq, free, self.grad_c_sq])
-        return 0.5 * kinetic, free, 0.5 * interface
-
     @cached_property
     def energies(self) -> tuple[float, float, float]:
-        return self.energy_parts(self.params.fspec)
+        """Kinetic, free and interface energy; raises if the density is not positive."""
+        free = self.rho[0] * self.free_energy_values.free_energy
+        kinetic, free, interface = integrate_rows(self.grid, [self.rho_u_sq, free, self.grad_c_sq])
+        return 0.5 * kinetic, free, 0.5 * interface
 
     @cached_property
     def artificial(self) -> float:
@@ -323,15 +315,14 @@ class Collocation:
         return float(np.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self._rho_alpha))
 
 
-def collocation(state: SchemeState, params: ApproxParams | None = None) -> Collocation:
-    """The collocation record of ``state``.
+def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
+    """The collocation record of ``state`` under ``params``.
 
     A record is kept on the state and reused while ``params`` is the object
-    it was built with; ``params=None`` accepts any record, for consumers of
-    parameter-free values only.
+    it was built with.
     """
     record = state.__dict__.get("_collocation")
-    if record is None or (params is not None and record.params is not params):
+    if record is None or record.params is not params:
         record = Collocation(state, params)
         object.__setattr__(state, "_collocation", record)
     return record

@@ -26,14 +26,12 @@ __all__ = [
     "to_spectral",
     "project",
     "project_coeffs",
-    "derivative",
     "gradient",
     "gradient_coeffs",
     "divergence",
     "divergence_coeffs",
     "laplacian",
     "laplacian_coeffs",
-    "bilaplacian",
     "grad_tensor",
     "grad_tensor_coeffs",
     "div_tensor",
@@ -328,21 +326,6 @@ def laplacian(f: SpectralField) -> SpectralField:
 def laplacian_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """``laplacian`` on a coefficient array."""
     return -grid.k_squared * coeffs
-
-
-def bilaplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.grid.k_squared**2 * f.coeffs)
-
-
-_KINDS = {"gradient": gradient, "divergence": divergence, "laplacian": laplacian, "bilaplacian": bilaplacian}
-
-
-def derivative(f: SpectralField, kind: str) -> SpectralField:
-    try:
-        op = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown derivative kind {kind!r}") from None
-    return op(f)
 
 
 def grad_tensor(u: SpectralField) -> SpectralField:

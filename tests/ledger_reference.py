@@ -1,16 +1,17 @@
 """Field-by-field recomputation of a ledger row and of the sup functionals.
 
 Each quantity gets its own transform and its own ``integrate_values`` or
-``norm_l2``, with the free energy and its partials from the module-level
-constitutive functions.  The fused ledger and the stacked functionals must
-equal these values exactly, not just closely.
+``norm_l2``, with the free energy and its partials from a FreeEnergyValues
+of its own and the Ito terms from the field-level corrections.  The fused
+ledger and the stacked functionals must equal these values exactly, not
+just closely.
 """
 
 import numpy as np
 
-from nsch.constitutive import chemical_potential, f_partials, free_energy, stress
+from nsch.constitutive import FreeEnergyValues, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger
-from nsch.noise import ito_grad_term, ito_value_term, sigma_table
+from nsch.noise import ito_grad_correction, ito_value_correction
 from nsch.spectral import grad_tensor, gradient, integrate_values, laplacian, norm_l2, to_physical
 
 
@@ -21,7 +22,7 @@ def reference_energies(state, params) -> tuple[float, float, float, float]:
     cv = to_physical(state.c)[0]
     uv = to_physical(state.u)
     kinetic = 0.5 * integrate_values(grid, rv * np.sum(uv**2, axis=0))
-    free = integrate_values(grid, rv * free_energy(rv, cv, params.fspec))
+    free = integrate_values(grid, rv * FreeEnergyValues(rv, cv, params.fspec).free_energy)
     interface = 0.5 * integrate_values(grid, np.sum(to_physical(gradient(state.c)) ** 2, axis=0))
     artificial = float(np.sqrt(params.eps) / (params.alpha_exp - 1.0) * integrate_values(grid, rv**params.alpha_exp))
     return kinetic, free, interface, artificial
@@ -52,15 +53,15 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
     diss_art = (
         np.sqrt(eps) * eps * params.alpha_exp * integrate_values(grid, rv ** (params.alpha_exp - 2.0) * grho_sq) * dt
     )
-    rho_f_rr = f_partials(rv, cv, fspec, "rho_f_rho_rho")
+    rho_f_rr = FreeEnergyValues(rv, cv, fspec).rho_f_rho_rho
     rhs1 = -eps * integrate_values(grid, rho_f_rr * grho_sq) * dt
-    rho_f_rc = f_partials(rv, cv, fspec, "rho_f_rho_c")
+    rho_f_rc = FreeEnergyValues(rv, cv, fspec).rho_f_rho_c
     rhs2 = -eps * integrate_values(grid, rho_f_rc * np.sum(grho * gc, axis=0)) * dt
 
     ito1 = ito2 = stoch = 0.0
     if noise.K > 0:
-        ito1 = ito_grad_term(grid, noise, sigma_table(noise, cv, deriv=True), gc) * dt
-        ito2 = ito_value_term(grid, noise, fspec, sigma_table(noise, cv), rv, cv) * dt
+        ito1 = ito_grad_correction(pre.c, noise) * dt
+        ito2 = ito_value_correction(pre.rho, pre.c, noise, fspec) * dt
         base = rv * to_physical(mu)[0]
         for i, k in enumerate(noise.modes):
             if inc.dbeta[i] != 0.0:
@@ -72,7 +73,7 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
     )
 
 
-def reference_functionals(state, gamma: float) -> dict[str, float]:
+def reference_functionals(state, params) -> dict[str, float]:
     """The sup functionals of ``state``: three norms of c and the v15 integral."""
     grid = state.rho.grid
     c = state.c
@@ -80,6 +81,7 @@ def reference_functionals(state, gamma: float) -> dict[str, float]:
     cv = to_physical(c)[0]
     uv = to_physical(state.u)
     gc = to_physical(gradient(c))
+    gamma = params.fspec.gamma
     v15 = integrate_values(grid, rv * np.sum(uv**2, axis=0) + rv**gamma + rv * cv**2 + np.sum(gc**2, axis=0))
     return {
         "c_l2_sq": norm_l2(c) ** 2,

@@ -16,10 +16,9 @@ from nsch.constitutive import (
     FreeEnergySpec,
     QuadraticWell,
     ViscositySpec,
+    FreeEnergyValues,
     ZeroFunction,
-    f_partials,
-    free_energy,
-    korteweg,
+    korteweg_values,
 )
 from nsch.ensemble import EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from nsch.errors import CutoffSaturatedWarning
@@ -106,23 +105,26 @@ def test_criterion_03_constitutive_identities():
     # second differences of the raw function carry an eps*|f|/h^2 roundoff
     # floor (about 1e-6 absolute here); the relative tolerance applies
     # wherever the oracle resolves the value above that floor
-    atol2 = 16 * np.finfo(float).eps * np.max(np.abs(rho * free_energy(rho, c, spec))) / h**2
-    fd_c = (free_energy(rho, c + h, spec) - free_energy(rho, c - h, spec)) / (2 * h)
-    np.testing.assert_allclose(f_partials(rho, c, spec, "f_c"), fd_c, rtol=1e-6, atol=1e-7)
-    fd_cc = (free_energy(rho, c + h, spec) - 2 * free_energy(rho, c, spec) + free_energy(rho, c - h, spec)) / h**2
-    np.testing.assert_allclose(f_partials(rho, c, spec, "f_cc"), fd_cc, rtol=1e-6, atol=atol2)
-    rf = lambda r, cc: r * free_energy(r, cc, spec)
+    f = lambda r, cc: FreeEnergyValues(r, cc, spec).free_energy
+    values = FreeEnergyValues(rho, c, spec)
+    atol2 = 16 * np.finfo(float).eps * np.max(np.abs(rho * f(rho, c))) / h**2
+    fd_c = (f(rho, c + h) - f(rho, c - h)) / (2 * h)
+    np.testing.assert_allclose(values.f_c, fd_c, rtol=1e-6, atol=1e-7)
+    fd_cc = (f(rho, c + h) - 2 * f(rho, c) + f(rho, c - h)) / h**2
+    np.testing.assert_allclose(values.f_cc, fd_cc, rtol=1e-6, atol=atol2)
+    rf = lambda r, cc: r * f(r, cc)
     fd_rr = (rf(rho + h, c) - 2 * rf(rho, c) + rf(rho - h, c)) / h**2
-    np.testing.assert_allclose(f_partials(rho, c, spec, "rho_f_rho_rho"), fd_rr, rtol=1e-6, atol=atol2)
+    np.testing.assert_allclose(values.rho_f_rho_rho, fd_rr, rtol=1e-6, atol=atol2)
     fd_rc = (rf(rho + h, c + h) - rf(rho + h, c - h) - rf(rho - h, c + h) + rf(rho - h, c - h)) / (4 * h**2)
-    np.testing.assert_allclose(f_partials(rho, c, spec, "rho_f_rho_c"), fd_rc, rtol=1e-6, atol=atol2)
+    np.testing.assert_allclose(values.rho_f_rho_c, fd_rc, rtol=1e-6, atol=atol2)
 
     worst = 0.0
     for dim, modes in ((1, 64), (2, 32)):
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         for _ in range(5):
             cf = random_band_limited(grid, rng, band=max(2, grid.kmax // 4), amplitude=0.5)
-            lhs = div_tensor(korteweg(gradient(cf)))
+            capillary = to_spectral(grid, korteweg_values(to_physical(gradient(cf))))
+            lhs = div_tensor(capillary)
             rhs = multiply(laplacian(cf), gradient(cf))
             worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
     elapsed = time.perf_counter() - started

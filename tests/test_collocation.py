@@ -7,7 +7,7 @@ from ledger_reference import reference_energies, reference_functionals, referenc
 
 from nsch import scheme
 from nsch.config import parse_config
-from nsch.constitutive import DoubleWell, FreeEnergySpec, TanhMixing, chemical_potential, f_partials, stress
+from nsch.constitutive import DoubleWell, FreeEnergySpec, FreeEnergyValues, TanhMixing, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row
 from nsch.ensemble import EnsembleConfig, _state_functionals, run_trajectory
 from nsch.noise import (
@@ -16,8 +16,8 @@ from nsch.noise import (
     NoiseSpec,
     SineDiffusion,
     geometric_noise,
-    ito_grad_term,
-    ito_value_term,
+    ito_grad_correction,
+    ito_value_correction,
     noise_sum,
     path_generator,
     sample_increment,
@@ -33,6 +33,7 @@ from nsch.spectral import (
     laplacian,
     random_band_limited,
     to_physical,
+    to_spectral,
 )
 
 # the default physics: 1D, 32 modes, geometric noise with K = 20
@@ -118,7 +119,6 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
     assert (config.params.noise.K == 0) == name.startswith("silent")
     ens = EnsembleConfig(grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon)
     params = config.params
-    gamma = params.fspec.gamma
     chain, increments = [ens.initial_state()], []
 
     def keep(done, state, gen, rep):
@@ -134,7 +134,7 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
         assert result.rows[i + 1] == expected, f"step {i + 1}"
         assert energy_ledger_step(chain[i], chain[i + 1], inc, params) == expected, f"step {i + 1}"
     for state in chain:
-        assert _state_functionals(state, gamma) == reference_functionals(state, gamma), f"t = {state.t}"
+        assert _state_functionals(state, params) == reference_functionals(state, params), f"t = {state.t}"
     assert result.final_energy == sum(reference_energies(chain[-1], params)[:3])
     assert result.final_artificial == reference_energies(chain[-1], params)[3]
 
@@ -212,9 +212,9 @@ def test_record_is_reused_per_params_and_read_only(rng):
     state = config.initial.build(config.grid, config.params, rng)
     col = collocation(state, config.params)
     assert collocation(state, config.params) is col
-    assert collocation(state) is col
-    other = collocation(state, replace(config.params))
-    assert other is not col and collocation(state) is other
+    other_params = replace(config.params)
+    other = collocation(state, other_params)
+    assert other is not col and collocation(state, other_params) is other
     params = config.params
     step_factors = scheme._step_factors(config.grid, params.dt, params.eps, scheme.mean_density(state.rho))
     for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
@@ -256,7 +256,8 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
     fspec = FreeEnergySpec()
     c = random_band_limited(grid, rng, amplitude=2.0)
     cv = to_physical(c)[0]
-    rv = 1.0 + 0.5 * np.cos(cv)
+    rho = to_spectral(grid, 1.0 + 0.5 * np.cos(cv))
+    rv = to_physical(rho)[0]
     gv = to_physical(gradient(c))
     inc = sample_increment(1e-3, rng, spec)
 
@@ -268,11 +269,11 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
         value_sq += spec.alphas[i] ** 2 * spec.family.value(k, cv) ** 2
         d1_sq += spec.alphas[i] ** 2 * spec.family.d1(k, cv) ** 2
 
-    sigma, dsigma = sigma_table(spec, cv), sigma_table(spec, cv, deriv=True)
+    sigma = sigma_table(spec, cv)
     assert np.array_equal(noise_sum(sigma, inc, spec), forced)
-    assert ito_grad_term(grid, spec, dsigma, gv) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
-    fcc = f_partials(rv, cv, fspec, "f_cc")
-    assert ito_value_term(grid, spec, fspec, sigma, rv, cv) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
+    assert ito_grad_correction(c, spec) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
+    fcc = FreeEnergyValues(rv, cv, fspec).f_cc
+    assert ito_value_correction(rho, c, spec, fspec) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
 
 
 def test_stochastic_transfer_equals_per_mode_loop():

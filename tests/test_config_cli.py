@@ -158,6 +158,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "chk_00000010.nsch: unreadable" in err and "99" in err
 
+    def test_verify_lists_checkpoint_whose_header_outgrows_the_file(self, tmp_path, capsys):
+        from nsch.checkpoint import _HEADER
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        snap = out / "chk_00000010.nsch"
+        raw = snap.read_bytes()
+        head = list(_HEADER.unpack_from(raw))
+        head[2:4] = [2, 2**31 - 2]  # a 2D grid whose blocks would overflow a read
+        snap.write_bytes(_HEADER.pack(*head) + raw[_HEADER.size :])
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "chk_00000010.nsch: unreadable" in err and "header implies" in err
+
     def test_verify_reports_mass_drift_on_the_checkpoint_line(self, tmp_path, capsys):
         from nsch.checkpoint import load_checkpoint, save_checkpoint
         from nsch.spectral import SpectralField

@@ -8,11 +8,9 @@ from nsch.constitutive import (
     TanhMixing,
     ViscositySpec,
     ZeroFunction,
+    FreeEnergyValues,
     chemical_potential,
-    f_partials,
-    free_energy,
-    korteweg,
-    pressure,
+    korteweg_values,
     stress,
 )
 from nsch.errors import PositivityError
@@ -142,30 +140,30 @@ class TestFreeEnergy:
         rho = np.array([1.0])
         c = np.array([0.0])
         # H(0) = 0 and fc(0) = 0 leave only the elastic part
-        assert abs(free_energy(rho, c, spec)[0] - 1.5) < 1e-14
+        assert abs(FreeEnergyValues(rho, c, spec).free_energy[0] - 1.5) < 1e-14
 
     def test_elastic_power(self):
         spec = spec_plain(a=1.0, gamma=4.0)
-        assert abs(free_energy(np.array([2.0]), np.array([0.0]), spec)[0] - 8.0) < 1e-14
+        assert abs(FreeEnergyValues(np.array([2.0]), np.array([0.0]), spec).free_energy[0] - 8.0) < 1e-14
 
     def test_drho_at_unit_density(self):
         # df/drho = a (gamma-1) rho^(gamma-2); independently via finite differences
         spec = spec_plain(a=1.3, gamma=4.0)
         h = 1e-6
-        fd = (free_energy(np.array([1.0 + h]), np.array([0.0]), spec)[0]
-              - free_energy(np.array([1.0 - h]), np.array([0.0]), spec)[0]) / (2 * h)
+        f = lambda r: FreeEnergyValues(np.array([r]), np.array([0.0]), spec).free_energy[0]
+        fd = (f(1.0 + h) - f(1.0 - h)) / (2 * h)
         assert abs(fd - spec.a * (spec.gamma - 1.0)) < 1e-7
 
     def test_nonpositive_rho_raises(self):
         spec = FreeEnergySpec()
         with pytest.raises(PositivityError):
-            free_energy(np.array([1e-9]), np.array([0.0]), spec)
+            FreeEnergyValues(np.array([1e-9]), np.array([0.0]), spec)
 
 
 class TestPressure:
     def test_power_law(self):
         spec = spec_plain(a=1.0, gamma=4.0)
-        assert abs(pressure(np.array([2.0]), np.array([0.0]), spec)[0] - 48.0) < 1e-12
+        assert abs(FreeEnergyValues(np.array([2.0]), np.array([0.0]), spec).pressure[0] - 48.0) < 1e-12
 
     def test_mixing_contribution(self):
         class LinearMix:
@@ -181,14 +179,14 @@ class TestPressure:
             d3 = d2
 
         spec = FreeEnergySpec(a=1.0, gamma=4.0, mixing=LinearMix(), well=ZeroFunction())
-        p = pressure(np.array([1.0]), np.array([0.5]), spec)[0]
+        p = FreeEnergyValues(np.array([1.0]), np.array([0.5]), spec).pressure[0]
         assert abs(p - (spec.a * (spec.gamma - 1.0) + 0.5)) < 1e-14
 
     def test_c_independent_without_mixing(self, rng):
         spec = spec_plain(a=1.0, gamma=3.5, well=DoubleWell())
         rho = rng.uniform(0.5, 3.0, size=32)
-        p1 = pressure(rho, rng.standard_normal(32), spec)
-        p2 = pressure(rho, rng.standard_normal(32), spec)
+        p1 = FreeEnergyValues(rho, rng.standard_normal(32), spec).pressure
+        p2 = FreeEnergyValues(rho, rng.standard_normal(32), spec).pressure
         np.testing.assert_array_equal(p1, p2)
 
     def test_pressure_identity_by_finite_differences(self, rng):
@@ -198,8 +196,9 @@ class TestPressure:
         rho = rng.uniform(0.5, 3.0, size=64)
         c = rng.standard_normal(64)
         h = 1e-4
-        fd = (free_energy(rho + h, c, spec) - free_energy(rho - h, c, spec)) / (2 * h)
-        np.testing.assert_allclose(pressure(rho, c, spec), rho**2 * fd, rtol=1e-6)
+        f = lambda r: FreeEnergyValues(r, c, spec).free_energy
+        fd = (f(rho + h) - f(rho - h)) / (2 * h)
+        np.testing.assert_allclose(FreeEnergyValues(rho, c, spec).pressure, rho**2 * fd, rtol=1e-6)
 
 
 class TestPartials:
@@ -208,7 +207,7 @@ class TestPartials:
         # well is off
         spec = FreeEnergySpec(well=ZeroFunction())
         c = rng.standard_normal(16)
-        got = f_partials(np.ones(16), c, spec, "rho_f_rho_c")
+        got = FreeEnergyValues(np.ones(16), c, spec).rho_f_rho_c
         np.testing.assert_allclose(got, spec.mixing.d1(c), atol=1e-14)
 
     def test_rho_rho_partial_vs_finite_differences(self, rng):
@@ -216,13 +215,13 @@ class TestPartials:
         rho = rng.uniform(0.5, 3.0, size=64)
         c = rng.standard_normal(64)
         h = 1e-4
-        rf = lambda r: r * free_energy(r, c, spec)
+        rf = lambda r: r * FreeEnergyValues(r, c, spec).free_energy
         fd = (rf(rho + h) - 2 * rf(rho) + rf(rho - h)) / h**2
-        np.testing.assert_allclose(f_partials(rho, c, spec, "rho_f_rho_rho"), fd, rtol=1e-6)
+        np.testing.assert_allclose(FreeEnergyValues(rho, c, spec).rho_f_rho_rho, fd, rtol=1e-6)
 
     def test_quadratic_well_curvature(self, rng):
         spec = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=2.5))
-        got = f_partials(rng.uniform(0.5, 3.0, 8), rng.standard_normal(8), spec, "f_cc")
+        got = FreeEnergyValues(rng.uniform(0.5, 3.0, 8), rng.standard_normal(8), spec).f_cc
         np.testing.assert_allclose(got, 2.5, atol=1e-14)
 
     def test_all_partials_vs_finite_differences(self, rng):
@@ -231,20 +230,18 @@ class TestPartials:
         c = rng.uniform(-2.5, 2.5, size=128)
         h = 1e-4
         # second differences sit on an eps*|f|/h^2 roundoff floor
-        atol2 = 16 * np.finfo(float).eps * np.max(np.abs(rho * free_energy(rho, c, spec))) / h**2
-        fd_c = (free_energy(rho, c + h, spec) - free_energy(rho, c - h, spec)) / (2 * h)
-        np.testing.assert_allclose(f_partials(rho, c, spec, "f_c"), fd_c, rtol=1e-6, atol=1e-7)
-        fd_cc = (free_energy(rho, c + h, spec) - 2 * free_energy(rho, c, spec) + free_energy(rho, c - h, spec)) / h**2
-        np.testing.assert_allclose(f_partials(rho, c, spec, "f_cc"), fd_cc, rtol=1e-6, atol=atol2)
-        rf = lambda r, cc: r * free_energy(r, cc, spec)
+        f = lambda r, cc: FreeEnergyValues(r, cc, spec).free_energy
+        values = FreeEnergyValues(rho, c, spec)
+        atol2 = 16 * np.finfo(float).eps * np.max(np.abs(rho * f(rho, c))) / h**2
+        fd_c = (f(rho, c + h) - f(rho, c - h)) / (2 * h)
+        np.testing.assert_allclose(values.f_c, fd_c, rtol=1e-6, atol=1e-7)
+        fd_cc = (f(rho, c + h) - 2 * f(rho, c) + f(rho, c - h)) / h**2
+        np.testing.assert_allclose(values.f_cc, fd_cc, rtol=1e-6, atol=atol2)
+        rf = lambda r, cc: r * f(r, cc)
         fd_rr = (rf(rho + h, c) - 2 * rf(rho, c) + rf(rho - h, c)) / h**2
-        np.testing.assert_allclose(f_partials(rho, c, spec, "rho_f_rho_rho"), fd_rr, rtol=1e-6, atol=atol2)
+        np.testing.assert_allclose(values.rho_f_rho_rho, fd_rr, rtol=1e-6, atol=atol2)
         fd_rc = (rf(rho + h, c + h) - rf(rho + h, c - h) - rf(rho - h, c + h) + rf(rho - h, c - h)) / (4 * h**2)
-        np.testing.assert_allclose(f_partials(rho, c, spec, "rho_f_rho_c"), fd_rc, rtol=1e-6, atol=atol2)
-
-    def test_unknown_partial(self):
-        with pytest.raises(ValueError):
-            f_partials(np.ones(2), np.zeros(2), FreeEnergySpec(), "f_rho")
+        np.testing.assert_allclose(values.rho_f_rho_c, fd_rc, rtol=1e-6, atol=atol2)
 
 
 class TestChemicalPotential:
@@ -278,9 +275,8 @@ class TestChemicalPotential:
         c = random_band_limited(grid, rng, band=2, amplitude=0.3)
         mu = chemical_potential(rho, c, spec)
         lhs = to_physical(multiply(rho, mu))[0] + to_physical(laplacian(c))[0]
-        rhs_field = to_spectral(
-            grid, to_physical(rho)[0] * f_partials(to_physical(rho)[0], to_physical(c)[0], spec, "f_c")
-        )
+        rv = to_physical(rho)[0]
+        rhs_field = to_spectral(grid, rv * FreeEnergyValues(rv, to_physical(c)[0], spec).f_c)
         rhs = to_physical(rhs_field)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -329,12 +325,17 @@ class TestStress:
             assert np.min(contraction) > -1e-12
 
 
+def korteweg(c):
+    """The dealiased capillary stress of ``c``."""
+    return to_spectral(c.grid, korteweg_values(to_physical(gradient(c))))
+
+
 class TestKorteweg:
     def test_1d_half_cos_squared(self):
         grid = TorusGrid(dim=1, modes_per_dim=32)
         (x,) = grid.mesh()
         c = to_spectral(grid, np.sin(x))
-        t = korteweg(gradient(c))
+        t = korteweg(c)
         np.testing.assert_allclose(to_physical(t)[0], 0.5 * np.cos(x) ** 2, atol=1e-13)
         dv = div_tensor(t)
         np.testing.assert_allclose(to_physical(dv)[0], -np.sin(x) * np.cos(x), atol=1e-13)
@@ -342,14 +343,14 @@ class TestKorteweg:
     def test_constant_c(self):
         grid = TorusGrid(dim=2, modes_per_dim=8)
         c = to_spectral(grid, np.full(grid.pshape, 1.3))
-        assert norm_l2(korteweg(gradient(c))) < 1e-12
+        assert norm_l2(korteweg(c)) < 1e-12
 
     def test_divergence_identity(self, rng):
         # Div(grad c x grad c - |grad c|^2 I / 2) = (Lap c) grad c
         for dim, modes in ((1, 64), (2, 32)):
             grid = TorusGrid(dim=dim, modes_per_dim=modes)
             c = random_band_limited(grid, rng, band=grid.kmax // 2, amplitude=1.0)
-            lhs = div_tensor(korteweg(gradient(c)))
+            lhs = div_tensor(korteweg(c))
             rhs = multiply(laplacian(c), gradient(c))
             assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
 

@@ -1,0 +1,91 @@
+"""The names the benchmark harness reaches into must keep existing.
+
+``perfbench/spans.py`` fetches every function of its ``TRACED`` table and
+the sigma methods of three noise families with ``getattr`` when a traced
+run starts, and ``perfbench/child.py`` replaces four functions of
+``nsch.cli`` and ``nsch.ensemble``.  A missing name fails the traced run
+only, so these tests check them directly.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import nsch
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(nsch.__path__))
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def noise_families(spans) -> list[str]:
+    """Names of the ``noise.<Family>`` attributes that ``Tracer.install`` reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(spans.Tracer.install)))
+    return sorted(
+        {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "noise"
+        }
+    )
+
+
+def test_traced_functions_exist():
+    spans = load_spans()
+    for module, names in spans.TRACED.items():
+        mod = importlib.import_module(f"nsch.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"nsch.{module}.{name}"
+
+
+def test_traced_noise_families_have_the_sigma_methods():
+    spans = load_spans()
+    families = noise_families(spans)
+    assert len(families) == 3
+    noise = importlib.import_module("nsch.noise")
+    for family in families:
+        for method in spans.SIGMA_METHODS:
+            assert callable(getattr(getattr(noise, family, None), method, None)), f"nsch.noise.{family}.{method}"
+
+
+def test_hooks_patched_by_the_child_exist():
+    cli = importlib.import_module("nsch.cli")
+    ensemble = importlib.import_module("nsch.ensemble")
+    for mod, name in ((cli, "run_trajectory"), (cli, "run_paths"), (ensemble, "step"), (ensemble, "run_trajectory")):
+        assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
+    params = inspect.signature(ensemble.run_trajectory).parameters
+    assert list(params)[:2] == ["config", "path_index"]
+    assert {"initial_state", "on_step"} <= set(params)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"nsch.{module}")
+    for name in getattr(mod, "__all__", []):
+        assert hasattr(mod, name), f"nsch.{module}.{name}"
+
+
+def test_tracer_installs_on_the_loaded_package():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nsch.cli; import spans; "
+        "spans.Tracer().install(); print('installed')"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PERFBENCH)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "installed"

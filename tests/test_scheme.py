@@ -579,6 +579,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"{value}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", ["huge grid", "truncated", "trailing byte"])
+    def test_file_size_must_match_the_header(self, tmp_path, change):
+        # a header claiming a 2D grid of 2^31 - 2 modes per dimension once made the block read overflow
+        grid = grid16()
+        params = small_params()
+        path = tmp_path / "bad.nsch"
+        save_checkpoint(path, rest_state(grid, params), path_generator(0, 0), params.m, params.n, 0)
+        raw = path.read_bytes()
+        if change == "huge grid":
+            head = list(checkpoint._HEADER.unpack_from(raw))
+            head[2:4] = [2, 2**31 - 2]
+            raw = checkpoint._HEADER.pack(*head) + raw[checkpoint._HEADER.size :]
+        path.write_bytes({"huge grid": raw, "truncated": raw[:-1], "trailing byte": raw + b"\0"}[change])
+        with pytest.raises(CheckpointError, match="header implies"):
+            load_checkpoint(path)
+
 
 class TestInitialData:
     def test_mass_exact(self, rng):
