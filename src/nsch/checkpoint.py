@@ -89,7 +89,7 @@ def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, 
 
 
 def _read_block(fh, shape) -> np.ndarray:
-    raw = fh.read(16 * int(np.prod(shape)))
+    raw = fh.read(16 * math.prod(shape))
     return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
 
 
@@ -111,6 +111,8 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         for name, order in (("m", m), ("n", n)):
             if not 1 <= order <= modes // 2:
                 raise CheckpointError(f"Galerkin order {name} = {order} outside [1, {modes // 2}]")
+        if not math.isfinite(t):
+            raise CheckpointError(f"non-finite t ({t})")
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         band = grid.band_shape
         # rho, w and c blocks, then the generator state; checked before any read,
@@ -122,6 +124,10 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         rho = SpectralField(grid, _read_block(fh, (1,) + band))
         w = SpectralField(grid, _read_block(fh, (dim,) + band))
         c = SpectralField(grid, _read_block(fh, (1,) + band))
+        # NaN passes every ordered comparison, so it is caught before the velocity recovery
+        for name, f in (("rho", rho), ("w", w), ("c", c)):
+            if not np.isfinite(f.coeffs).all():
+                raise CheckpointError(f"non-finite {name} coefficients")
         raw = fh.read(40)
         state_int = int.from_bytes(raw[:16], "little")
         inc_int = int.from_bytes(raw[16:32], "little")

@@ -258,7 +258,7 @@ class FreeEnergyValues:
     """
 
     def __init__(self, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, t: float | None = None):
-        min_rho = float(np.min(rho))
+        min_rho = float(rho.min())
         if min_rho <= spec.rho_floor:
             raise PositivityError(min_rho, t=t)
         self.rho = rho
@@ -350,7 +350,7 @@ def stress_coeffs(grid: TorusGrid, g: np.ndarray, visc: ViscositySpec) -> np.nda
 def korteweg_values(gv: np.ndarray) -> np.ndarray:
     """Capillary stress grad c x grad c - |grad c|^2 I / 2 from grid values of grad c, flattened as i*N+j."""
     n = gv.shape[0]
-    sq = np.sum(gv**2, axis=0)
+    sq = (gv**2).sum(axis=0)
     out = np.empty((n * n,) + gv.shape[1:])
     for i in range(n):
         for j in range(n):

@@ -123,15 +123,15 @@ def energy_ledger_step(
     rv = a.rho[0]
     gv = a.grad_u
     grho = a.grad_rho
-    grho_sq = np.sum(grho**2, axis=0)
+    grho_sq = (grho**2).sum(axis=0)
     values = a.free_energy_values
     integrands = [
-        np.sum(a.visc_stress * gv, axis=0),
-        np.sum(a.grad_mu**2, axis=0),
-        rv * np.sum(gv**2, axis=0),
+        (a.visc_stress * gv).sum(axis=0),
+        (a.grad_mu**2).sum(axis=0),
+        rv * (gv**2).sum(axis=0),
         rv ** (params.alpha_exp - 2.0) * grho_sq,
         values.rho_f_rho_rho * grho_sq,
-        values.rho_f_rho_c * np.sum(grho * a.grad_c, axis=0),
+        values.rho_f_rho_c * (grho * a.grad_c).sum(axis=0),
     ]
     if noise.K > 0:
         integrands += [
@@ -143,7 +143,7 @@ def energy_ledger_step(
     diss_visc = visc * dt
     diss_mu = mu * dt
     diss_eps = params.eps * eps * dt
-    diss_art = np.sqrt(params.eps) * params.eps * params.alpha_exp * art * dt
+    diss_art = math.sqrt(params.eps) * params.eps * params.alpha_exp * art * dt
     rhs1 = -params.eps * rhs_rr * dt
     rhs2 = -params.eps * rhs_rc * dt
 

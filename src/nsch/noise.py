@@ -10,7 +10,9 @@ energy balance are evaluated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -164,22 +166,32 @@ def sample_increment(dt: float, rng: np.random.Generator, spec: NoiseSpec) -> Wi
     """K independent N(0, dt) draws; advances the generator deterministically."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return WienerIncrement(dt=dt, dbeta=rng.standard_normal(spec.K) * np.sqrt(dt))
+    return WienerIncrement(dt=dt, dbeta=rng.standard_normal(spec.K) * math.sqrt(dt))
+
+
+@cache
+def _mode_column(K: int, ndim: int) -> np.ndarray:
+    """Mode indices 1..K on the leading axis of a table over an ndim-dimensional grid; read-only."""
+    k = np.arange(1, K + 1).reshape((-1,) + (1,) * ndim)
+    k.flags.writeable = False
+    return k
 
 
 def sigma_table(spec: NoiseSpec, cv: np.ndarray, deriv: bool = False) -> np.ndarray:
     """sigma_k(c), or sigma_k'(c), for all K modes in one family call; shape (K,) + cv.shape, read-only."""
-    k = np.arange(1, spec.K + 1).reshape((-1,) + (1,) * cv.ndim)
     fn = spec.family.d1 if deriv else spec.family.value
-    # constant and linear families return one grid of values for every mode
-    table = np.broadcast_to(fn(k, cv), (spec.K,) + cv.shape)
+    table = fn(_mode_column(spec.K, cv.ndim), cv)
+    shape = (spec.K,) + cv.shape
+    if table.shape != shape:
+        # constant and linear families return one grid of values for every mode
+        table = np.broadcast_to(table, shape)
     table.flags.writeable = False
     return table
 
 
 def _mode_sum(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_k weights_k table_k; the reduction over the leading axis adds the modes in order."""
-    return np.sum(weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table, axis=0)
+    return (weights.reshape((-1,) + (1,) * (table.ndim - 1)) * table).sum(axis=0)
 
 
 def noise_sum(sigma: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.ndarray:

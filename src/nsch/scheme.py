@@ -25,6 +25,7 @@ functionals, so each state is transformed once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate
@@ -245,9 +246,9 @@ class Collocation:
         blocks = [
             values.chemical_potential(self.lap_c[0])[None],
             self.rho * self.u,
-            (values.pressure + np.sqrt(p.eps) * self._rho_alpha)[None],
+            (values.pressure + math.sqrt(p.eps) * self._rho_alpha)[None],
             korteweg_values(self.grad_c),
-            np.sum(self.u_r * self.grad_c, axis=0)[None],
+            (self.u_r * self.grad_c).sum(axis=0)[None],
             self.rho * self.u_r,
         ]
         return _stacked_coeffs(self.grid, blocks)
@@ -294,12 +295,12 @@ class Collocation:
     @cached_property
     def rho_u_sq(self) -> np.ndarray:
         """rho |u|^2, the kinetic energy integrand without its factor 1/2."""
-        return _read_only(self.rho[0] * np.sum(self.u**2, axis=0))
+        return _read_only(self.rho[0] * (self.u**2).sum(axis=0))
 
     @cached_property
     def grad_c_sq(self) -> np.ndarray:
         """|grad c|^2."""
-        return _read_only(np.sum(self.grad_c**2, axis=0))
+        return _read_only((self.grad_c**2).sum(axis=0))
 
     @cached_property
     def energies(self) -> tuple[float, float, float]:
@@ -312,7 +313,7 @@ class Collocation:
     def artificial(self) -> float:
         """sqrt(eps)/(alpha-1) int rho^alpha."""
         p = self.params
-        return float(np.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self._rho_alpha))
+        return float(math.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self._rho_alpha))
 
 
 def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
@@ -358,17 +359,18 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
     """Right-hand side of the projected momentum equation, in the order-m space."""
     col = collocation(state, params)
     grid = col.grid
-    m = params.m
     _, chi = col.cut
 
-    transport = div_tensor_coeffs(grid, project_coeffs(grid, col.momentum_flux, m))
-    press = gradient_coeffs(grid, project_coeffs(grid, col.art_pressure, m))
-    visc = div_tensor_coeffs(grid, project_coeffs(grid, col.visc_stress_coeffs, m))
-    capillary = div_tensor_coeffs(grid, project_coeffs(grid, col.korteweg, m))
+    # derivatives act mode by mode, so one projection of the sum gives, inside
+    # the band, the values of projecting each flux before differentiating it
+    transport = div_tensor_coeffs(grid, col.momentum_flux)
+    press = gradient_coeffs(grid, col.art_pressure)
+    visc = div_tensor_coeffs(grid, col.visc_stress_coeffs)
+    capillary = div_tensor_coeffs(grid, col.korteweg)
     eps_diff = laplacian_coeffs(grid, state.w.coeffs)
 
     coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
-    return SpectralField(grid, project_coeffs(grid, coeffs, m))
+    return SpectralField(grid, project_coeffs(grid, coeffs, params.m))
 
 
 def ch_drift(state: SchemeState, params: ApproxParams) -> SpectralField:
@@ -401,7 +403,7 @@ def _gram_tables(grid: TorusGrid, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     solution on the stored half and their places in the band.
     """
     shape = grid.band_shape
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     # band axes run over -kmax..kmax except the last, the stored half 0..kmax
     offset = np.array([grid.kmax] * (grid.dim - 1) + [0])
     axis = np.arange(-m, m + 1)
@@ -440,10 +442,11 @@ def _direct_gram_solve(rho: SpectralField, w: SpectralField, m: int, rtol: float
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise GramSolveError(f"velocity recovery failed: {exc} (min rho {min_rho:.3e})") from None
-    residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
+    r = matrix @ x - rhs
+    residual = math.sqrt(np.vdot(r, r).real / np.vdot(rhs, rhs).real)
     if not residual <= rtol:
         raise GramSolveError(f"velocity recovery failed: relative residual {residual:.3e} (min rho {min_rho:.3e})")
-    coeffs = np.zeros((w.ncomp, int(np.prod(grid.band_shape))), dtype=np.complex128)
+    coeffs = np.zeros((w.ncomp, math.prod(grid.band_shape)), dtype=np.complex128)
     coeffs[:, band] = x[rows].T
     return from_coeffs(grid, coeffs.reshape((w.ncomp,) + grid.band_shape))
 
@@ -470,7 +473,7 @@ def recover_velocity(
     Returns the velocity and the iteration count.
     """
     vals = to_physical(rho)[0] if rho_values is None else rho_values
-    min_rho = float(np.min(vals))
+    min_rho = float(vals.min())
     if min_rho <= rho_floor:
         raise PositivityError(min_rho)
 
@@ -479,7 +482,7 @@ def recover_velocity(
     wnorm = norm_l2(w)
     if wnorm == 0.0:
         return zeros(grid, w.ncomp), 0
-    if not np.isfinite(wnorm):
+    if not math.isfinite(wnorm):
         raise GramSolveError(f"velocity recovery failed: non-finite momentum (min rho {min_rho:.3e})")
     if (2 * m + 1) ** grid.dim <= DIRECT_GRAM_MAX_SIZE:
         return _direct_gram_solve(rho, w, m, rtol, min_rho), 0
@@ -513,7 +516,7 @@ def check_timestep(state: SchemeState, params: ApproxParams):
     grid = state.rho.grid
     dx = grid.spacing
     rho_bar = mean_density(state.rho)
-    umax = float(np.max(np.abs(collocation(state, params).u)))
+    umax = float(abs(collocation(state, params).u).max())
     limit = params.cfl * dx**4 * rho_bar**2
     if umax > 0.0:
         limit = min(limit, params.cfl * dx / umax)
@@ -569,7 +572,7 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
         raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
 
     rho_vals = _values(rho_new)
-    min_rho = float(np.min(rho_vals))
+    min_rho = float(rho_vals.min())
     if min_rho <= params.fspec.rho_floor:
         raise PositivityError(min_rho, t=state.t + dt)
 

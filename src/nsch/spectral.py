@@ -418,7 +418,7 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 
 def coeff_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
     """L2 inner product of two coefficient arrays of the same shape on ``grid``."""
-    return float(grid.volume * np.sum(grid.parseval_weights * (a * b.conj()).real))
+    return float(grid.volume * (grid.parseval_weights * (a * b.conj()).real).sum())
 
 
 def norm_l2(f: SpectralField) -> float:
@@ -437,7 +437,7 @@ def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
     row_sums = weighted.sum(axis=1).tolist()
     sums, start = [], 0
     for b in blocks:
-        sums.append(row_sums[start] if len(b) == 1 else float(np.sum(weighted[start : start + len(b)])))
+        sums.append(row_sums[start] if len(b) == 1 else float(weighted[start : start + len(b)].sum()))
         start += len(b)
     return [float(np.sqrt(max(grid.volume * s, 0.0))) ** 2 for s in sums]
 
@@ -459,7 +459,7 @@ def integral(f: SpectralField) -> float:
 
 def integrate_values(grid: TorusGrid, values: np.ndarray) -> float:
     """Uniform-grid quadrature of physical values over the torus."""
-    return float(np.sum(values) * grid.spacing**grid.dim)
+    return float(values.sum() * grid.spacing**grid.dim)
 
 
 def integrate_rows(grid: TorusGrid, integrands: list[np.ndarray]) -> list[float]:

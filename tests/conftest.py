@@ -1,6 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from nsch.checkpoint import _HEADER
 from nsch.spectral import TorusGrid
 
 
@@ -32,3 +36,21 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def poison_checkpoint():
+    """Overwrite t, or the real part of coefficient 1 of the rho, w or c block, of a checkpoint file."""
+
+    def poison(path, where: str, value: float):
+        raw = bytearray(path.read_bytes())
+        _, _, dim, modes, *_ = _HEADER.unpack_from(raw)
+        if where == "t":
+            struct.pack_into("<d", raw, _HEADER.size - 8, value)
+        else:
+            block = 16 * math.prod(TorusGrid(dim=dim, modes_per_dim=modes).band_shape)
+            first = {"rho": 0, "w": 1, "c": 1 + dim}[where]
+            struct.pack_into("<d", raw, _HEADER.size + first * block + 16, value)
+        path.write_bytes(bytes(raw))
+
+    return poison

@@ -4,7 +4,9 @@ Each quantity gets its own transform and its own ``integrate_values`` or
 ``norm_l2``, with the free energy and its partials from a FreeEnergyValues
 of its own and the Ito terms from the field-level corrections.  The fused
 ledger and the stacked functionals must equal these values exactly, not
-just closely.
+just closely.  The momentum right-hand side is recomputed with each flux
+projected before it is differentiated, which the single projection of the
+scheme must equal exactly too.
 """
 
 import numpy as np
@@ -12,7 +14,20 @@ import numpy as np
 from nsch.constitutive import FreeEnergyValues, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger
 from nsch.noise import ito_grad_correction, ito_value_correction
-from nsch.spectral import grad_tensor, gradient, integrate_values, laplacian, norm_l2, to_physical
+from nsch.scheme import collocation
+from nsch.spectral import (
+    SpectralField,
+    div_tensor_coeffs,
+    grad_tensor,
+    gradient,
+    gradient_coeffs,
+    integrate_values,
+    laplacian,
+    laplacian_coeffs,
+    norm_l2,
+    project_coeffs,
+    to_physical,
+)
 
 
 def reference_energies(state, params) -> tuple[float, float, float, float]:
@@ -89,3 +104,17 @@ def reference_functionals(state, params) -> dict[str, float]:
         "lap_c_l2_sq": norm_l2(laplacian(c)) ** 2,
         "v15": v15,
     }
+
+
+def reference_momentum_rhs(state, params) -> SpectralField:
+    """The projected momentum right-hand side, each flux projected to order m before its derivative."""
+    col = collocation(state, params)
+    grid, m = col.grid, params.m
+    _, chi = col.cut
+    transport = div_tensor_coeffs(grid, project_coeffs(grid, col.momentum_flux, m))
+    press = gradient_coeffs(grid, project_coeffs(grid, col.art_pressure, m))
+    visc = div_tensor_coeffs(grid, project_coeffs(grid, col.visc_stress_coeffs, m))
+    capillary = div_tensor_coeffs(grid, project_coeffs(grid, col.korteweg, m))
+    eps_diff = laplacian_coeffs(grid, state.w.coeffs)
+    coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
+    return SpectralField(grid, project_coeffs(grid, coeffs, m))

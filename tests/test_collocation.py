@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from ledger_reference import reference_energies, reference_functionals, reference_ledger_row
+from ledger_reference import reference_energies, reference_functionals, reference_ledger_row, reference_momentum_rhs
 
 from nsch import scheme
 from nsch.config import parse_config
@@ -31,6 +31,7 @@ from nsch.spectral import (
     gradient,
     integrate_values,
     laplacian,
+    norm_l2,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -53,6 +54,16 @@ MAX_FFT_CALLS_PER_STEP = 7
 # step and the ledger together.  For each count: lower it, never raise it.
 MAX_FIELDS_PER_STEP = 13
 MAX_PROFILE_CALLS_PER_STEP = 6
+
+# calls per step (step + ledger row + sup functionals on DEFAULT_NOISY) to
+# numpy's Python-level wrappers of reductions and broadcasts (numpy.sum, min,
+# max, prod, broadcast_to, linalg.norm), each dearer than the arithmetic it
+# wraps on the grid's small arrays, and to numpy.where (the projection of a
+# coefficient array).  The run loop uses array methods and math scalars, and
+# projects the momentum right-hand side once.  For each count: lower it,
+# never raise it.
+MAX_NUMPY_WRAPPER_CALLS_PER_STEP = 0
+MAX_WHERE_CALLS_PER_STEP = 4
 
 # iterations of one velocity recovery: conjugate gradients start from
 # P_m(w / rho); the direct solve of small systems reports 0
@@ -105,6 +116,34 @@ def test_fields_and_profile_calls_per_step_bounded(monkeypatch):
     assert 0 < per_step["profiles"] <= MAX_PROFILE_CALLS_PER_STEP
 
 
+@pytest.fixture
+def numpy_wrapper_calls(monkeypatch):
+    """Running counts of calls to numpy's reduction and broadcast wrappers and to numpy.where."""
+    calls = {"wrappers": 0, "where": 0}
+    patched = [(np, name, "wrappers") for name in ("sum", "min", "max", "prod", "broadcast_to")]
+    patched += [(np.linalg, "norm", "wrappers"), (np, "where", "where")]
+    for module, name, key in patched:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_numpy_wrapper_calls_per_step_bounded(numpy_wrapper_calls):
+    steps = 20
+    at_step = {}
+    run_trajectory(
+        default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(numpy_wrapper_calls))
+    )
+    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in numpy_wrapper_calls}
+    assert per_step["wrappers"] <= MAX_NUMPY_WRAPPER_CALLS_PER_STEP, per_step
+    assert 0 < per_step["where"] <= MAX_WHERE_CALLS_PER_STEP, per_step
+
+
 ORACLE_CONFIGS = {
     "noisy-1d-32": "[noise]\nseed = 7\n",
     "noisy-2d-16": "[grid]\ndim = 2\nmodes = 16\n\n[noise]\nseed = 7\n",
@@ -137,6 +176,22 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
         assert _state_functionals(state, params) == reference_functionals(state, params), f"t = {state.t}"
     assert result.final_energy == sum(reference_energies(chain[-1], params)[:3])
     assert result.final_artificial == reference_energies(chain[-1], params)[3]
+
+
+@pytest.mark.parametrize("name", ["noisy-1d-32", "noisy-2d-16", "cut-off-1d-32"])
+def test_momentum_rhs_equals_per_flux_projection(name):
+    config = parse_config(ORACLE_CONFIGS[name.replace("cut-off", "noisy")])
+    params = config.params
+    state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
+    if name.startswith("cut-off"):
+        # half the velocity norm: the cut-off factor lies strictly between 0 and 1
+        params = replace(params, R=0.5 * norm_l2(state.u))
+    gen = path_generator(7, 0)
+    for _ in range(3):
+        expected = reference_momentum_rhs(state, params)
+        assert np.array_equal(scheme.momentum_rhs(state, params).coeffs, expected.coeffs), f"t = {state.t}"
+        state, rep = step(state, params, gen)
+        assert (0.0 < rep.chi < 1.0) == name.startswith("cut-off")
 
 
 def test_ledger_row_after_step_transforms_at_most_once(fft_calls):

@@ -175,6 +175,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "chk_00000010.nsch: unreadable" in err and "header implies" in err
 
+    @pytest.mark.parametrize("where", ["t", "rho", "w", "c"])
+    def test_verify_lists_checkpoint_with_non_finite_values(self, tmp_path, capsys, poison_checkpoint, where):
+        # a NaN once surfaced as a failed Gram solve or a violated inequality
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        poison_checkpoint(out / "chk_00000010.nsch", where, float("nan"))
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"chk_00000010.nsch: unreadable (non-finite {where}" in err
+
     def test_verify_reports_mass_drift_on_the_checkpoint_line(self, tmp_path, capsys):
         from nsch.checkpoint import load_checkpoint, save_checkpoint
         from nsch.spectral import SpectralField

@@ -595,6 +595,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="header implies"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["t", "rho", "w", "c"])
+    def test_non_finite_values_rejected(self, tmp_path, poison_checkpoint, where, value):
+        # a NaN once reached the velocity recovery, or loaded silently when the momentum was zero
+        grid = grid16()
+        params = small_params()
+        path = tmp_path / "bad.nsch"
+        save_checkpoint(path, rest_state(grid, params), path_generator(0, 0), params.m, params.n, 0)
+        poison_checkpoint(path, where, value)
+        with pytest.raises(CheckpointError, match=f"non-finite {where}"):
+            load_checkpoint(path)
+
 
 class TestInitialData:
     def test_mass_exact(self, rng):
