@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
@@ -87,7 +88,8 @@ def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ens = _ensemble_config(config, paths=1)
+    # no rho c snapshots: a run never reads them; checkpoints keep config.snapshot_stride
+    ens = replace(_ensemble_config(config, paths=1), snapshot_stride=0)
     params = config.params
 
     state0 = ens.initial_state()

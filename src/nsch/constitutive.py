@@ -16,7 +16,6 @@ regularize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     laplacian,
+    lazy,
     to_physical,
     to_spectral,
 )
@@ -96,7 +96,7 @@ class DoubleWell:
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
 
-    @cached_property
+    @lazy
     def _consts(self) -> tuple[float, ...]:
         cs, kap = self.cstar, self.kappa
         a = 3.0 * cs**2 - 1.0  # curvature at the joint
@@ -243,18 +243,19 @@ class ViscositySpec:
             raise ValueError("nu_bulk must be nonnegative")
 
 
-def _profile(which: str, method: str) -> cached_property:
+def _profile(which: str, method: str) -> lazy:
     """``spec.<which>.<method>(c)`` of a FreeEnergyValues, evaluated on first use."""
-    return cached_property(lambda self: getattr(getattr(self.spec, which), method)(self.c))
+    return lazy(lambda self: getattr(getattr(self.spec, which), method)(self.c))
 
 
 class FreeEnergyValues:
     """f, p and the partials of f at grid values of (rho, c), for one spec.
 
     Positivity is checked once, on construction (``t`` names the state's
-    time in the error).  log(rho) and each profile H, H', H'', fc, fc',
-    fc'' are evaluated once, on first use, and shared by every quantity
-    below; each quantity is the one place its formula is written.
+    time in the error).  log(rho), each profile H, H', H'', fc, fc', fc''
+    and each quantity below are evaluated once, on first use, and the
+    profiles are shared by every quantity; each quantity is the one place
+    its formula is written.
     """
 
     def __init__(self, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, t: float | None = None):
@@ -265,7 +266,7 @@ class FreeEnergyValues:
         self.c = c
         self.spec = spec
 
-    @cached_property
+    @lazy
     def log_rho(self) -> np.ndarray:
         return np.log(self.rho)
 
@@ -276,35 +277,35 @@ class FreeEnergyValues:
     well_d1 = _profile("well", "d1")
     well_d2 = _profile("well", "d2")
 
-    @property
+    @lazy
     def free_energy(self) -> np.ndarray:
         """f = a rho^(gamma-1) + log(rho) H(c) + fc(c)."""
         s = self.spec
         return s.a * self.rho ** (s.gamma - 1.0) + self.log_rho * self.mixing + self.well
 
-    @property
+    @lazy
     def pressure(self) -> np.ndarray:
         """p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)."""
         s = self.spec
         return s.a * (s.gamma - 1.0) * self.rho**s.gamma + self.rho * self.mixing
 
-    @property
+    @lazy
     def f_c(self) -> np.ndarray:
         """df/dc = log(rho) H'(c) + fc'(c)."""
         return self.log_rho * self.mixing_d1 + self.well_d1
 
-    @property
+    @lazy
     def f_cc(self) -> np.ndarray:
         """d2f/dc2 = log(rho) H''(c) + fc''(c)."""
         return self.log_rho * self.mixing_d2 + self.well_d2
 
-    @property
+    @lazy
     def rho_f_rho_rho(self) -> np.ndarray:
         """d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho."""
         g = self.spec.gamma
         return self.spec.a * g * (g - 1.0) * self.rho ** (g - 2.0) + self.mixing / self.rho
 
-    @property
+    @lazy
     def rho_f_rho_c(self) -> np.ndarray:
         """d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)."""
         return (1.0 + self.log_rho) * self.mixing_d1 + self.well_d1

@@ -373,11 +373,17 @@ def ledger_to_csv(rows: list[EnergyLedger]) -> str:
 
 
 def ledger_from_csv(text: str) -> list[EnergyLedger]:
+    """Ledger rows of a CSV text; raises ValueError on a wrong header or a row of the wrong length."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header != LEDGER_COLUMNS:
         raise ValueError(f"unexpected ledger header {header}")
-    return [EnergyLedger(*(float(x) for x in row)) for row in reader if row]
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(LEDGER_COLUMNS):
+            raise ValueError(f"line {reader.line_num} has {len(row)} fields, expected {len(LEDGER_COLUMNS)}")
+        rows.append(EnergyLedger(*(float(x) for x in row)))
+    return rows
 
 
 def _ledger_scale(row: EnergyLedger) -> float:
@@ -386,15 +392,17 @@ def _ledger_scale(row: EnergyLedger) -> float:
 
 
 def worst_relative_residual(rows: list[EnergyLedger]) -> tuple[int, float]:
-    """Step and size of the largest |residual| relative to its row's energy scale."""
-    return max(((i, abs(row.residual) / _ledger_scale(row)) for i, row in enumerate(rows)), key=lambda x: x[1])
+    """Step and size of the largest |residual| relative to its row's energy scale; NaN ranks above any number."""
+    relative = ((i, abs(row.residual) / _ledger_scale(row)) for i, row in enumerate(rows))
+    return max(relative, key=lambda x: (math.isnan(x[1]), x[1]))
 
 
 def audit_ledger_rows(rows: list[EnergyLedger], tol: float = 1e-9) -> list[str]:
     """Re-derive each residual from consecutive rows and check sign constraints.
 
     Row zero must carry the initial energies with zero transfers.  Returns a
-    list of violations naming the offending step.
+    list of violations naming the offending step.  NaN passes every ordered
+    comparison, so each non-finite entry is reported by itself.
     """
     problems = []
     if not rows:
@@ -407,6 +415,9 @@ def audit_ledger_rows(rows: list[EnergyLedger], tol: float = 1e-9) -> list[str]:
     ):
         problems.append("step 0: initial row must have zero transfer entries")
     for i, row in enumerate(rows):
+        entries = vars(row)
+        if not math.isfinite(sum(entries.values())):  # one test per row; finite entries may overflow the sum
+            problems.extend(f"step {i}: {name} not finite ({v})" for name, v in entries.items() if not math.isfinite(v))
         for name in ("kinetic", "interface", "artificial", "dissipation_viscous", "dissipation_mu",
                      "dissipation_eps", "dissipation_art"):
             if getattr(row, name) < -tol:

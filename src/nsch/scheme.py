@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -47,6 +47,7 @@ from .spectral import (
     integrate_rows,
     integrate_values,
     laplacian_coeffs,
+    lazy,
     multiply,
     norm_l2,
     project,
@@ -150,9 +151,38 @@ def _stacked_coeffs(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarra
     return _split(coeffs, [len(b) for b in blocks])
 
 
-def _part(stack: str, index: int) -> property:
-    """Block ``index`` of the stacked transform ``stack`` of the record."""
-    return property(lambda self: getattr(self, stack)[index], doc=f"block {index} of {stack}")
+def _part(stack: str, index: int) -> lazy:
+    """Block ``index`` of the stack ``stack`` of the record, read before the stack is computed."""
+    return lazy(lambda self: getattr(self, stack)[index])
+
+
+class _stack(lazy):
+    """A record's list of blocks that pins each named block as a plain attribute when computed.
+
+    A named block read before its stack computes the stack through a
+    ``_part`` fallback; every later read is an instance-dict hit.
+    """
+
+    def __init__(self, *names: str):
+        self.names = names
+
+    def __call__(self, compute):
+        super().__init__(compute)
+        return self
+
+    def __set_name__(self, owner, name):
+        super().__set_name__(owner, name)
+        for index, part in enumerate(self.names):
+            fallback = _part(name, index)
+            fallback.__set_name__(owner, part)
+            setattr(owner, part, fallback)
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        blocks = super().__get__(obj)
+        obj.__dict__.update(zip(self.names, blocks))
+        return blocks
 
 
 class Collocation:
@@ -169,8 +199,9 @@ class Collocation:
     (``_products``, kept as coefficients), mu with its derivatives and the
     dealiased momentum (``_resampled``), and the products of those
     (``_second_products``, coefficients).  Each named field is a view of its
-    stack.  The density has its own transform, because the positivity guard
-    of the velocity recovery of a new state needs it first.  The pointwise
+    stack, stored as a plain attribute when the stack is computed.  The
+    density has its own transform, because the positivity guard of the
+    velocity recovery of a new state needs it first.  The pointwise
     constitutive values (log rho and the free-energy profiles) are evaluated
     once per state, in ``free_energy_values``.
     """
@@ -183,11 +214,11 @@ class Collocation:
         if rho is not None:
             self.rho = rho
 
-    @cached_property
+    @lazy
     def rho(self) -> np.ndarray:
         return _values(self.state.rho)
 
-    @cached_property
+    @lazy
     def _linear_coeffs(self) -> list[np.ndarray]:
         s, grid = self.state, self.grid
         grad_u = grad_tensor_coeffs(grid, s.u.coeffs)
@@ -204,29 +235,21 @@ class Collocation:
 
     visc_stress_coeffs = _part("_linear_coeffs", 6)
 
-    @cached_property
+    @_stack("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress")
     def _linear(self) -> list[np.ndarray]:
         return _stacked_values(self.grid, self._linear_coeffs)
 
-    u = _part("_linear", 0)
-    c = _part("_linear", 1)
-    grad_c = _part("_linear", 2)
-    lap_c = _part("_linear", 3)
-    grad_rho = _part("_linear", 4)
-    grad_u = _part("_linear", 5)
-    visc_stress = _part("_linear", 6)
-
-    @cached_property
+    @lazy
     def cut(self) -> tuple[SpectralField, float]:
         """[u]_R and the cut-off factor chi."""
         return cutoff(self.state.u, self.params.R)
 
-    @cached_property
+    @lazy
     def u_r(self) -> np.ndarray:
         u_r, _ = self.cut
         return self.u if u_r is self.state.u else _values(u_r)
 
-    @cached_property
+    @lazy
     def free_energy_values(self) -> FreeEnergyValues:
         """f and its partials at this state's values.
 
@@ -234,12 +257,12 @@ class Collocation:
         """
         return FreeEnergyValues(self.rho[0], self.c[0], self.params.fspec, t=self.state.t)
 
-    @cached_property
+    @lazy
     def _rho_alpha(self) -> np.ndarray:
         """rho^alpha, shared by the artificial pressure and the artificial energy."""
         return self.rho[0] ** self.params.alpha_exp
 
-    @cached_property
+    @_stack("mu_coeffs", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r")
     def _products(self) -> list[np.ndarray]:
         p = self.params
         values = self.free_energy_values
@@ -253,63 +276,49 @@ class Collocation:
         ]
         return _stacked_coeffs(self.grid, blocks)
 
-    momentum = _part("_products", 1)
-    art_pressure = _part("_products", 2)
-    korteweg = _part("_products", 3)
-    u_r_grad_c = _part("_products", 4)
-    rho_u_r = _part("_products", 5)
-
-    @cached_property
+    @lazy
     def mu(self) -> SpectralField:
-        return SpectralField(self.grid, self._products[0])
+        return SpectralField(self.grid, self.mu_coeffs)
 
-    @cached_property
+    @_stack("mu_values", "grad_mu", "lap_mu", "momentum_values")
     def _resampled(self) -> list[np.ndarray]:
         grid = self.grid
-        mu = self._products[0]
+        mu = self.mu_coeffs
         return _stacked_values(grid, [mu, gradient_coeffs(grid, mu), laplacian_coeffs(grid, mu), self.momentum])
 
-    mu_values = _part("_resampled", 0)
-    grad_mu = _part("_resampled", 1)
-    lap_mu = _part("_resampled", 2)
-    momentum_values = _part("_resampled", 3)
-
-    @cached_property
+    @_stack("lap_mu_over_rho", "momentum_flux")
     def _second_products(self) -> list[np.ndarray]:
         mv, u_r = self.momentum_values, self.u_r
         # flux component i*N+j is mv_i u_r_j
         flux = (mv[:, None] * u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
         return _stacked_coeffs(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
-    lap_mu_over_rho = _part("_second_products", 0)
-    momentum_flux = _part("_second_products", 1)
-
-    @cached_property
+    @lazy
     def sigma(self) -> np.ndarray:
         return sigma_table(self.params.noise, self.c[0])
 
-    @cached_property
+    @lazy
     def dsigma(self) -> np.ndarray:
         return sigma_table(self.params.noise, self.c[0], deriv=True)
 
-    @cached_property
+    @lazy
     def rho_u_sq(self) -> np.ndarray:
         """rho |u|^2, the kinetic energy integrand without its factor 1/2."""
         return _read_only(self.rho[0] * (self.u**2).sum(axis=0))
 
-    @cached_property
+    @lazy
     def grad_c_sq(self) -> np.ndarray:
         """|grad c|^2."""
         return _read_only((self.grad_c**2).sum(axis=0))
 
-    @cached_property
+    @lazy
     def energies(self) -> tuple[float, float, float]:
         """Kinetic, free and interface energy; raises if the density is not positive."""
         free = self.rho[0] * self.free_energy_values.free_energy
         kinetic, free, interface = integrate_rows(self.grid, [self.rho_u_sq, free, self.grad_c_sq])
         return 0.5 * kinetic, free, 0.5 * interface
 
-    @cached_property
+    @lazy
     def artificial(self) -> float:
         """sqrt(eps)/(alpha-1) int rho^alpha."""
         p = self.params

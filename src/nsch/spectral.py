@@ -17,6 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 __all__ = [
+    "lazy",
     "TorusGrid",
     "SpectralField",
     "zeros",
@@ -50,6 +51,28 @@ __all__ = [
     "integrate_rows",
     "random_band_limited",
 ]
+
+
+class lazy:
+    """An attribute computed on its first read and then stored on the instance.
+
+    ``functools.cached_property`` without its lock (Python 3.12 dropped the
+    lock too): the value goes into the instance ``__dict__``, which every
+    later read finds before this non-data descriptor.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -91,6 +114,11 @@ class TorusGrid:
     @cached_property
     def pshape(self) -> tuple[int, ...]:
         return (self.points_per_dim,) * self.dim
+
+    @cached_property
+    def _fft(self) -> dict:
+        """Keywords of every transform call: numpy then never derives the shape from the array."""
+        return {"s": self.pshape, "axes": tuple(range(1, self.dim + 1)), "norm": "forward"}
 
     @cached_property
     def band_shape(self) -> tuple[int, ...]:
@@ -251,9 +279,7 @@ def _gather(grid: TorusGrid, buf: np.ndarray) -> np.ndarray:
 def to_physical(f: SpectralField) -> np.ndarray:
     """Values on the collocation grid, shape (ncomp,) + grid.pshape."""
     grid = f.grid
-    axes = tuple(range(1, grid.dim + 1))
-    buf = _scatter(grid, f.coeffs)
-    return np.fft.irfftn(buf, s=grid.pshape, axes=axes, norm="forward")
+    return np.fft.irfftn(_scatter(grid, f.coeffs), **grid._fft)
 
 
 def to_spectral(grid: TorusGrid, values: np.ndarray) -> SpectralField:
@@ -263,8 +289,7 @@ def to_spectral(grid: TorusGrid, values: np.ndarray) -> SpectralField:
         vals = vals[None, ...]
     if vals.shape[1:] != grid.pshape:
         raise ValueError(f"value shape {values.shape} does not match collocation grid {grid.pshape}")
-    axes = tuple(range(1, grid.dim + 1))
-    buf = np.fft.rfftn(vals, axes=axes, norm="forward")
+    buf = np.fft.rfftn(vals, **grid._fft)
     coeffs = _symmetrize(grid, _gather(grid, buf))
     return SpectralField(grid, coeffs)
 

@@ -25,14 +25,15 @@ def grid2d():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Running count of numpy.fft.rfftn and irfftn calls."""
-    calls = {"n": 0}
+    """Running counts of numpy.fft.rfftn and irfftn calls ("n") and of those that omit ``s`` or ``axes``."""
+    calls = {"n": 0, "shapeless": 0}
     for name in ("rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
-        def counted(*args, _original=original, **kwargs):
+        def counted(a, s=None, axes=None, *args, _original=original, **kwargs):
             calls["n"] += 1
-            return _original(*args, **kwargs)
+            calls["shapeless"] += s is None or axes is None
+            return _original(a, s, axes, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls

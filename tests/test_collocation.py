@@ -1,3 +1,4 @@
+import functools
 import pickle
 from dataclasses import replace
 
@@ -43,8 +44,11 @@ DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 # transforms per step (step + ledger row + sup functionals) on DEFAULT_NOISY;
 # the step, the ledger and the functionals share one collocation record per
 # state, which transforms its fields in stacks, and the velocity recovery
-# transforms nothing.  Lower it when a change removes transforms; never raise it.
-MAX_FFT_CALLS_PER_STEP = 7
+# transforms nothing.  Of these, the calls that leave numpy to derive the
+# transform shape from the array (no ``s`` or no ``axes``), which costs about
+# a third of a 50-point transform.  For each count: lower it, never raise it.
+MAX_FFT_CALLS_PER_STEP = 6
+MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
 # SpectralField constructions and free-energy profile evaluations (TanhMixing
 # and DoubleWell value, d1, d2) per step, over the same step + ledger row + sup
@@ -86,9 +90,35 @@ def fresh(state: SchemeState) -> SchemeState:
 def test_fft_calls_per_step_bounded(fft_calls):
     steps = 20
     at_step = {}
-    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, fft_calls["n"]))
-    per_step = (at_step[steps] - at_step[1]) / (steps - 1)
-    assert 0 < per_step <= MAX_FFT_CALLS_PER_STEP
+    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(fft_calls)))
+    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in fft_calls}
+    assert 0 < per_step["n"] <= MAX_FFT_CALLS_PER_STEP, per_step
+    assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
+
+
+def test_record_fields_are_plain_attributes():
+    # no property machinery between a record and its values: every named
+    # block of a stack is stored on the record, as a view of the stack, when
+    # the stack is computed, and every other field is stored on first read
+    for cls in (scheme.Collocation, FreeEnergyValues):
+        for name, attr in vars(cls).items():
+            assert not isinstance(attr, (property, functools.cached_property)), f"{cls.__name__}.{name}"
+    stacks = {name: attr for name, attr in vars(scheme.Collocation).items() if isinstance(attr, scheme._stack)}
+    assert set(stacks) == {"_linear", "_products", "_resampled", "_second_products"}
+
+    config = default_config(1)
+    params = config.params
+    pre = config.initial_state()
+    post, rep = step(pre, params, path_generator(config.base_seed, 0))
+    energy_ledger_step(pre, post, rep.increment, params)
+    _state_functionals(post, params)
+    record = vars(collocation(pre, params))
+    for stack, attr in stacks.items():
+        blocks = record[stack]
+        assert len(attr.names) == len(blocks), stack
+        for name, block in zip(attr.names, blocks):
+            assert record.get(name) is block and block.base is blocks[0].base is not None, f"{stack}.{name}"
+            assert not block.flags.writeable, f"{stack}.{name}"
 
 
 def test_fields_and_profile_calls_per_step_bounded(monkeypatch):

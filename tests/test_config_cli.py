@@ -224,6 +224,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert "step 5" in err or "step 6" in err
 
+    def test_verify_fails_on_nan_in_ledger(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        ledger = out / "ledger.csv"
+        lines = ledger.read_text().splitlines()
+        cells = lines[8].split(",")
+        cells[4] = cells[-1] = "nan"  # dissipation_viscous and residual of step 7
+        lines[8] = ",".join(cells)
+        ledger.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == [
+            "ledger: 21 rows, VIOLATIONS",
+            "ledger: worst relative residual nan at step 7",
+        ]
+        assert "step 7: dissipation_viscous not finite (nan)" in captured.err
+        assert "step 7: residual not finite (nan)" in captured.err
+
+    def test_verify_names_short_ledger_row(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        ledger = out / "ledger.csv"
+        lines = ledger.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        ledger.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        assert "unreadable ledger: line 22 has 13 fields, expected 14" in capsys.readouterr().err
+
+    def test_run_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
+        from nsch import ensemble
+
+        calls = []
+        rho_c = ensemble._rho_c
+        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert calls == [] and (out / "chk_00000010.nsch").exists()
+
     def test_ensemble_report(self, tmp_path, capsys):
         cfg = tmp_path / "ens.cfg"
         cfg.write_text(FAST_RUN)

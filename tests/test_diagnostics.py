@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from nsch.diagnostics import (
     renormalized_residual,
     total_energy,
     v15_functional,
+    worst_relative_residual,
 )
 from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState, step
@@ -367,6 +371,31 @@ class TestLedgerCsv:
         problems = audit_ledger_rows(ledger_from_csv("\n".join(lines) + "\n"))
         assert problems and any("step 8" in p or "step 9" in p for p in problems)
 
+
+    def test_from_csv_names_a_row_of_the_wrong_length(self):
+        rows = [EnergyLedger(*[0.5] * len(LEDGER_COLUMNS))] * 3
+        lines = ledger_to_csv(rows).splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match=f"line 4 has {len(LEDGER_COLUMNS) - 1} fields"):
+            ledger_from_csv("\n".join(lines) + "\n")
+        lines[3] += ",0.5,0.5"
+        with pytest.raises(ValueError, match=f"line 4 has {len(LEDGER_COLUMNS) + 1} fields"):
+            ledger_from_csv("\n".join(lines) + "\n")
+
+    def test_audit_and_worst_residual_see_nan(self):
+        grid = TorusGrid(dim=1, modes_per_dim=32)
+        params = params_1d(noise=geometric_noise(K=20, alpha0=0.2))
+        rows, _ = run_ledger(grid, params, 20)
+        bad = list(rows)
+        bad[7] = replace(rows[7], dissipation_viscous=float("nan"), residual=float("nan"))
+        problems = audit_ledger_rows(bad)
+        assert "step 7: dissipation_viscous not finite (nan)" in problems
+        assert "step 7: residual not finite (nan)" in problems
+        step, worst = worst_relative_residual(bad)
+        assert step == 7 and math.isnan(worst)
+        bad[12] = replace(rows[12], kinetic=float("inf"))
+        assert "step 12: kinetic not finite (inf)" in audit_ledger_rows(bad)
+        assert worst_relative_residual(bad)[0] == 7
 
 class TestMomentAudit:
     def test_v15_bounded_over_run(self):
