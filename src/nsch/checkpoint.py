@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .scheme import SchemeState, recover_velocity
-from .spectral import SpectralField, TorusGrid
+from .spectral import TorusGrid
 
 __all__ = ["CheckpointMeta", "atomic_open", "save_checkpoint", "load_checkpoint"]
 
@@ -69,12 +69,12 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def _coeff_bytes(f: SpectralField) -> bytes:
-    return np.ascontiguousarray(f.coeffs).astype("<c16", copy=False).tobytes()
+def _coeff_bytes(coeffs: np.ndarray) -> bytes:
+    return np.ascontiguousarray(coeffs).astype("<c16", copy=False).tobytes()
 
 
 def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, n: int, noise_modes: int):
-    grid = state.rho.grid
+    grid = state.grid
     st = rng.bit_generator.state
     if st["bit_generator"] != "PCG64":
         raise CheckpointError(f"unsupported generator {st['bit_generator']}")
@@ -121,12 +121,12 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CheckpointError(f"file holds {size} bytes but its header implies {expected}")
-        rho = SpectralField(grid, _read_block(fh, (1,) + band))
-        w = SpectralField(grid, _read_block(fh, (dim,) + band))
-        c = SpectralField(grid, _read_block(fh, (1,) + band))
+        rho = _read_block(fh, (1,) + band)
+        w = _read_block(fh, (dim,) + band)
+        c = _read_block(fh, (1,) + band)
         # NaN passes every ordered comparison, so it is caught before the velocity recovery
-        for name, f in (("rho", rho), ("w", w), ("c", c)):
-            if not np.isfinite(f.coeffs).all():
+        for name, a in (("rho", rho), ("w", w), ("c", c)):
+            if not np.isfinite(a).all():
                 raise CheckpointError(f"non-finite {name} coefficients")
         raw = fh.read(40)
         state_int = int.from_bytes(raw[:16], "little")
@@ -143,6 +143,6 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
     # the velocity is not stored: it is the unique order-m solution of
     # P_m(rho u) = w, and the recovery is deterministic, so a restart is
     # bit-identical to the uninterrupted run
-    u, _ = recover_velocity(rho, w, m, rho_floor=rho_floor)
-    state = SchemeState(t=t, rho=rho, w=w, u=u, c=c)
+    u, _ = recover_velocity(grid, rho, w, m, rho_floor=rho_floor)
+    state = SchemeState(t=t, grid=grid, rho=rho, w=w, u=u, c=c)
     return state, rng, CheckpointMeta(dim, modes, m, n, noise_modes)

@@ -12,12 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointMeta, atomic_open, load_checkpoint, save_checkpoint
 from .config import RunConfig, format_config, parse_config
-from .constitutive import chemical_potential
 from .diagnostics import (
     audit_ledger_rows,
     korn_check,
@@ -30,7 +28,7 @@ from .diagnostics import (
 from .ensemble import _SWEEPABLE, EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from .errors import CheckpointError, ConfigError, SchemeError
 from .noise import path_generator
-from .spectral import from_coeffs
+from .scheme import collocation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,14 +69,17 @@ def _workers(args) -> int:
     return workers
 
 
-def _ensemble_config(config: RunConfig, workers: int = 1, paths: int | None = None) -> EnsembleConfig:
+def _ensemble_config(
+    config: RunConfig, workers: int = 1, paths: int | None = None, snapshot_stride: int = 0
+) -> EnsembleConfig:
+    """The trajectory settings of ``config``; rho c snapshots only where a command asks for them."""
     return EnsembleConfig(
         grid=config.grid,
         params=config.params,
         initial=config.initial,
         paths=paths if paths is not None else config.paths,
         horizon=config.horizon,
-        snapshot_stride=config.snapshot_stride,
+        snapshot_stride=snapshot_stride,
         betas=config.betas,
         workers=workers,
     )
@@ -89,7 +90,7 @@ def cmd_run(args) -> int:
     outdir = Path(args.out or config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # no rho c snapshots: a run never reads them; checkpoints keep config.snapshot_stride
-    ens = replace(_ensemble_config(config, paths=1), snapshot_stride=0)
+    ens = _ensemble_config(config, paths=1)
     params = config.params
 
     state0 = ens.initial_state()
@@ -125,7 +126,7 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
-    ens = _ensemble_config(config, workers=_workers(args))
+    ens = _ensemble_config(config, workers=_workers(args), snapshot_stride=config.snapshot_stride)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         report, _ = run_paths(ens)
@@ -140,6 +141,18 @@ def cmd_ensemble(args) -> int:
     )
     print(f"report written to {outdir / 'report.json'}")
     return EXIT_OK if mart["passed"] else EXIT_AUDIT
+
+
+def _meta_mismatches(meta: CheckpointMeta, config: RunConfig) -> list[str]:
+    """Header fields of a checkpoint that disagree with the configuration, each with both values."""
+    pairs = {
+        "dim": (meta.dim, config.grid.dim),
+        "modes": (meta.modes_per_dim, config.grid.modes_per_dim),
+        "m": (meta.m, config.params.m),
+        "n": (meta.n, config.params.n),
+        "K": (meta.noise_modes, config.params.noise.K),
+    }
+    return [f"{k} = {a} in the checkpoint, {b} in the configuration" for k, (a, b) in pairs.items() if a != b]
 
 
 def cmd_verify(args) -> int:
@@ -171,22 +184,26 @@ def cmd_verify(args) -> int:
         except (CheckpointError, SchemeError) as exc:
             problems.append(f"{snap.name}: unreadable ({exc})")
             continue
-        grid = state.rho.grid
-        k0 = state.rho.coeffs[0][grid.zero_index]
+        grid = state.grid
+        k0 = state.rho[0][grid.zero_index]
         mass_note = "mass ok"
         if k0_ref is None:
             k0_ref = k0
         elif k0 != k0_ref:
             mass_note = f"mass drifted (zero mode {k0!r} != {k0_ref!r})"
             problems.append(f"{snap.name}: {mass_note}")
-        korn = korn_check(state.u, config.params.visc)
+        # the inequality checks use the configuration's physics, so they need the run it describes
+        mismatches = _meta_mismatches(meta, config)
+        if mismatches:
+            problems.extend(f"{snap.name}: written under another configuration: {d}" for d in mismatches)
+            print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, configuration mismatch, inequality checks skipped")
+            continue
+        korn = korn_check(grid, state.u, config.params.visc)
         if not korn.passed:
             problems.append(f"{snap.name}: Korn inequality violated (margin {korn.margin:.3e})")
-        mu = chemical_potential(state.rho, state.c, config.params.fspec)
-        for name, fld in (("mu", mu),) + tuple(
-            (f"u{i}", from_coeffs(grid, state.u.coeffs[i])) for i in range(state.u.ncomp)
-        ):
-            rep = poincare_check(state.rho, fld, total_mass=mass(state), gamma=config.params.fspec.gamma)
+        mu = collocation(state, config.params).mu
+        for name, v in (("mu", mu),) + tuple((f"u{i}", state.u[i : i + 1]) for i in range(len(state.u))):
+            rep = poincare_check(grid, state.rho, v, total_mass=mass(state), gamma=config.params.fspec.gamma)
             if not rep.passed:
                 problems.append(f"{snap.name}: Poincare inequality violated on {name} (margin {rep.margin:.3e})")
         print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, inequality checks run")

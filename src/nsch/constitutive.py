@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PositivityError
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    laplacian,
-    lazy,
-    to_physical,
-    to_spectral,
-)
+from .spectral import SpectralField, TorusGrid, laplacian, lazy, to_physical, to_spectral
 
 __all__ = [
     "DoubleWell",
@@ -39,7 +32,6 @@ __all__ = [
     "ViscositySpec",
     "chemical_potential",
     "stress",
-    "stress_coeffs",
     "korteweg_values",
 ]
 
@@ -317,34 +309,31 @@ class FreeEnergyValues:
 
 def chemical_potential(rho: SpectralField, c: SpectralField, spec: FreeEnergySpec) -> SpectralField:
     """mu = df/dc - (1/rho) Lap c as a spectral field."""
-    values = FreeEnergyValues(to_physical(rho)[0], to_physical(c)[0], spec)
-    return to_spectral(rho.grid, values.chemical_potential(to_physical(laplacian(c))[0]))
+    grid = rho.grid
+    values = FreeEnergyValues(to_physical(grid, rho.coeffs)[0], to_physical(grid, c.coeffs)[0], spec)
+    lap_c = to_physical(grid, laplacian(grid, c.coeffs))[0]
+    return SpectralField(grid, to_spectral(grid, values.chemical_potential(lap_c)))
 
 
-def stress(grad_u: SpectralField, visc: ViscositySpec) -> SpectralField:
-    """Newtonian stress S = nu_shear (G + G^T - (2/N) tr G I) + nu_bulk tr G I.
+def stress(grid: TorusGrid, g: np.ndarray, visc: ViscositySpec) -> np.ndarray:
+    """Newtonian stress S = nu_shear (G + G^T - (2/N) tr G I) + nu_bulk tr G I of a velocity gradient G.
 
     Linear in the velocity gradient, so it is assembled directly on
-    coefficients with no dealiasing pass.
+    coefficients with no dealiasing pass.  Components are flattened as
+    i*N+j, behind any leading axes.
     """
-    grid = grad_u.grid
     n = grid.dim
-    if grad_u.ncomp != n * n:
-        raise ValueError(f"expected {n * n} tensor components, got {grad_u.ncomp}")
-    return SpectralField(grid, stress_coeffs(grid, grad_u.coeffs, visc))
-
-
-def stress_coeffs(grid: TorusGrid, g: np.ndarray, visc: ViscositySpec) -> np.ndarray:
-    """``stress`` on the coefficient array of a velocity gradient."""
-    n = grid.dim
-    tr = sum(g[i * n + i] for i in range(n))
+    if g.shape[-n - 1] != n * n:
+        raise ValueError(f"expected {n * n} tensor components, got {g.shape[-n - 1]}")
+    comp = grid._component
+    tr = sum(g[comp[i * n + i]] for i in range(n))
     out = np.empty_like(g)
     for i in range(n):
         for j in range(n):
-            s = visc.nu_shear * (g[i * n + j] + g[j * n + i])
+            s = visc.nu_shear * (g[comp[i * n + j]] + g[comp[j * n + i]])
             if i == j:
                 s = s - visc.nu_shear * (2.0 / n) * tr + visc.nu_bulk * tr
-            out[i * n + j] = s
+            out[comp[i * n + j]] = s
     return out
 
 

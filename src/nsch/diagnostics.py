@@ -29,13 +29,13 @@ import numpy as np
 from .constitutive import ViscositySpec, stress
 from .errors import PositivityError
 from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand
-from .scheme import ApproxParams, Collocation, SchemeState, collocation
+from .scheme import ApproxParams, Collocation, SchemeState, collocation, mean_density
 from .spectral import (
     SpectralField,
+    TorusGrid,
     divergence,
     grad_tensor,
     gradient,
-    integral,
     integrate_rows,
     integrate_values,
     laplacian,
@@ -186,7 +186,7 @@ def _stochastic_transfer(col: Collocation, inc: WienerIncrement, base: np.ndarra
 
 def mass(state: SchemeState) -> float:
     """Total mass from the zero coefficient; exact."""
-    return integral(state.rho)
+    return state.grid.volume * mean_density(state.grid, state.rho)
 
 
 def renormalized_residual(
@@ -203,7 +203,7 @@ def renormalized_residual(
     The transport divergence integrates to zero on the torus.  b = identity
     reduces to exact mass conservation; general b has an O(dt) defect.
     """
-    grid = pre.rho.grid
+    grid = pre.grid
     a = collocation(pre, params)
     rv0 = a.rho[0]
     rv1 = collocation(post, params).rho[0]
@@ -211,8 +211,8 @@ def renormalized_residual(
         raise PositivityError(min(float(np.min(rv0)), float(np.min(rv1))))
     dt = post.t - pre.t
     u_r, _ = a.cut
-    div_u = to_physical(divergence(u_r))[0]
-    lap_rho = to_physical(laplacian(pre.rho))[0]
+    div_u = to_physical(grid, divergence(grid, u_r))[0]
+    lap_rho = to_physical(grid, laplacian(grid, pre.rho))[0]
     d_b = integrate_values(grid, b(rv1) - b(rv0))
     defect = integrate_values(grid, (db(rv0) * rv0 - b(rv0)) * div_u)
     diffusion = params.eps * integrate_values(grid, db(rv0) * lap_rho)
@@ -220,7 +220,7 @@ def renormalized_residual(
 
 
 def concentration_momentum_residual(
-    pre: SchemeState, post: SchemeState, inc: WienerIncrement, params: ApproxParams, phi: SpectralField
+    pre: SchemeState, post: SchemeState, inc: WienerIncrement, params: ApproxParams, phi: np.ndarray
 ) -> float:
     """One-step residual of the mass-weighted concentration identity.
 
@@ -235,13 +235,14 @@ def concentration_momentum_residual(
     and c vanishes.  The concentration is evolved in its own form, not this
     one, so the residual measures the discrete consistency between the two
     formulations; it is O(dt^2) per step plus projection commutators.
+    ``phi`` is given by its coefficients.
     """
-    grid = pre.rho.grid
-    if not phi.is_scalar:
+    grid = pre.grid
+    if len(phi) != 1:
         raise ValueError("test function must be scalar")
     dt = inc.dt
-    phi_v = to_physical(phi)[0]
-    gphi = to_physical(gradient(phi))
+    phi_v = to_physical(grid, phi)[0]
+    gphi = to_physical(grid, gradient(grid, phi))
     a = collocation(pre, params)
     b = collocation(post, params)
 
@@ -269,18 +270,17 @@ class InequalityReport:
     constant: float = float("nan")
 
 
-def korn_check(u: SpectralField, visc: ViscositySpec) -> InequalityReport:
-    """Verify int S(grad u):grad u >= C int |grad u|^2.
+def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> InequalityReport:
+    """Verify int S(grad u):grad u >= C int |grad u|^2 for velocity coefficients u.
 
     The reference constant is nu_shear (2 - 2/N) for N >= 2; in 1D the shear
     part is identically deviatoric-free and only the bulk viscosity
     dissipates, so the reference constant is nu_bulk.
     """
-    grid = u.grid
     n = grid.dim
-    g = grad_tensor(u)
-    gv = to_physical(g)
-    sv = to_physical(stress(g, visc))
+    g = grad_tensor(grid, u)
+    gv = to_physical(grid, g)
+    sv = to_physical(grid, stress(grid, g, visc))
     lhs_raw = integrate_values(grid, np.sum(gv**2, axis=0))
     rhs = integrate_values(grid, np.sum(sv * gv, axis=0))
     c_ref = visc.nu_shear * (2.0 - 2.0 / n) + (visc.nu_bulk if n == 1 else 0.0)
@@ -293,29 +293,28 @@ def korn_check(u: SpectralField, visc: ViscositySpec) -> InequalityReport:
 
 
 def poincare_check(
-    rho: SpectralField, v: SpectralField, total_mass: float, gamma: float, fitted_constant: float | None = None
+    grid: TorusGrid, rho: np.ndarray, v: np.ndarray, total_mass: float, gamma: float, fitted_constant: float | None = None
 ) -> InequalityReport:
-    """Verify ||v||^2 <= C [(1 + ||rho||_{L^gamma}^2) ||grad v||^2 + |int rho v|^2].
+    """Verify ||v||^2 <= C [(1 + ||rho||_{L^gamma}^2) ||grad v||^2 + |int rho v|^2] on coefficients of rho and v.
 
     With no constant supplied, reports the smallest admissible C for this
     sample (the fitted ratio); with one supplied, checks the inequality at
     that C.  Requires rho >= 0 with int rho >= total_mass > 0 and
     gamma > 2N/(N+2).
     """
-    grid = rho.grid
     n = grid.dim
     if gamma <= 2.0 * n / (n + 2.0):
         raise ValueError(f"gamma = {gamma} violates gamma > 2N/(N+2) = {2.0 * n / (n + 2.0):.3g}")
-    rv = to_physical(rho)[0]
+    rv = to_physical(grid, rho)[0]
     if float(np.min(rv)) < -1e-12:
         raise ValueError("density must be nonnegative")
-    got_mass = integral(rho)
+    got_mass = grid.volume * mean_density(grid, rho)
     if got_mass < total_mass - 1e-12:
         raise ValueError(f"hypothesis violated: int rho = {got_mass:.6g} < M = {total_mass:.6g}")
-    vv = to_physical(v)[0]
+    vv = to_physical(grid, v)[0]
     lhs = integrate_values(grid, vv**2)
     rho_lg = integrate_values(grid, rv**gamma) ** (1.0 / gamma)
-    gvv = to_physical(gradient(v))
+    gvv = to_physical(grid, gradient(grid, v))
     grad_sq = integrate_values(grid, np.sum(gvv**2, axis=0))
     mean_term = integrate_values(grid, rv * vv) ** 2
     rhs_raw = (1.0 + rho_lg**2) * grad_sq + mean_term
@@ -329,17 +328,19 @@ def poincare_check(
     return InequalityReport(lhs, rhs, margin, v, passed=passed, constant=ratio)
 
 
-def holder_estimate(snapshots: list[tuple[float, SpectralField]], omega: float, ell: float | None = None) -> float:
+def holder_estimate(
+    grid: TorusGrid, snapshots: list[tuple[float, np.ndarray]], omega: float, ell: float | None = None
+) -> float:
     """Worst Holder quotient of the momentum-of-concentration trajectory.
 
-    snapshots: (time, rho*c field) pairs; the norm is the negative Sobolev
-    norm with weights (1 + |k|^2)^(-ell).  Default ell = ceil((N+2)/2) + 1.
+    snapshots: (time, rho*c coefficients) pairs; the norm is the negative
+    Sobolev norm with weights (1 + |k|^2)^(-ell).  Default
+    ell = ceil((N+2)/2) + 1.
     """
     if len(snapshots) < 2:
         raise ValueError("at least 2 snapshots required")
     if not 0.0 < omega < 0.5:
         raise ValueError(f"omega must lie in (0, 1/2), got {omega}")
-    grid = snapshots[0][1].grid
     if ell is None:
         ell = math.ceil((grid.dim + 2) / 2) + 1
     worst = 0.0
@@ -349,8 +350,7 @@ def holder_estimate(snapshots: list[tuple[float, SpectralField]], omega: float, 
             t2, f2 = snapshots[j]
             if t1 == t2:
                 continue
-            diff = SpectralField(grid, f1.coeffs - f2.coeffs)
-            q = norm_sobolev(diff, -ell) / abs(t1 - t2) ** omega
+            q = norm_sobolev(SpectralField(grid, f1 - f2), -ell) / abs(t1 - t2) ** omega
             worst = max(worst, q)
     return worst
 

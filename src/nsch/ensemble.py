@@ -28,15 +28,7 @@ from .errors import (
 )
 from .noise import path_generator
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    gradient_coeffs,
-    laplacian_coeffs,
-    norm_l2,
-    norms_l2_squared,
-    to_spectral,
-)
+from .spectral import TorusGrid, coeff_norm, gradient, laplacian, norms_l2_squared, to_spectral
 
 __all__ = [
     "EnsembleConfig",
@@ -112,18 +104,17 @@ class TrajectoryResult:
     chi_zero_fraction: float
     steps_done: int
     final_state: SchemeState | None = None
-    rho_c_snapshots: list[tuple[float, SpectralField]] = field(default_factory=list)
+    rho_c_snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 def _state_functionals(state: SchemeState, params: ApproxParams) -> dict[str, float]:
-    grid = state.c.grid
-    c = state.c.coeffs
-    c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient_coeffs(grid, c), laplacian_coeffs(grid, c)])
+    grid, c = state.grid, state.c
+    c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient(grid, c), laplacian(grid, c)])
     return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, params)}
 
 
-def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, SpectralField]:
-    """(t, rho c): the dealiased product from the state's collocation values."""
+def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, np.ndarray]:
+    """(t, coefficients of rho c): the dealiased product from the state's collocation values."""
     col = collocation(state, params)
     return state.t, to_spectral(col.grid, col.rho * col.c)
 
@@ -142,7 +133,7 @@ def run_trajectory(
     rows = [initial_ledger_row(state, params)]
     stats0 = _state_functionals(state, params)
     sup = dict(stats0)
-    snaps: list[tuple[float, SpectralField]] = []
+    snaps: list[tuple[float, np.ndarray]] = []
     if config.snapshot_stride > 0:
         snaps.append(_rho_c(state, params))
 
@@ -407,13 +398,10 @@ def sweep_trend_csv(cells: list[SweepCell]) -> str:
     for cell in cells:
         diff = ""
         if prev is not None and prev.final_state is not None and cell.final_state is not None:
+            a, b = prev.final_state, cell.final_state
             d = 0.0
-            for a, b in (
-                (prev.final_state.rho, cell.final_state.rho),
-                (prev.final_state.u, cell.final_state.u),
-                (prev.final_state.c, cell.final_state.c),
-            ):
-                d += norm_l2(SpectralField(a.grid, a.coeffs - b.coeffs)) ** 2
+            for name in ("rho", "u", "c"):
+                d += coeff_norm(a.grid, getattr(a, name) - getattr(b, name)) ** 2
             diff = f"{math.sqrt(d):.17g}"
         row = cell.trend_columns()
         writer.writerow(

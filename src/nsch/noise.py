@@ -201,9 +201,11 @@ def noise_sum(sigma: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.nd
 
 def forcing(c: SpectralField, inc: WienerIncrement, spec: NoiseSpec) -> SpectralField:
     """Ito increment sum_k alpha_k sigma_k(c) dbeta_k as a spectral field."""
+    grid = c.grid
     if spec.K == 0:
-        return zeros(c.grid)
-    return to_spectral(c.grid, noise_sum(sigma_table(spec, to_physical(c)[0]), inc, spec))
+        return zeros(grid)
+    increment = noise_sum(sigma_table(spec, to_physical(grid, c.coeffs)[0]), inc, spec)
+    return SpectralField(grid, to_spectral(grid, increment))
 
 
 def _sigma_sq_sum(spec: NoiseSpec, table: np.ndarray) -> np.ndarray:
@@ -224,17 +226,18 @@ def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:
     """(1/2) int sum_k alpha_k^2 |grad sigma_k(c)|^2 dx, by the chain rule."""
     if spec.K == 0:
         return 0.0
-    dsigma = sigma_table(spec, to_physical(c)[0], deriv=True)
-    grad_c_sq = np.sum(to_physical(gradient(c)) ** 2, axis=0)
-    return 0.5 * integrate_values(c.grid, ito_grad_integrand(spec, dsigma, grad_c_sq))
+    grid = c.grid
+    dsigma = sigma_table(spec, to_physical(grid, c.coeffs)[0], deriv=True)
+    grad_c_sq = np.sum(to_physical(grid, gradient(grid, c.coeffs)) ** 2, axis=0)
+    return 0.5 * integrate_values(grid, ito_grad_integrand(spec, dsigma, grad_c_sq))
 
 
 def ito_value_correction(rho: SpectralField, c: SpectralField, spec: NoiseSpec, fspec: FreeEnergySpec) -> float:
     """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 dx."""
     if spec.K == 0:
         return 0.0
-    rv = to_physical(rho)[0]
-    cv = to_physical(c)[0]
+    rv = to_physical(rho.grid, rho.coeffs)[0]
+    cv = to_physical(c.grid, c.coeffs)[0]
     fcc = FreeEnergyValues(rv, cv, fspec).f_cc
     return 0.5 * integrate_values(c.grid, ito_value_integrand(spec, sigma_table(spec, cv), rv, fcc))
 

@@ -32,30 +32,26 @@ from itertools import accumulate
 
 import numpy as np
 
-from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress_coeffs
+from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress
 from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError
 from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
 from .spectral import (
-    SpectralField,
     TorusGrid,
+    _symmetrize,
     coeff_inner,
-    div_tensor_coeffs,
-    divergence_coeffs,
-    from_coeffs,
-    grad_tensor_coeffs,
-    gradient_coeffs,
+    coeff_norm,
+    div_tensor,
+    divergence,
+    grad_tensor,
+    gradient,
     integrate_rows,
     integrate_values,
-    laplacian_coeffs,
+    laplacian,
     lazy,
-    multiply,
-    norm_l2,
     project,
-    project_coeffs,
     random_band_limited,
     to_physical,
     to_spectral,
-    zeros,
 )
 
 __all__ = [
@@ -106,15 +102,30 @@ class ApproxParams:
 
 @dataclass(frozen=True)
 class SchemeState:
+    """The state at time t: read-only coefficient arrays on ``grid``.
+
+    rho and c have one component, w and u have grid.dim.
+    """
+
     t: float
-    rho: SpectralField
-    w: SpectralField
-    u: SpectralField
-    c: SpectralField
+    grid: TorusGrid
+    rho: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.rho, self.w, self.u, self.c):
+            a.flags.writeable = False
 
     def __getstate__(self):
         # the collocation record is a cache, rebuilt on demand: never pickled
         return {k: v for k, v in self.__dict__.items() if k != "_collocation"}
+
+    def __setstate__(self, state):
+        # unpickled arrays are writeable, as from a pool worker
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -130,10 +141,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _values(f: SpectralField) -> np.ndarray:
-    return _read_only(to_physical(f))
-
-
 def _split(stack, sizes: list[int]) -> list:
     """Consecutive row blocks of ``stack`` with the given sizes, as views."""
     return [stack[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
@@ -141,13 +148,13 @@ def _split(stack, sizes: list[int]) -> list:
 
 def _stacked_values(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Grid values of coefficient blocks, all in one inverse transform; read-only."""
-    values = _values(SpectralField(grid, np.concatenate(blocks)))
+    values = _read_only(to_physical(grid, np.concatenate(blocks)))
     return _split(values, [len(b) for b in blocks])
 
 
-def _stacked_coeffs(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarray]:
+def _stacked_spectra(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Coefficients of grid-value blocks, all in one forward transform; read-only."""
-    coeffs = to_spectral(grid, np.concatenate(blocks)).coeffs
+    coeffs = _read_only(to_spectral(grid, np.concatenate(blocks)))
     return _split(coeffs, [len(b) for b in blocks])
 
 
@@ -195,8 +202,9 @@ class Collocation:
     and are read-only.  Obtain records through ``collocation``.
 
     Fields are transformed in stacks, one transform call per stack: the
-    fields linear in the state (``_linear``), the pre-step products
-    (``_products``, kept as coefficients), mu with its derivatives and the
+    fields linear in the state (``_linear``, from the coefficient blocks of
+    ``_linear_hat``), the pre-step products (``_products``, kept as
+    coefficients, mu among them), mu with its derivatives and the
     dealiased momentum (``_resampled``), and the products of those
     (``_second_products``, coefficients).  Each named field is a view of its
     stack, stored as a plain attribute when the stack is computed.  The
@@ -210,44 +218,44 @@ class Collocation:
         # a record-free twin of the state, so the state and its record form no reference cycle
         self.state = replace(state)
         self.params = params
-        self.grid = state.rho.grid
+        self.grid = state.grid
         if rho is not None:
             self.rho = rho
 
     @lazy
     def rho(self) -> np.ndarray:
-        return _values(self.state.rho)
+        return _read_only(to_physical(self.grid, self.state.rho))
 
     @lazy
-    def _linear_coeffs(self) -> list[np.ndarray]:
+    def _linear_hat(self) -> list[np.ndarray]:
         s, grid = self.state, self.grid
-        grad_u = grad_tensor_coeffs(grid, s.u.coeffs)
+        grad_u = grad_tensor(grid, s.u)
         blocks = [
-            s.u.coeffs,
-            s.c.coeffs,
-            gradient_coeffs(grid, s.c.coeffs),
-            laplacian_coeffs(grid, s.c.coeffs),
-            gradient_coeffs(grid, s.rho.coeffs),
+            s.u,
+            s.c,
+            gradient(grid, s.c),
+            laplacian(grid, s.c),
+            gradient(grid, s.rho),
             grad_u,
-            stress_coeffs(grid, grad_u, self.params.visc),
+            stress(grid, grad_u, self.params.visc),
         ]
         return [_read_only(b) for b in blocks]
 
-    visc_stress_coeffs = _part("_linear_coeffs", 6)
+    visc_stress_hat = _part("_linear_hat", 6)
 
     @_stack("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress")
     def _linear(self) -> list[np.ndarray]:
-        return _stacked_values(self.grid, self._linear_coeffs)
+        return _stacked_values(self.grid, self._linear_hat)
 
     @lazy
-    def cut(self) -> tuple[SpectralField, float]:
-        """[u]_R and the cut-off factor chi."""
-        return cutoff(self.state.u, self.params.R)
+    def cut(self) -> tuple[np.ndarray, float]:
+        """Coefficients of [u]_R and the cut-off factor chi."""
+        return cutoff(self.grid, self.state.u, self.params.R)
 
     @lazy
     def u_r(self) -> np.ndarray:
         u_r, _ = self.cut
-        return self.u if u_r is self.state.u else _values(u_r)
+        return self.u if u_r is self.state.u else _read_only(to_physical(self.grid, u_r))
 
     @lazy
     def free_energy_values(self) -> FreeEnergyValues:
@@ -262,7 +270,7 @@ class Collocation:
         """rho^alpha, shared by the artificial pressure and the artificial energy."""
         return self.rho[0] ** self.params.alpha_exp
 
-    @_stack("mu_coeffs", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r")
+    @_stack("mu", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r")
     def _products(self) -> list[np.ndarray]:
         p = self.params
         values = self.free_energy_values
@@ -274,24 +282,19 @@ class Collocation:
             (self.u_r * self.grad_c).sum(axis=0)[None],
             self.rho * self.u_r,
         ]
-        return _stacked_coeffs(self.grid, blocks)
-
-    @lazy
-    def mu(self) -> SpectralField:
-        return SpectralField(self.grid, self.mu_coeffs)
+        return _stacked_spectra(self.grid, blocks)
 
     @_stack("mu_values", "grad_mu", "lap_mu", "momentum_values")
     def _resampled(self) -> list[np.ndarray]:
-        grid = self.grid
-        mu = self.mu_coeffs
-        return _stacked_values(grid, [mu, gradient_coeffs(grid, mu), laplacian_coeffs(grid, mu), self.momentum])
+        grid, mu = self.grid, self.mu
+        return _stacked_values(grid, [mu, gradient(grid, mu), laplacian(grid, mu), self.momentum])
 
     @_stack("lap_mu_over_rho", "momentum_flux")
     def _second_products(self) -> list[np.ndarray]:
         mv, u_r = self.momentum_values, self.u_r
         # flux component i*N+j is mv_i u_r_j
         flux = (mv[:, None] * u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
-        return _stacked_coeffs(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
+        return _stacked_spectra(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
     @lazy
     def sigma(self) -> np.ndarray:
@@ -338,8 +341,9 @@ def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
     return record
 
 
-def mean_density(rho: SpectralField) -> float:
-    return float(rho.coeffs[0][rho.grid.zero_index].real)
+def mean_density(grid: TorusGrid, rho: np.ndarray) -> float:
+    """The mean of a density from its coefficients: the exactly conserved zero mode."""
+    return float(rho[0][grid.zero_index].real)
 
 
 def smoothstep(r: float) -> float:
@@ -351,20 +355,20 @@ def smoothstep(r: float) -> float:
     return 1.0 - r**3 * (10.0 - 15.0 * r + 6.0 * r**2)
 
 
-def cutoff(u: SpectralField, R: float) -> tuple[SpectralField, float]:
-    """[u]_R = chi(||u|| - R) u with the smoothstep profile."""
-    chi = smoothstep(norm_l2(u) - R)
+def cutoff(grid: TorusGrid, u: np.ndarray, R: float) -> tuple[np.ndarray, float]:
+    """[u]_R = chi(||u|| - R) u with the smoothstep profile; ``u`` itself when chi = 1."""
+    chi = smoothstep(coeff_norm(grid, u) - R)
     if chi == 1.0:
         return u, 1.0
-    return SpectralField(u.grid, chi * u.coeffs), chi
+    return chi * u, chi
 
 
 def _transport_rho(col: Collocation) -> np.ndarray:
     """Coefficients of -Div(rho [u]_R); its zero mode is structurally zero."""
-    return -divergence_coeffs(col.grid, col.rho_u_r)
+    return -divergence(col.grid, col.rho_u_r)
 
 
-def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
+def momentum_rhs(state: SchemeState, params: ApproxParams) -> np.ndarray:
     """Right-hand side of the projected momentum equation, in the order-m space."""
     col = collocation(state, params)
     grid = col.grid
@@ -372,29 +376,29 @@ def momentum_rhs(state: SchemeState, params: ApproxParams) -> SpectralField:
 
     # derivatives act mode by mode, so one projection of the sum gives, inside
     # the band, the values of projecting each flux before differentiating it
-    transport = div_tensor_coeffs(grid, col.momentum_flux)
-    press = gradient_coeffs(grid, col.art_pressure)
-    visc = div_tensor_coeffs(grid, col.visc_stress_coeffs)
-    capillary = div_tensor_coeffs(grid, col.korteweg)
-    eps_diff = laplacian_coeffs(grid, state.w.coeffs)
+    transport = div_tensor(grid, col.momentum_flux)
+    press = gradient(grid, col.art_pressure)
+    visc = div_tensor(grid, col.visc_stress_hat)
+    capillary = div_tensor(grid, col.korteweg)
+    eps_diff = laplacian(grid, state.w)
 
     coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
-    return SpectralField(grid, project_coeffs(grid, coeffs, params.m))
+    return project(grid, coeffs, params.m)
 
 
-def ch_drift(state: SchemeState, params: ApproxParams) -> SpectralField:
+def ch_drift(state: SchemeState, params: ApproxParams) -> np.ndarray:
     """P_n[(1/rho) Lap mu - [u]_R . grad c]."""
     col = collocation(state, params)
-    return SpectralField(col.grid, project_coeffs(col.grid, col.lap_mu_over_rho - col.u_r_grad_c, params.n))
+    return project(col.grid, col.lap_mu_over_rho - col.u_r_grad_c, params.n)
 
 
-def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> SpectralField:
+def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> np.ndarray:
     """P_n of the stochastic forcing increment."""
-    grid = state.c.grid
+    grid = state.grid
     if params.noise.K == 0:
-        return zeros(grid)
+        return np.zeros((1,) + grid.band_shape, dtype=np.complex128)
     increment = noise_sum(collocation(state, params).sigma, inc, params.noise)
-    return project(to_spectral(grid, increment), params.n)
+    return project(grid, to_spectral(grid, increment), params.n)
 
 
 # largest Gram system, (2m+1)^dim unknowns, solved directly; CG above it.  In
@@ -436,17 +440,19 @@ def _two_sided(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, a.conj(), np.zeros(a.shape[:-1] + (1,))], axis=-1)
 
 
-def _direct_gram_solve(rho: SpectralField, w: SpectralField, m: int, rtol: float, min_rho: float) -> SpectralField:
+def _direct_gram_solve(
+    grid: TorusGrid, rho: np.ndarray, w: np.ndarray, m: int, rtol: float, min_rho: float
+) -> np.ndarray:
     """Solve P_m(rho u) = w directly in coefficient space; nothing is transformed.
 
     The collocation grid resolves rho u alias-free on the order-m band, so
     the projected product is exactly the (block-)Toeplitz matrix
     G[j, k] = rho_hat(j - k) over the two-sided band.
     """
-    grid = rho.grid
+    ncomp = len(w)
     gram, rhs_table, rows, band = _gram_tables(grid, m)
-    matrix = _two_sided(rho.coeffs[0].ravel())[gram]
-    rhs = _two_sided(w.coeffs.reshape(w.ncomp, -1))[:, rhs_table].T
+    matrix = _two_sided(rho[0].ravel())[gram]
+    rhs = _two_sided(w.reshape(ncomp, -1))[:, rhs_table].T
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
@@ -455,20 +461,21 @@ def _direct_gram_solve(rho: SpectralField, w: SpectralField, m: int, rtol: float
     residual = math.sqrt(np.vdot(r, r).real / np.vdot(rhs, rhs).real)
     if not residual <= rtol:
         raise GramSolveError(f"velocity recovery failed: relative residual {residual:.3e} (min rho {min_rho:.3e})")
-    coeffs = np.zeros((w.ncomp, math.prod(grid.band_shape)), dtype=np.complex128)
+    coeffs = np.zeros((ncomp, math.prod(grid.band_shape)), dtype=np.complex128)
     coeffs[:, band] = x[rows].T
-    return from_coeffs(grid, coeffs.reshape((w.ncomp,) + grid.band_shape))
+    return _symmetrize(grid, coeffs.reshape((ncomp,) + grid.band_shape))
 
 
 def recover_velocity(
-    rho: SpectralField,
-    w: SpectralField,
+    grid: TorusGrid,
+    rho: np.ndarray,
+    w: np.ndarray,
     m: int,
     rho_floor: float = 1e-8,
     rtol: float = 1e-12,
     maxiter: int = 400,
     rho_values: np.ndarray | None = None,
-) -> tuple[SpectralField, int]:
+) -> tuple[np.ndarray, int]:
     """Solve P_m(rho u) = w for u in the order-m space.
 
     A system of at most ``DIRECT_GRAM_MAX_SIZE`` unknowns is solved directly
@@ -479,35 +486,34 @@ def recover_velocity(
     signals near-vacuum density.  Either way the relative residual must fall
     to ``rtol``, else ``GramSolveError`` is raised.
     ``rho_values`` are the grid values of rho when the caller has them.
-    Returns the velocity and the iteration count.
+    Returns the velocity coefficients and the iteration count.
     """
-    vals = to_physical(rho)[0] if rho_values is None else rho_values
+    vals = to_physical(grid, rho)[0] if rho_values is None else rho_values
     min_rho = float(vals.min())
     if min_rho <= rho_floor:
         raise PositivityError(min_rho)
 
-    grid = rho.grid
-    w = project(w, m)
-    wnorm = norm_l2(w)
+    w = project(grid, w, m)
+    wnorm = coeff_norm(grid, w)
     if wnorm == 0.0:
-        return zeros(grid, w.ncomp), 0
+        return np.zeros(w.shape, dtype=np.complex128), 0
     if not math.isfinite(wnorm):
         raise GramSolveError(f"velocity recovery failed: non-finite momentum (min rho {min_rho:.3e})")
     if (2 * m + 1) ** grid.dim <= DIRECT_GRAM_MAX_SIZE:
-        return _direct_gram_solve(rho, w, m, rtol, min_rho), 0
+        return _direct_gram_solve(grid, rho, w, m, rtol, min_rho), 0
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return project(to_spectral(grid, vals * to_physical(SpectralField(grid, v))), m).coeffs
+        return project(grid, to_spectral(grid, vals * to_physical(grid, v)), m)
 
     # conjugate gradients on coefficient arrays
-    x = project(to_spectral(grid, to_physical(w) / vals), m).coeffs
-    r = w.coeffs - apply(x)
+    x = project(grid, to_spectral(grid, to_physical(grid, w) / vals), m)
+    r = w - apply(x)
     p = r
     rs = coeff_inner(grid, r, r)
     tol = rtol * wnorm
     for it in range(1, maxiter + 1):
         if np.sqrt(rs) <= tol:
-            return SpectralField(grid, x), it - 1
+            return x, it - 1
         ap = apply(p)
         alpha = rs / coeff_inner(grid, p, ap)
         x = x + alpha * p
@@ -522,9 +528,9 @@ def recover_velocity(
 
 def check_timestep(state: SchemeState, params: ApproxParams):
     """Advective and fourth-order stability heuristic; violation aborts."""
-    grid = state.rho.grid
+    grid = state.grid
     dx = grid.spacing
-    rho_bar = mean_density(state.rho)
+    rho_bar = mean_density(grid, state.rho)
     umax = float(abs(collocation(state, params).u).max())
     limit = params.cfl * dx**4 * rho_bar**2
     if umax > 0.0:
@@ -551,45 +557,42 @@ def _step_factors(grid: TorusGrid, dt: float, eps: float, rho_bar: float) -> tup
 
 def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> tuple[SchemeState, StepReport]:
     """Advance one time step; raises on a non-finite state, positivity loss or stability violation."""
-    grid = state.rho.grid
+    grid = state.grid
     dt = params.dt
     col = collocation(state, params)
     check_timestep(state, params)
 
     inc = sample_increment(dt, rng, params.noise)
     _, chi = col.cut
-    stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(state.rho))
+    stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(grid, state.rho))
 
     # concentration: exact exponential factor for the mean-density bilaplacian,
     # everything else explicit at the pre-step state
-    drift = ch_drift(state, params)
-    explicit = drift.coeffs - stiff * state.c.coeffs
-    noise_inc = ch_diffusion(state, inc, params)
-    c_new = SpectralField(grid, propag * (state.c.coeffs + dt * explicit + noise_inc.coeffs))
+    explicit = ch_drift(state, params) - stiff * state.c
+    c_new = propag * (state.c + dt * explicit + ch_diffusion(state, inc, params))
 
     # density: implicit artificial diffusion, explicit transport
-    rho_new = SpectralField(grid, fac * (state.rho.coeffs + dt * _transport_rho(col)))
+    rho_new = fac * (state.rho + dt * _transport_rho(col))
 
     # momentum: implicit artificial diffusion, explicit remainder
-    rhs = momentum_rhs(state, params)
-    w_expl = rhs.coeffs - params.eps * laplacian_coeffs(grid, state.w.coeffs)
-    w_new = SpectralField(grid, fac * (state.w.coeffs + dt * w_expl))
+    w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)
+    w_new = fac * (state.w + dt * w_expl)
 
     # NaN passes every ordered comparison, so it is caught before the positivity guards
-    bad = [name for name, f in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(f.coeffs).all()]
+    bad = [name for name, a in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(a).all()]
     if bad:
         raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
 
-    rho_vals = _values(rho_new)
+    rho_vals = _read_only(to_physical(grid, rho_new))
     min_rho = float(rho_vals.min())
     if min_rho <= params.fspec.rho_floor:
         raise PositivityError(min_rho, t=state.t + dt)
 
     u_new, iters = recover_velocity(
-        rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
+        grid, rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
     )
 
-    new_state = SchemeState(t=state.t + dt, rho=rho_new, w=w_new, u=u_new, c=c_new)
+    new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, u=u_new, c=c_new)
     object.__setattr__(new_state, "_collocation", Collocation(new_state, params, rho=rho_vals))
     return new_state, StepReport(chi=chi, min_rho=min_rho, gram_iterations=iters, increment=inc)
 
@@ -618,28 +621,23 @@ class InitialData:
         rho_mean = self.mass / grid.volume
         if self.rho_amp > 0:
             bump = random_band_limited(grid, rng, band=self.rho_band, amplitude=self.rho_amp)
-            rho = to_spectral(grid, rho_mean * (1.0 + to_physical(bump)[0]))
+            rho = to_spectral(grid, rho_mean * (1.0 + to_physical(grid, bump.coeffs)[0]))
         else:
             rho = to_spectral(grid, np.full(grid.pshape, rho_mean))
-        coeffs = rho.coeffs.copy()
-        coeffs[0][grid.zero_index] = rho_mean
-        rho = SpectralField(grid, coeffs)
+        rho[0][grid.zero_index] = rho_mean
 
-        if self.u_amp > 0:
-            u0 = random_band_limited(grid, rng, ncomp=grid.dim, band=self.u_band, amplitude=self.u_amp)
-        else:
-            u0 = zeros(grid, grid.dim)
-        if self.c_amp > 0:
-            c0 = random_band_limited(grid, rng, band=self.c_band, amplitude=self.c_amp)
-            c = SpectralField(grid, c0.coeffs.copy())
-        else:
-            c = zeros(grid)
+        def sample(ncomp: int, band: int, amplitude: float) -> np.ndarray:
+            if amplitude > 0:
+                return random_band_limited(grid, rng, ncomp=ncomp, band=band, amplitude=amplitude).coeffs.copy()
+            return np.zeros((ncomp,) + grid.band_shape, dtype=np.complex128)
+
+        u0 = sample(grid.dim, self.u_band, self.u_amp)
+        c = sample(1, self.c_band, self.c_amp)
         if self.c_mean != 0.0:
-            cc = c.coeffs.copy()
-            cc[0][grid.zero_index] += self.c_mean
-            c = SpectralField(grid, cc)
-        c = project(c, params.n)
+            c[0][grid.zero_index] += self.c_mean
+        c = project(grid, c, params.n)
 
-        w = project(multiply(rho, u0), params.m)
-        u, _ = recover_velocity(rho, w, params.m, rho_floor=params.fspec.rho_floor)
-        return SchemeState(t=0.0, rho=rho, w=w, u=u, c=c)
+        # the dealiased product rho u0
+        w = project(grid, to_spectral(grid, to_physical(grid, rho)[0] * to_physical(grid, u0)), params.m)
+        u, _ = recover_velocity(grid, rho, w, params.m, rho_floor=params.fspec.rho_floor)
+        return SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=c)

@@ -7,6 +7,13 @@ on the one stored line that carries both signs, so every field is real by
 construction.  All differential operators act exactly on coefficients;
 pointwise nonlinearities go through a padded collocation grid wide enough
 that quadratic products are alias-free after re-truncation.
+
+Inside the package a field is its coefficient array, of shape
+(..., ncomp) + band_shape: the operators and both transforms take
+``(grid, coeffs)`` and accept any leading axes in front of the component
+axis, so a stack of paths goes through one call.  ``SpectralField`` pairs an
+array with its grid and is the library's type at its boundary: the
+constructors, the dealiased products and the field norms.
 """
 
 from __future__ import annotations
@@ -21,28 +28,22 @@ __all__ = [
     "TorusGrid",
     "SpectralField",
     "zeros",
-    "constant",
     "from_coeffs",
     "to_physical",
     "to_spectral",
     "project",
-    "project_coeffs",
     "gradient",
-    "gradient_coeffs",
     "divergence",
-    "divergence_coeffs",
     "laplacian",
-    "laplacian_coeffs",
     "grad_tensor",
-    "grad_tensor_coeffs",
     "div_tensor",
-    "div_tensor_coeffs",
     "multiply",
     "dot",
     "outer",
     "pointwise",
     "inner_product",
     "coeff_inner",
+    "coeff_norm",
     "norm_l2",
     "norms_l2_squared",
     "norm_sobolev",
@@ -117,8 +118,12 @@ class TorusGrid:
 
     @cached_property
     def _fft(self) -> dict:
-        """Keywords of every transform call: numpy then never derives the shape from the array."""
-        return {"s": self.pshape, "axes": tuple(range(1, self.dim + 1)), "norm": "forward"}
+        """Keywords of every transform call: numpy then never derives the shape from the array.
+
+        The transform axes are the last ``dim``, so any axes in front of
+        the component axis are carried through.
+        """
+        return {"s": self.pshape, "axes": tuple(range(-self.dim, 0)), "norm": "forward"}
 
     @cached_property
     def band_shape(self) -> tuple[int, ...]:
@@ -163,6 +168,11 @@ class TorusGrid:
         ik = np.stack([np.broadcast_to(1j * ka, self.band_shape) for ka in self.k_axes])
         ik.flags.writeable = False
         return ik
+
+    @cached_property
+    def _component(self) -> tuple[tuple, ...]:
+        """Index of component i, kept as an axis of length 1, behind any leading axes."""
+        return tuple((Ellipsis, slice(i, i + 1)) + (slice(None),) * self.dim for i in range(self.dim**2))
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -241,66 +251,54 @@ def zeros(grid: TorusGrid, ncomp: int = 1) -> SpectralField:
     return SpectralField(grid, np.zeros((ncomp,) + grid.band_shape, dtype=np.complex128))
 
 
-def constant(grid: TorusGrid, value: float) -> SpectralField:
-    c = np.zeros((1,) + grid.band_shape, dtype=np.complex128)
-    c[0][grid.zero_index] = value
-    return SpectralField(grid, c)
-
-
 def _scatter(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Place band coefficients into an rfftn-layout buffer."""
+    """Place band coefficients into an rfftn-layout buffer, keeping any leading axes."""
     npts = grid.points_per_dim
     k = grid.kmax
-    ncomp = coeffs.shape[0]
     tw = coeffs * grid._twist
     if grid.dim == 1:
-        buf = np.zeros((ncomp, npts // 2 + 1), dtype=np.complex128)
-        buf[:, : k + 1] = tw
+        buf = np.zeros(coeffs.shape[:-1] + (npts // 2 + 1,), dtype=np.complex128)
+        buf[..., : k + 1] = tw
     else:
-        buf = np.zeros((ncomp, npts, npts // 2 + 1), dtype=np.complex128)
-        buf[:, : k + 1, : k + 1] = tw[:, k:, :]
-        buf[:, npts - k :, : k + 1] = tw[:, :k, :]
+        buf = np.zeros(coeffs.shape[:-2] + (npts, npts // 2 + 1), dtype=np.complex128)
+        buf[..., : k + 1, : k + 1] = tw[..., k:, :]
+        buf[..., npts - k :, : k + 1] = tw[..., :k, :]
     return buf
 
 
 def _gather(grid: TorusGrid, buf: np.ndarray) -> np.ndarray:
     npts = grid.points_per_dim
     k = grid.kmax
-    ncomp = buf.shape[0]
     if grid.dim == 1:
-        out = buf[:, : k + 1].copy()
+        out = buf[..., : k + 1]
     else:
-        out = np.empty((ncomp, 2 * k + 1, k + 1), dtype=np.complex128)
-        out[:, k:, :] = buf[:, : k + 1, : k + 1]
-        out[:, :k, :] = buf[:, npts - k :, : k + 1]
+        out = np.empty(buf.shape[:-2] + (2 * k + 1, k + 1), dtype=np.complex128)
+        out[..., k:, :] = buf[..., : k + 1, : k + 1]
+        out[..., :k, :] = buf[..., npts - k :, : k + 1]
     return out * grid._twist
 
 
-def to_physical(f: SpectralField) -> np.ndarray:
-    """Values on the collocation grid, shape (ncomp,) + grid.pshape."""
-    grid = f.grid
-    return np.fft.irfftn(_scatter(grid, f.coeffs), **grid._fft)
+def to_physical(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Values on the collocation grid of coefficients (..., ncomp) + band: shape (..., ncomp) + grid.pshape."""
+    return np.fft.irfftn(_scatter(grid, coeffs), **grid._fft)
 
 
-def to_spectral(grid: TorusGrid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real grid values, truncated to the band."""
+def to_spectral(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Band coefficients of real grid values (..., ncomp) + grid.pshape; values of shape pshape get ncomp = 1."""
     vals = np.asarray(values, dtype=float)
     if vals.shape == grid.pshape:
         vals = vals[None, ...]
-    if vals.shape[1:] != grid.pshape:
-        raise ValueError(f"value shape {values.shape} does not match collocation grid {grid.pshape}")
-    buf = np.fft.rfftn(vals, **grid._fft)
-    coeffs = _symmetrize(grid, _gather(grid, buf))
-    return SpectralField(grid, coeffs)
+    if vals.shape[-grid.dim :] != grid.pshape:
+        raise ValueError(f"value shape {vals.shape} does not match collocation grid {grid.pshape}")
+    return _symmetrize(grid, _gather(grid, np.fft.rfftn(vals, **grid._fft)))
 
 
-def project(f: SpectralField, order: int) -> SpectralField:
+def _field(grid: TorusGrid, values: np.ndarray) -> SpectralField:
+    return SpectralField(grid, to_spectral(grid, values))
+
+
+def project(grid: TorusGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
     """Orthogonal projection onto the subspace with all |k_i| <= order."""
-    return SpectralField(f.grid, project_coeffs(f.grid, f.coeffs, order))
-
-
-def project_coeffs(grid: TorusGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
-    """``project`` on a coefficient array."""
     if not 0 <= order <= grid.kmax:
         raise ValueError(f"projection order {order} outside [0, {grid.kmax}]")
     return np.where(_band_mask(grid, order), coeffs, 0.0)
@@ -315,73 +313,51 @@ def _band_mask(grid: TorusGrid, order: int) -> np.ndarray:
     return mask
 
 
-def gradient(f: SpectralField) -> SpectralField:
-    """Gradient of a scalar field; output has grid.dim components."""
-    if not f.is_scalar:
-        raise ValueError("gradient expects a scalar field")
-    return SpectralField(f.grid, gradient_coeffs(f.grid, f.coeffs))
+def _check_components(grid: TorusGrid, coeffs: np.ndarray, ncomp: int, what: str):
+    got = coeffs.shape[-grid.dim - 1]
+    if got != ncomp:
+        raise ValueError(f"{what} expects {ncomp} components, got {got}")
 
 
-def gradient_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """``gradient`` on the coefficient array of a scalar field."""
-    return grid._ik * coeffs[0]
+def gradient(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar field; the component axis grows to grid.dim."""
+    _check_components(grid, coeffs, 1, "gradient")
+    return grid._ik * coeffs
 
 
-def divergence(f: SpectralField) -> SpectralField:
+def divergence(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     # in 1D a vector has a single component, so the scalar/vector distinction
     # collapses; in 2D a scalar input is rejected here
-    grid = f.grid
-    if f.ncomp != grid.dim:
-        raise ValueError(f"divergence expects {grid.dim} components, got {f.ncomp} (scalar input?)")
-    return SpectralField(grid, divergence_coeffs(grid, f.coeffs))
-
-
-def divergence_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """``divergence`` on the coefficient array of a vector field."""
-    out = np.zeros(grid.band_shape, dtype=np.complex128)
+    _check_components(grid, coeffs, grid.dim, "divergence")
+    comp = grid._component
+    out = np.zeros(coeffs.shape[: -grid.dim - 1] + (1,) + grid.band_shape, dtype=np.complex128)
     for i in range(grid.dim):
-        out += grid._ik[i] * coeffs[i]
-    return out[None, ...]
+        out += grid._ik[i] * coeffs[comp[i]]
+    return out
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, laplacian_coeffs(f.grid, f.coeffs))
-
-
-def laplacian_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """``laplacian`` on a coefficient array."""
+def laplacian(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return -grid.k_squared * coeffs
 
 
-def grad_tensor(u: SpectralField) -> SpectralField:
+def grad_tensor(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Velocity gradient du_i/dx_j of a vector field, components flattened as i*N+j."""
-    grid = u.grid
-    if u.ncomp != grid.dim:
-        raise ValueError("grad_tensor expects a vector field")
-    return SpectralField(grid, grad_tensor_coeffs(grid, u.coeffs))
+    n = grid.dim
+    _check_components(grid, coeffs, n, "grad_tensor")
+    lead = coeffs.shape[: -n - 1]
+    rows = coeffs.reshape(lead + (n, 1) + grid.band_shape)
+    return (grid._ik * rows).reshape(lead + (n * n,) + grid.band_shape)
 
 
-def grad_tensor_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """``grad_tensor`` on the coefficient array of a vector field."""
-    return (grid._ik[None] * coeffs[:, None]).reshape((grid.dim**2,) + grid.band_shape)
-
-
-def div_tensor(t: SpectralField) -> SpectralField:
+def div_tensor(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Row-wise divergence (Div T)_i = d T_ij / dx_j of a flattened tensor field."""
-    grid = t.grid
     n = grid.dim
-    if t.ncomp != n * n:
-        raise ValueError(f"div_tensor expects {n * n} components, got {t.ncomp}")
-    return SpectralField(grid, div_tensor_coeffs(grid, t.coeffs))
-
-
-def div_tensor_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """``div_tensor`` on the coefficient array of a flattened tensor field."""
-    n = grid.dim
-    out = np.zeros((n,) + grid.band_shape, dtype=np.complex128)
+    _check_components(grid, coeffs, n * n, "div_tensor")
+    comp = grid._component
+    out = np.zeros(coeffs.shape[: -n - 1] + (n,) + grid.band_shape, dtype=np.complex128)
     for i in range(n):
         for j in range(n):
-            out[i] += grid._ik[j] * coeffs[i * n + j]
+            out[comp[i]] += grid._ik[j] * coeffs[comp[i * n + j]]
     return out
 
 
@@ -393,7 +369,7 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased pointwise product; scalars broadcast against vectors."""
     _check_same_grid(f, g)
-    fv, gv = to_physical(f), to_physical(g)
+    fv, gv = to_physical(f.grid, f.coeffs), to_physical(g.grid, g.coeffs)
     if f.ncomp == g.ncomp:
         prod = fv * gv
     elif f.is_scalar:
@@ -402,7 +378,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         prod = fv * gv[0]
     else:
         raise ValueError(f"incompatible component counts {f.ncomp} and {g.ncomp}")
-    return to_spectral(f.grid, prod)
+    return _field(f.grid, prod)
 
 
 def dot(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -410,16 +386,16 @@ def dot(f: SpectralField, g: SpectralField) -> SpectralField:
     _check_same_grid(f, g)
     if f.ncomp != g.ncomp:
         raise ValueError("dot requires matching component counts")
-    prod = np.sum(to_physical(f) * to_physical(g), axis=0)
-    return to_spectral(f.grid, prod)
+    prod = np.sum(to_physical(f.grid, f.coeffs) * to_physical(g.grid, g.coeffs), axis=0)
+    return _field(f.grid, prod)
 
 
 def outer(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased outer product (f tensor g)_ij = f_i g_j, flattened as i*N+j."""
     _check_same_grid(f, g)
-    fv, gv = to_physical(f), to_physical(g)
+    fv, gv = to_physical(f.grid, f.coeffs), to_physical(g.grid, g.coeffs)
     prod = np.stack([fv[i] * gv[j] for i in range(f.ncomp) for j in range(g.ncomp)])
-    return to_spectral(f.grid, prod)
+    return _field(f.grid, prod)
 
 
 def pointwise(grid: TorusGrid, fn, *fields: SpectralField) -> SpectralField:
@@ -429,8 +405,8 @@ def pointwise(grid: TorusGrid, fn, *fields: SpectralField) -> SpectralField:
     free-energy derivatives); these accept truncation error but see no
     aliasing of retained modes beyond it.
     """
-    vals = [to_physical(f) for f in fields]
-    return to_spectral(grid, fn(*vals))
+    vals = [to_physical(grid, f.coeffs) for f in fields]
+    return _field(grid, fn(*vals))
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -446,8 +422,13 @@ def coeff_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
     return float(grid.volume * (grid.parseval_weights * (a * b.conj()).real).sum())
 
 
+def coeff_norm(grid: TorusGrid, a: np.ndarray) -> float:
+    """L2 norm of a coefficient array on ``grid``, summed over components."""
+    return float(np.sqrt(max(coeff_inner(grid, a, a), 0.0)))
+
+
 def norm_l2(f: SpectralField) -> float:
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))
+    return coeff_norm(f.grid, f.coeffs)
 
 
 def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
@@ -511,12 +492,10 @@ def random_band_limited(
         raise ValueError(f"band {band} exceeds grid truncation {grid.kmax}")
     shape = (ncomp,) + grid.band_shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = project(from_coeffs(grid, raw), band)
-    coeffs = f.coeffs.copy()
+    coeffs = project(grid, from_coeffs(grid, raw).coeffs, band)
     if zero_mean:
         coeffs[(slice(None), *grid.zero_index)] = 0.0
-    f = SpectralField(grid, coeffs)
-    sup = np.max(np.abs(to_physical(f)))
+    sup = np.max(np.abs(to_physical(grid, coeffs)))
     if sup == 0.0:
-        return f
+        return SpectralField(grid, coeffs)
     return SpectralField(grid, coeffs * (amplitude / sup))

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from coefficients import constant
 
 from nsch.checkpoint import load_checkpoint, save_checkpoint
 from nsch.config import default_config
@@ -27,20 +28,18 @@ from nsch.scheme import ApproxParams, InitialData, SchemeState, step
 from nsch.spectral import (
     SpectralField,
     TorusGrid,
-    constant,
+    coeff_inner,
+    coeff_norm,
     div_tensor,
-    from_coeffs,
     gradient,
     inner_product,
     integrate_values,
     laplacian,
     multiply,
-    norm_l2,
     project,
     random_band_limited,
     to_physical,
     to_spectral,
-    zeros,
 )
 
 
@@ -56,17 +55,17 @@ def test_criterion_01_spectral_calculus():
         for _ in range(count):
             f = random_band_limited(grid, rng, band=grid.kmax, amplitude=1.0, zero_mean=False)
             g = random_band_limited(grid, rng, band=grid.kmax, amplitude=1.0, zero_mean=False)
-            quad = integrate_values(grid, to_physical(f)[0] * to_physical(g)[0])
+            quad = integrate_values(grid, to_physical(grid, f.coeffs)[0] * to_physical(grid, g.coeffs)[0])
             par = inner_product(f, g)
             worst["parseval"] = max(worst["parseval"], abs(par - quad) / max(1.0, abs(quad)))
-            gf, gg = gradient(f), gradient(g)
+            gf, gg = gradient(grid, f.coeffs), gradient(grid, g.coeffs)
             for i in range(grid.dim):
-                lhs = inner_product(from_coeffs(grid, gf.coeffs[i]), g)
-                rhs = -inner_product(f, from_coeffs(grid, gg.coeffs[i]))
+                lhs = coeff_inner(grid, gf[i : i + 1], g.coeffs)
+                rhs = -coeff_inner(grid, f.coeffs, gg[i : i + 1])
                 worst["parts"] = max(worst["parts"], abs(lhs - rhs) / max(1.0, abs(lhs)))
             m = grid.kmax // 2
-            lhs = inner_product(project(f, m), g)
-            rhs = inner_product(f, project(g, m))
+            lhs = coeff_inner(grid, project(grid, f.coeffs, m), g.coeffs)
+            rhs = coeff_inner(grid, f.coeffs, project(grid, g.coeffs, m))
             worst["adjoint"] = max(worst["adjoint"], abs(lhs - rhs) / max(1.0, abs(lhs)))
     elapsed = time.perf_counter() - started
     assert worst["parseval"] < 1e-12
@@ -83,13 +82,13 @@ def test_criterion_02_mass_conservation():
     )
     data = InitialData(mass=2 * np.pi, rho_amp=0.1, u_amp=0.1, c_amp=0.2)
     state = data.build(grid, params, path_generator(202, 0, 1))
-    k0 = state.rho.coeffs[0, 0]
+    k0 = state.rho[0, 0]
     assert k0 == 1.0
     gen = path_generator(202, 0)
     for _ in range(10_000):
         state, _ = step(state, params, gen)
-        assert state.rho.coeffs[0, 0] == k0
-    mass_err = abs(grid.volume * state.rho.coeffs[0, 0].real - 2 * np.pi)
+        assert state.rho[0, 0] == k0
+    mass_err = abs(grid.volume * state.rho[0, 0].real - 2 * np.pi)
     assert mass_err == 0.0
     _report(2, "zero-mode density coefficient bitwise invariant over 10^4 stochastic steps")
 
@@ -123,10 +122,11 @@ def test_criterion_03_constitutive_identities():
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         for _ in range(5):
             cf = random_band_limited(grid, rng, band=max(2, grid.kmax // 4), amplitude=0.5)
-            capillary = to_spectral(grid, korteweg_values(to_physical(gradient(cf))))
-            lhs = div_tensor(capillary)
-            rhs = multiply(laplacian(cf), gradient(cf))
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+            capillary = to_spectral(grid, korteweg_values(to_physical(grid, gradient(grid, cf.coeffs))))
+            lhs = div_tensor(grid, capillary)
+            lap, grad = (SpectralField(grid, a) for a in (laplacian(grid, cf.coeffs), gradient(grid, cf.coeffs)))
+            rhs = multiply(lap, grad)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs.coeffs))))
     elapsed = time.perf_counter() - started
     assert worst < 1e-10
     assert elapsed < 5.0
@@ -144,14 +144,19 @@ def test_criterion_04_linear_dispersion():
     amp = 0.05
     c0 = amp * (np.cos(x) + np.cos(2 * x) + np.cos(3 * x))
     state = SchemeState(
-        t=0.0, rho=constant(grid, 1.0), w=zeros(grid, 1), u=zeros(grid, 1), c=to_spectral(grid, c0)
+        t=0.0,
+        grid=grid,
+        rho=constant(grid, 1.0),
+        w=constant(grid, 0.0),
+        u=constant(grid, 0.0),
+        c=to_spectral(grid, c0),
     )
     gen = path_generator(404, 0)
     for _ in range(int(round(t_final / dt))):
         state, _ = step(state, params, gen)
     worst = 0.0
     for k in (1, 2, 3):
-        got = float(state.c.coeffs[0, k].real)
+        got = float(state.c[0, k].real)
         expect = 0.5 * amp * np.exp(-(lam * k**2 + k**4) * t_final)
         worst = max(worst, abs(got - expect) / abs(expect))
     elapsed = time.perf_counter() - started
@@ -191,7 +196,7 @@ def test_criterion_06_ito_isometry():
     spec = geometric_noise(K=20, alpha0=0.5, seed=606)
     (x,) = grid.mesh()
     c0_vals = 0.2 * np.cos(x)
-    c0 = to_spectral(grid, c0_vals)
+    c0 = SpectralField(grid, to_spectral(grid, c0_vals))
     t_final, nsteps, paths = 0.25, 16, 256
     dt = t_final / nsteps
     sq = np.empty(paths)
@@ -257,7 +262,7 @@ def test_criterion_08_cutoff_transparency_and_saturation():
     b, chi_b = run(10.0)
     assert chi_a == 1.0 and chi_b == 1.0
     for fa, fb in ((a.rho, b.rho), (a.w, b.w), (a.u, b.u), (a.c, b.c)):
-        assert np.max(np.abs(fa.coeffs - fb.coeffs)) <= 1e-14
+        assert np.max(np.abs(fa - fb)) <= 1e-14
 
     loud = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=3.0, c_amp=0.2)
     params = ApproxParams(eps=1e-2, R=2.0, m=3, n=5, dt=1e-5, noise=silent_noise())
@@ -284,7 +289,7 @@ def test_criterion_09_inequality_audits():
     ratios = []
     for _ in range(1000):
         u = random_band_limited(grid2, rng, ncomp=2, band=5, amplitude=1.0)
-        rep = korn_check(u, visc)
+        rep = korn_check(grid2, u.coeffs, visc)
         violations += not rep.passed
         if not rep.degenerate:
             ratios.append(rep.constant)
@@ -296,7 +301,7 @@ def test_criterion_09_inequality_audits():
         to_spectral(grid2, np.stack([np.sin(ys), np.zeros(grid2.pshape)])),
     ]
     for u in witnesses:
-        violations += not korn_check(u, visc).passed
+        violations += not korn_check(grid2, u, visc).passed
     assert violations == 0
     assert min(ratios) > 0
 
@@ -306,17 +311,17 @@ def test_criterion_09_inequality_audits():
     pviol = 0
     consts = []
     for _ in range(1000):
-        rho = to_spectral(grid1, 1.0 + 0.8 * to_physical(random_band_limited(grid1, rng, band=4))[0])
+        rho = to_spectral(grid1, 1.0 + 0.8 * to_physical(grid1, random_band_limited(grid1, rng, band=4).coeffs)[0])
         v = random_band_limited(grid1, rng, band=8, amplitude=1.0, zero_mean=False)
-        rep = poincare_check(rho, v, total_mass=2 * np.pi, gamma=gamma)
+        rep = poincare_check(grid1, rho, v.coeffs, total_mass=2 * np.pi, gamma=gamma)
         pviol += not rep.passed
         consts.append(rep.constant)
     bump = np.exp(8.0 * (np.cos(x) - 1.0))
     rho_sharp = to_spectral(grid1, 1e-3 + bump / integrate_values(grid1, bump))
     v_away = to_spectral(grid1, np.exp(2.0 * (np.cos(x - np.pi) - 1.0)))
-    rep = poincare_check(rho_sharp, v_away, total_mass=1e-3 * 2 * np.pi, gamma=gamma)
+    rep = poincare_check(grid1, rho_sharp, v_away, total_mass=1e-3 * 2 * np.pi, gamma=gamma)
     pviol += not rep.passed
-    rep = poincare_check(constant(grid1, 1.0), constant(grid1, 0.5), total_mass=2 * np.pi, gamma=gamma)
+    rep = poincare_check(grid1, constant(grid1, 1.0), constant(grid1, 0.5), total_mass=2 * np.pi, gamma=gamma)
     pviol += not rep.passed
     assert pviol == 0
     assert all(np.isfinite(c) for c in consts)
@@ -344,7 +349,7 @@ def test_criterion_10_galerkin_consistency_and_eps_sweep():
         (cells[0].final_state.u, cells[1].final_state.u),
         (cells[0].final_state.c, cells[1].final_state.c),
     ):
-        d += norm_l2(SpectralField(grid, a.coeffs - b.coeffs)) ** 2
+        d += coeff_norm(grid, a - b) ** 2
     diff = float(np.sqrt(d))
     assert 0.0 < diff < 1e-4
 
@@ -396,6 +401,6 @@ def test_criterion_11_reproducibility_and_restart(tmp_path):
     for _ in range(13):
         resumed, _ = step(resumed, params, gen2)
     for fa, fb in ((state.rho, resumed.rho), (state.w, resumed.w), (state.u, resumed.u), (state.c, resumed.c)):
-        assert np.array_equal(fa.coeffs, fb.coeffs)
+        assert np.array_equal(fa, fb)
     assert state.t == resumed.t
     _report(11, "fixed seed gives bit-identical ledgers; checkpoint restart is bitwise equal")

@@ -28,11 +28,11 @@ from nsch.scheme import SchemeState, collocation, step
 from nsch.spectral import (
     SpectralField,
     TorusGrid,
+    coeff_norm,
     grad_tensor,
     gradient,
     integrate_values,
     laplacian,
-    norm_l2,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -52,11 +52,11 @@ MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
 # SpectralField constructions and free-energy profile evaluations (TanhMixing
 # and DoubleWell value, d1, d2) per step, over the same step + ledger row + sup
-# functionals on DEFAULT_NOISY.  The step builds its right-hand sides on
-# coefficient arrays and wraps a field only where one is returned or
-# transformed; each state evaluates log rho and each profile once, for the
-# step and the ledger together.  For each count: lower it, never raise it.
-MAX_FIELDS_PER_STEP = 13
+# functionals on DEFAULT_NOISY.  The state, the step, the record and the
+# ledger hold coefficient arrays and build no field; each state evaluates
+# log rho and each profile once, for the step and the ledger together.  For
+# each count: lower it, never raise it.
+MAX_FIELDS_PER_STEP = 0
 MAX_PROFILE_CALLS_PER_STEP = 6
 
 # calls per step (step + ledger row + sup functionals on DEFAULT_NOISY) to
@@ -84,7 +84,7 @@ def default_config(steps: int) -> EnsembleConfig:
 
 def fresh(state: SchemeState) -> SchemeState:
     """The same state as a new object, so its collocation record starts empty."""
-    return SchemeState(t=state.t, rho=state.rho, w=state.w, u=state.u, c=state.c)
+    return SchemeState(t=state.t, grid=state.grid, rho=state.rho, w=state.w, u=state.u, c=state.c)
 
 
 def test_fft_calls_per_step_bounded(fft_calls):
@@ -142,7 +142,7 @@ def test_fields_and_profile_calls_per_step_bounded(monkeypatch):
     at_step = {}
     run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
     per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in calls}
-    assert 0 < per_step["fields"] <= MAX_FIELDS_PER_STEP
+    assert per_step["fields"] == MAX_FIELDS_PER_STEP
     assert 0 < per_step["profiles"] <= MAX_PROFILE_CALLS_PER_STEP
 
 
@@ -215,11 +215,11 @@ def test_momentum_rhs_equals_per_flux_projection(name):
     state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
     if name.startswith("cut-off"):
         # half the velocity norm: the cut-off factor lies strictly between 0 and 1
-        params = replace(params, R=0.5 * norm_l2(state.u))
+        params = replace(params, R=0.5 * coeff_norm(config.grid, state.u))
     gen = path_generator(7, 0)
     for _ in range(3):
         expected = reference_momentum_rhs(state, params)
-        assert np.array_equal(scheme.momentum_rhs(state, params).coeffs, expected.coeffs), f"t = {state.t}"
+        assert np.array_equal(scheme.momentum_rhs(state, params), expected), f"t = {state.t}"
         state, rep = step(state, params, gen)
         assert (0.0 < rep.chi < 1.0) == name.startswith("cut-off")
 
@@ -253,23 +253,25 @@ def test_stacked_fields_equal_separate_transforms(dim):
     params = config.params
     state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
     col = collocation(state, params)
-    grad_u = grad_tensor(state.u)
+    grid = config.grid
+    grad_u = grad_tensor(grid, state.u)
     separate = {
         "u": state.u,
         "c": state.c,
-        "grad_c": gradient(state.c),
-        "lap_c": laplacian(state.c),
-        "grad_rho": gradient(state.rho),
+        "grad_c": gradient(grid, state.c),
+        "lap_c": laplacian(grid, state.c),
+        "grad_rho": gradient(grid, state.rho),
         "grad_u": grad_u,
-        "visc_stress": stress(grad_u, params.visc),
+        "visc_stress": stress(grid, grad_u, params.visc),
         "mu_values": col.mu,
-        "grad_mu": gradient(col.mu),
-        "lap_mu": laplacian(col.mu),
+        "grad_mu": gradient(grid, col.mu),
+        "lap_mu": laplacian(grid, col.mu),
     }
     for name, f in separate.items():
-        assert np.array_equal(getattr(col, name), to_physical(f)), name
+        assert np.array_equal(getattr(col, name), to_physical(grid, f)), name
     # the stacked forward transform of the products gives mu exactly as a transform of its own
-    assert np.array_equal(col.mu.coeffs, chemical_potential(state.rho, state.c, params.fspec).coeffs)
+    rho, c = SpectralField(grid, state.rho), SpectralField(grid, state.c)
+    assert np.array_equal(col.mu, chemical_potential(rho, c, params.fspec).coeffs)
 
 
 def test_warm_ledger_rows_equal_cold_recomputation():
@@ -301,14 +303,31 @@ def test_record_is_reused_per_params_and_read_only(rng):
     other = collocation(state, other_params)
     assert other is not col and collocation(state, other_params) is other
     params = config.params
-    step_factors = scheme._step_factors(config.grid, params.dt, params.eps, scheme.mean_density(state.rho))
+    rho_bar = scheme.mean_density(config.grid, state.rho)
+    step_factors = scheme._step_factors(config.grid, params.dt, params.eps, rho_bar)
     for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
                    col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.dsigma, col.rho_u_sq,
-                   col.grad_c_sq, col.visc_stress_coeffs, col.momentum, col.rho_u_r, col.momentum_flux,
+                   col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.momentum_flux,
                    *step_factors):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[...] = 0.0
+
+
+@pytest.mark.parametrize("size_rule", [10**9, 0], ids=["direct", "cg"])
+def test_stepped_state_is_read_only(monkeypatch, size_rule):
+    # the state a step returns is plain coefficient arrays, none of them
+    # writeable, also once pickled back from a pool worker
+    monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", size_rule)
+    config = default_config(1)
+    state, _ = step(config.initial_state(), config.params, path_generator(config.base_seed, 0))
+    for copy in (state, pickle.loads(pickle.dumps(state))):
+        for name in ("rho", "w", "u", "c"):
+            coeffs = getattr(copy, name)
+            assert type(coeffs) is np.ndarray and coeffs.dtype == np.complex128, name
+            assert not coeffs.flags.writeable, name
+            with pytest.raises(ValueError):
+                coeffs[...] = 0.0
 
 
 def test_record_is_not_pickled(rng):
@@ -325,7 +344,7 @@ def test_record_is_not_pickled(rng):
 def test_sigma_table_matches_each_mode(family, dim, rng):
     grid = TorusGrid(dim=dim, modes_per_dim=8)
     spec = NoiseSpec(K=6, alphas=0.5 ** np.arange(1, 7), family=family)
-    cv = to_physical(random_band_limited(grid, rng, amplitude=2.0))[0]
+    cv = to_physical(grid, random_band_limited(grid, rng, amplitude=2.0).coeffs)[0]
     for deriv, fn in ((False, family.value), (True, family.d1)):
         table = sigma_table(spec, cv, deriv=deriv)
         assert table.shape == (spec.K,) + grid.pshape
@@ -340,10 +359,10 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
     spec = geometric_noise(K=20, alpha0=1.0)
     fspec = FreeEnergySpec()
     c = random_band_limited(grid, rng, amplitude=2.0)
-    cv = to_physical(c)[0]
-    rho = to_spectral(grid, 1.0 + 0.5 * np.cos(cv))
-    rv = to_physical(rho)[0]
-    gv = to_physical(gradient(c))
+    cv = to_physical(grid, c.coeffs)[0]
+    rho = SpectralField(grid, to_spectral(grid, 1.0 + 0.5 * np.cos(cv)))
+    rv = to_physical(grid, rho.coeffs)[0]
+    gv = to_physical(grid, gradient(grid, c.coeffs))
     inc = sample_increment(1e-3, rng, spec)
 
     forced = np.zeros(grid.pshape)
@@ -369,9 +388,10 @@ def test_stochastic_transfer_equals_per_mode_loop():
     row = energy_ledger_step(pre, post, rep.increment, params)
 
     noise, grid = params.noise, config.grid
-    rv = to_physical(pre.rho)[0]
-    cv = to_physical(pre.c)[0]
-    base = rv * to_physical(chemical_potential(pre.rho, pre.c, params.fspec))[0]
+    rv = to_physical(grid, pre.rho)[0]
+    cv = to_physical(grid, pre.c)[0]
+    mu = chemical_potential(SpectralField(grid, pre.rho), SpectralField(grid, pre.c), params.fspec)
+    base = rv * to_physical(grid, mu.coeffs)[0]
     expected = 0.0
     for i, k in enumerate(noise.modes):
         expected += noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))

@@ -190,7 +190,6 @@ class TestCli:
 
     def test_verify_reports_mass_drift_on_the_checkpoint_line(self, tmp_path, capsys):
         from nsch.checkpoint import load_checkpoint, save_checkpoint
-        from nsch.spectral import SpectralField
 
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_RUN)
@@ -198,9 +197,9 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         snap = out / "chk_00000010.nsch"
         state, gen, meta = load_checkpoint(snap)
-        coeffs = state.rho.coeffs.copy()
+        coeffs = state.rho.copy()
         coeffs[0, 0] *= 1.001
-        state = replace(state, rho=SpectralField(state.rho.grid, coeffs))
+        state = replace(state, rho=coeffs)
         save_checkpoint(snap, state, gen, meta.m, meta.n, meta.noise_modes)
         capsys.readouterr()
         assert main(["verify", str(cfg), "--out", str(out)]) == 4
@@ -269,6 +268,38 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert calls == [] and (out / "chk_00000010.nsch").exists()
+
+    def test_sweep_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
+        from nsch import ensemble
+
+        calls = []
+        rho_c = ensemble._rho_c
+        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--param", "m", "--values", "2,3", "--workers", "1", "--out", str(out)]) == 0
+        assert calls == [] and (out / "trend.csv").exists()
+
+    def test_verify_rejects_checkpoints_of_another_configuration(self, tmp_path, capsys):
+        # a noisy 1D/32 run (m = 6, n = 8, K = 20) audited with a config of other physics
+        run_cfg = tmp_path / "run.cfg"
+        run_cfg.write_text("[grid]\nmodes = 32\n\n[scheme]\ndt = 1e-4\n\n[run]\nhorizon = 1e-3\nsnapshot_stride = 5\n")
+        out = tmp_path / "out"
+        assert main(["run", str(run_cfg), "--out", str(out)]) == 0
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text("[grid]\nmodes = 16\n\n[scheme]\nm = 3\nn = 4\n\n[noise]\nkind = off\n")
+        capsys.readouterr()
+        assert main(["verify", str(other_cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        for name in ("chk_00000000.nsch", "chk_00000005.nsch", "chk_00000010.nsch", "final.nsch"):
+            (line,) = [line for line in captured.out.splitlines() if line.startswith(f"{name}:")]
+            assert "inequality checks skipped" in line
+            for field, stored, configured in (("modes", 32, 16), ("m", 6, 3), ("n", 8, 4), ("K", 20, 0)):
+                message = f"{name}: written under another configuration: {field} = {stored} in the checkpoint, "
+                assert message + f"{configured} in the configuration" in captured.err
+        assert "dim =" not in captured.err
+        assert "all checks passed" not in captured.out
 
     def test_ensemble_report(self, tmp_path, capsys):
         cfg = tmp_path / "ens.cfg"
@@ -362,15 +393,14 @@ class TestCli:
 
     def test_nonfinite_run_exit_code(self, tmp_path, capsys, monkeypatch):
         from nsch.scheme import InitialData, SchemeState
-        from nsch.spectral import SpectralField
 
         build = InitialData.build
 
         def poisoned(self, grid, params, rng):
             state = build(self, grid, params, rng)
-            coeffs = state.c.coeffs.copy()
+            coeffs = state.c.copy()
             coeffs[0, 1] = np.nan
-            return SchemeState(t=state.t, rho=state.rho, w=state.w, u=state.u, c=SpectralField(grid, coeffs))
+            return SchemeState(t=state.t, grid=grid, rho=state.rho, w=state.w, u=state.u, c=coeffs)
 
         monkeypatch.setattr(InitialData, "build", poisoned)
         cfg = tmp_path / "run.cfg"
@@ -384,7 +414,7 @@ class TestCli:
         from nsch.diagnostics import initial_ledger_row, ledger_to_csv
         from nsch.noise import path_generator
         from nsch.scheme import SchemeState
-        from nsch.spectral import constant, multiply, project, to_physical, to_spectral
+        from nsch.spectral import SpectralField, multiply, project, to_physical, to_spectral
 
         cfg = tmp_path / "thin.cfg"
         cfg.write_text("[grid]\nmodes = 16\n\n[scheme]\nm = 2\nn = 5\n\n[free_energy]\nrho_floor = 1e-10\n")
@@ -392,12 +422,15 @@ class TestCli:
         grid, params = config.grid, config.params
         (x,) = grid.mesh()
         rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
-        assert 1e-10 < np.min(to_physical(rho)) < 1e-8
+        assert 1e-10 < np.min(to_physical(grid, rho)) < 1e-8
         u = to_spectral(grid, 0.1 * np.sin(x))
-        state = SchemeState(t=0.0, rho=rho, w=project(multiply(rho, u), params.m), u=u, c=constant(grid, 0.0))
+        w = project(grid, multiply(SpectralField(grid, rho), SpectralField(grid, u)).coeffs, params.m)
+        c = np.zeros((1,) + grid.band_shape, dtype=complex)
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=c)
         out = tmp_path / "out"
         out.mkdir()
-        save_checkpoint(out / "chk_00000000.nsch", state, path_generator(0, 0), params.m, params.n, 0)
+        # written under this configuration: verify compares the header with it
+        save_checkpoint(out / "chk_00000000.nsch", state, path_generator(0, 0), params.m, params.n, params.noise.K)
         (out / "ledger.csv").write_text(ledger_to_csv([initial_ledger_row(state, params)]))
         code = main(["verify", str(cfg), "--out", str(out)])
         captured = capsys.readouterr()

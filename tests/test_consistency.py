@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from coefficients import constant, product
 
 from nsch.config import parse_config
 from nsch.constitutive import FreeEnergySpec, ViscositySpec, ZeroFunction
@@ -11,10 +12,9 @@ from nsch.diagnostics import concentration_momentum_residual
 from nsch.noise import ConstantDiffusion, NoiseSpec, geometric_noise, path_generator, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState, ch_diffusion, step
 from nsch.spectral import (
+    SpectralField,
     TorusGrid,
-    constant,
-    multiply,
-    norm_l2,
+    coeff_norm,
     project,
     to_physical,
     to_spectral,
@@ -94,9 +94,11 @@ class TestConcentrationMomentumResidual:
         r = concentration_momentum_residual(state, new, rep.increment, params, phi)
         from nsch.spectral import gradient, integral, integrate_values
 
-        d_pair = integral(multiply(new.rho, new.c)) - integral(multiply(state.rho, state.c))
-        grho = to_physical(gradient(state.rho))
-        gc = to_physical(gradient(state.c))
+        d_pair = integral(SpectralField(grid, product(grid, new.rho, new.c))) - integral(
+            SpectralField(grid, product(grid, state.rho, state.c))
+        )
+        grho = to_physical(grid, gradient(grid, state.rho))
+        gc = to_physical(grid, gradient(grid, state.c))
         expect = d_pair + params.dt * params.eps * integrate_values(grid, np.sum(grho * gc, axis=0))
         assert abs(r - expect) < 1e-14
         assert abs(r) < 1e-6
@@ -108,7 +110,8 @@ class TestConcentrationMomentumResidual:
         state = data.build(grid, params, path_generator(1, 0, 1))
         new, rep = step(state, params, path_generator(1, 0))
         with pytest.raises(ValueError):
-            concentration_momentum_residual(state, new, rep.increment, params, zeros(grid, 2) if grid.dim == 2 else zeros(grid, 3))
+            vector = zeros(grid, 2 if grid.dim == 2 else 3).coeffs
+            concentration_momentum_residual(state, new, rep.increment, params, vector)
 
 
 class TestMomentumDecayOracles:
@@ -133,8 +136,8 @@ class TestMomentumDecayOracles:
         amp = 1e-3
         rho = constant(grid, 1.0)
         u0 = to_spectral(grid, amp * np.sin(x))
-        w0 = project(multiply(rho, u0), params.m)
-        state = SchemeState(t=0.0, rho=rho, w=w0, u=u0, c=constant(grid, 0.0))
+        w0 = project(grid, product(grid, rho, u0), params.m)
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w0, u=u0, c=constant(grid, 0.0))
         gen = path_generator(0, 0)
         for _ in range(int(round(t_final / dt))):
             state, _ = step(state, params, gen)
@@ -144,11 +147,11 @@ class TestMomentumDecayOracles:
         gen_matrix = np.array(
             [[-eps * k**2, -1j * k], [-1j * k * p_prime, -(eps + nu_b) * k**2]]
         )
-        y0 = np.array([0.0, w0.coeffs[0, k]])
+        y0 = np.array([0.0, w0[0, k]])
         y = expm(t_final * gen_matrix) @ y0
         scale = abs(y0[1])
-        assert abs(state.rho.coeffs[0, k] - y[0]) / scale < 1e-3
-        assert abs(state.w.coeffs[0, k] - y[1]) / scale < 1e-3
+        assert abs(state.rho[0, k] - y[0]) / scale < 1e-3
+        assert abs(state.w[0, k] - y[1]) / scale < 1e-3
 
     def test_2d_shear_viscous_decay(self):
         # shear mode u = (sin y, 0): S contributes nu_shear u'' and the
@@ -162,12 +165,12 @@ class TestMomentumDecayOracles:
         amp = 1e-3
         rho = constant(grid, 1.0)
         u0 = to_spectral(grid, np.stack([amp * np.sin(ys), np.zeros(grid.pshape)]))
-        w0 = project(multiply(rho, u0), params.m)
-        state = SchemeState(t=0.0, rho=rho, w=w0, u=u0, c=constant(grid, 0.0))
+        w0 = project(grid, product(grid, rho, u0), params.m)
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w0, u=u0, c=constant(grid, 0.0))
         gen = path_generator(0, 0)
         for _ in range(int(round(t_final / dt))):
             state, _ = step(state, params, gen)
-        got = norm_l2(state.u) / norm_l2(u0)
+        got = coeff_norm(grid, state.u) / coeff_norm(grid, u0)
         expect = np.exp(-(eps + nu_s) * t_final)
         assert abs(got - expect) / expect < 1e-3
 
@@ -181,8 +184,8 @@ class TestStateInvariants:
         gen = path_generator(44, 0)
         for _ in range(30):
             state, _ = step(state, params, gen)
-            resid = project(multiply(state.rho, state.u), params.m).coeffs - state.w.coeffs
-            assert np.max(np.abs(resid)) <= 1e-10 * max(norm_l2(state.w), 1e-30)
+            resid = project(grid, product(grid, state.rho, state.u), params.m) - state.w
+            assert np.max(np.abs(resid)) <= 1e-10 * max(coeff_norm(grid, state.w), 1e-30)
 
     def test_constant_diffusion_survives_projection(self):
         # K=1 with sigma = 1: the increment is the constant field alpha dbeta
@@ -195,7 +198,7 @@ class TestStateInvariants:
 
         inc = WienerIncrement(dt=params.dt, dbeta=np.array([0.83]))
         d = ch_diffusion(state, inc, params)
-        vals = to_physical(d)[0]
+        vals = to_physical(grid, d)[0]
         np.testing.assert_allclose(vals, 0.7 * 0.83, atol=1e-13)
 
 

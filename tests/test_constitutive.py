@@ -15,13 +15,14 @@ from nsch.constitutive import (
 )
 from nsch.errors import PositivityError
 from nsch.spectral import (
+    SpectralField,
     TorusGrid,
+    coeff_norm,
     div_tensor,
     grad_tensor,
     gradient,
     laplacian,
     multiply,
-    norm_l2,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -250,34 +251,35 @@ class TestChemicalPotential:
         lam = 2.0
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=lam))
-        rho = to_spectral(grid, np.ones(grid.pshape))
+        rho = SpectralField(grid, to_spectral(grid, np.ones(grid.pshape)))
         (x,) = grid.mesh()
-        c = to_spectral(grid, np.cos(x))
+        c = SpectralField(grid, to_spectral(grid, np.cos(x)))
         mu = chemical_potential(rho, c, spec)
-        np.testing.assert_allclose(to_physical(mu)[0], (lam + 1.0) * np.cos(x), atol=1e-12)
+        np.testing.assert_allclose(to_physical(grid, mu.coeffs)[0], (lam + 1.0) * np.cos(x), atol=1e-12)
 
     def test_constant_state(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = FreeEnergySpec()
-        rho = to_spectral(grid, np.ones(grid.pshape))
+        rho = SpectralField(grid, to_spectral(grid, np.ones(grid.pshape)))
         c0 = 0.7
-        c = to_spectral(grid, np.full(grid.pshape, c0))
+        c = SpectralField(grid, to_spectral(grid, np.full(grid.pshape, c0)))
         mu = chemical_potential(rho, c, spec)
         expect = float(spec.well.d1(np.array(c0)))
-        np.testing.assert_allclose(to_physical(mu)[0], expect, atol=1e-12)
+        np.testing.assert_allclose(to_physical(grid, mu.coeffs)[0], expect, atol=1e-12)
 
     def test_identity_rho_mu_plus_lap_c(self, rng):
         # rho mu + Lap c = rho df/dc, both sides evaluated independently;
         # needs smooth well-resolved fields so composition tails stay tiny
         grid = TorusGrid(dim=2, modes_per_dim=64)
         spec = FreeEnergySpec()
-        rho = to_spectral(grid, 1.0 + 0.1 * to_physical(random_band_limited(grid, rng, band=2))[0])
+        bump = random_band_limited(grid, rng, band=2)
+        rho = SpectralField(grid, to_spectral(grid, 1.0 + 0.1 * to_physical(grid, bump.coeffs)[0]))
         c = random_band_limited(grid, rng, band=2, amplitude=0.3)
         mu = chemical_potential(rho, c, spec)
-        lhs = to_physical(multiply(rho, mu))[0] + to_physical(laplacian(c))[0]
-        rv = to_physical(rho)[0]
-        rhs_field = to_spectral(grid, rv * FreeEnergyValues(rv, to_physical(c)[0], spec).f_c)
-        rhs = to_physical(rhs_field)[0]
+        lhs = to_physical(grid, multiply(rho, mu).coeffs)[0] + to_physical(grid, laplacian(grid, c.coeffs))[0]
+        rv = to_physical(grid, rho.coeffs)[0]
+        rhs_coeffs = to_spectral(grid, rv * FreeEnergyValues(rv, to_physical(grid, c.coeffs)[0], spec).f_c)
+        rhs = to_physical(grid, rhs_coeffs)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -289,8 +291,8 @@ class TestStress:
         xs, ys = grid.mesh()
         phi = np.cos(xs + ys)
         g = to_spectral(grid, np.stack([0.0 * phi, -phi, phi, 0.0 * phi]))
-        s = stress(g, ViscositySpec(nu_shear=1.0, nu_bulk=0.3))
-        assert norm_l2(s) < 1e-12
+        s = stress(grid, g, ViscositySpec(nu_shear=1.0, nu_bulk=0.3))
+        assert coeff_norm(grid, s) < 1e-12
 
     def test_isotropic_gradient(self):
         # grad u = I: deviatoric part cancels in 2D, bulk part is 2 nu_bulk I
@@ -300,8 +302,8 @@ class TestStress:
         eye[0] = 1.0
         eye[3] = 1.0
         g = to_spectral(grid, eye)
-        s = stress(g, visc)
-        vals = to_physical(s)
+        s = stress(grid, g, visc)
+        vals = to_physical(grid, s)
         np.testing.assert_allclose(vals[0], 2 * visc.nu_bulk, atol=1e-12)
         np.testing.assert_allclose(vals[3], 2 * visc.nu_bulk, atol=1e-12)
         np.testing.assert_allclose(vals[1], 0.0, atol=1e-12)
@@ -309,8 +311,8 @@ class TestStress:
     def test_shear_term_traceless(self, rng):
         grid = TorusGrid(dim=2, modes_per_dim=16)
         u = random_band_limited(grid, rng, ncomp=2, band=5)
-        s = stress(grad_tensor(u), ViscositySpec(nu_shear=1.3, nu_bulk=0.0))
-        vals = to_physical(s)
+        s = stress(grid, grad_tensor(grid, u.coeffs), ViscositySpec(nu_shear=1.3, nu_bulk=0.0))
+        vals = to_physical(grid, s)
         trace = vals[0] + vals[3]
         assert np.max(np.abs(trace)) < 1e-12
 
@@ -319,15 +321,15 @@ class TestStress:
         visc = ViscositySpec(nu_shear=0.8, nu_bulk=0.2)
         for _ in range(20):
             u = random_band_limited(grid, rng, ncomp=2, band=6)
-            g = grad_tensor(u)
-            s = stress(g, visc)
-            contraction = np.sum(to_physical(s) * to_physical(g), axis=0)
+            g = grad_tensor(grid, u.coeffs)
+            s = stress(grid, g, visc)
+            contraction = np.sum(to_physical(grid, s) * to_physical(grid, g), axis=0)
             assert np.min(contraction) > -1e-12
 
 
-def korteweg(c):
-    """The dealiased capillary stress of ``c``."""
-    return to_spectral(c.grid, korteweg_values(to_physical(gradient(c))))
+def korteweg(grid, c):
+    """Coefficients of the dealiased capillary stress of the coefficients ``c``."""
+    return to_spectral(grid, korteweg_values(to_physical(grid, gradient(grid, c))))
 
 
 class TestKorteweg:
@@ -335,24 +337,25 @@ class TestKorteweg:
         grid = TorusGrid(dim=1, modes_per_dim=32)
         (x,) = grid.mesh()
         c = to_spectral(grid, np.sin(x))
-        t = korteweg(c)
-        np.testing.assert_allclose(to_physical(t)[0], 0.5 * np.cos(x) ** 2, atol=1e-13)
-        dv = div_tensor(t)
-        np.testing.assert_allclose(to_physical(dv)[0], -np.sin(x) * np.cos(x), atol=1e-13)
+        t = korteweg(grid, c)
+        np.testing.assert_allclose(to_physical(grid, t)[0], 0.5 * np.cos(x) ** 2, atol=1e-13)
+        dv = div_tensor(grid, t)
+        np.testing.assert_allclose(to_physical(grid, dv)[0], -np.sin(x) * np.cos(x), atol=1e-13)
 
     def test_constant_c(self):
         grid = TorusGrid(dim=2, modes_per_dim=8)
         c = to_spectral(grid, np.full(grid.pshape, 1.3))
-        assert norm_l2(korteweg(c)) < 1e-12
+        assert coeff_norm(grid, korteweg(grid, c)) < 1e-12
 
     def test_divergence_identity(self, rng):
         # Div(grad c x grad c - |grad c|^2 I / 2) = (Lap c) grad c
         for dim, modes in ((1, 64), (2, 32)):
             grid = TorusGrid(dim=dim, modes_per_dim=modes)
             c = random_band_limited(grid, rng, band=grid.kmax // 2, amplitude=1.0)
-            lhs = div_tensor(korteweg(c))
-            rhs = multiply(laplacian(c), gradient(c))
-            assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-10
+            lhs = div_tensor(grid, korteweg(grid, c.coeffs))
+            lap, grad = (SpectralField(grid, a) for a in (laplacian(grid, c.coeffs), gradient(grid, c.coeffs)))
+            rhs = multiply(lap, grad)
+            assert np.max(np.abs(lhs - rhs.coeffs)) < 1e-10
 
 
 class TestViscositySpec:

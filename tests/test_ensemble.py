@@ -14,7 +14,7 @@ from nsch.ensemble import (
 from nsch.errors import SchemeError
 from nsch.noise import geometric_noise, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState
-from nsch.spectral import SpectralField, TorusGrid, norm_l2
+from nsch.spectral import TorusGrid, coeff_norm
 
 
 def small_config(**kw):
@@ -43,9 +43,9 @@ class TestFailureRecords:
     def test_nonfinite_path_is_recorded_as_nonfinite(self):
         config = small_config(paths=1)
         good = config.initial_state()
-        coeffs = good.c.coeffs.copy()
+        coeffs = good.c.copy()
         coeffs[0, 1] = np.nan
-        bad = SchemeState(t=good.t, rho=good.rho, w=good.w, u=good.u, c=SpectralField(config.grid, coeffs))
+        bad = SchemeState(t=good.t, grid=good.grid, rho=good.rho, w=good.w, u=good.u, c=coeffs)
         result = run_trajectory(config, 0, initial_state=bad)
         assert result.failure is not None
         assert result.failure["kind"] == "nonfinite"
@@ -170,8 +170,8 @@ class TestSweep:
         config = small_config(paths=2, horizon=2e-3)
         cells = sweep(config, "R", [5.0, 10.0])
         a, b = cells[0].final_state, cells[1].final_state
-        assert np.max(np.abs(a.rho.coeffs - b.rho.coeffs)) <= 1e-14
-        assert np.max(np.abs(a.c.coeffs - b.c.coeffs)) <= 1e-14
+        assert np.max(np.abs(a.rho - b.rho)) <= 1e-14
+        assert np.max(np.abs(a.c - b.c)) <= 1e-14
         assert cells[0].report.mean_final_energy == cells[1].report.mean_final_energy
 
     def test_galerkin_refinement_decreasing(self):
@@ -188,7 +188,7 @@ class TestSweep:
         for prev, cur in zip(cells, cells[1:]):
             d = 0.0
             for a, b in ((prev.final_state.c, cur.final_state.c),):
-                d += norm_l2(SpectralField(a.grid, a.coeffs - b.coeffs)) ** 2
+                d += coeff_norm(config.grid, a - b) ** 2
             diffs.append(np.sqrt(d))
         assert diffs[1] < diffs[0]
 

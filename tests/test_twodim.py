@@ -25,13 +25,13 @@ class TestTwoDimensional:
         config = config_2d(paths=1, horizon=5e-3)
         grid, params = config.grid, config.params
         state = config.initial.build(grid, params, path_generator(42, 0, 1))
-        k0 = state.rho.coeffs[0, grid.kmax, 0]
+        k0 = state.rho[0, grid.kmax, 0]
         gen = path_generator(42, 0)
         for _ in range(50):
             state, _ = step(state, params, gen)
-        assert state.rho.coeffs[0, grid.kmax, 0] == k0
-        assert np.array_equal(project(state.u, params.m).coeffs, state.u.coeffs)
-        assert np.array_equal(project(state.c, params.n).coeffs, state.c.coeffs)
+        assert state.rho[0, grid.kmax, 0] == k0
+        assert np.array_equal(project(grid, state.u, params.m), state.u)
+        assert np.array_equal(project(grid, state.c, params.n), state.c)
 
     def test_ledger_residual_small_with_noise(self):
         config = config_2d(paths=1, horizon=5e-3)
@@ -63,7 +63,7 @@ class TestTrajectoryAudits:
                 config = config_2d(paths=8, horizon=4e-3, snapshot_stride=stride)
                 result = run_trajectory(config, p)
                 assert result.failure is None
-                estimates.append(holder_estimate(result.rho_c_snapshots, omega=0.3))
+                estimates.append(holder_estimate(config.grid, result.rho_c_snapshots, omega=0.3))
             medians[stride] = float(np.median(estimates))
         assert abs(medians[10] - medians[5]) <= 0.2 * max(medians.values())
 
