@@ -18,6 +18,7 @@ from .checkpoint import CheckpointMeta, atomic_open, load_checkpoint, save_check
 from .config import RunConfig, format_config, parse_config
 from .diagnostics import (
     audit_ledger_rows,
+    initial_ledger_row,
     korn_check,
     ledger_from_csv,
     ledger_to_csv,
@@ -69,17 +70,14 @@ def _workers(args) -> int:
     return workers
 
 
-def _ensemble_config(
-    config: RunConfig, workers: int = 1, paths: int | None = None, snapshot_stride: int = 0
-) -> EnsembleConfig:
-    """The trajectory settings of ``config``; rho c snapshots only where a command asks for them."""
+def _ensemble_config(config: RunConfig, workers: int = 1, paths: int | None = None) -> EnsembleConfig:
+    """The trajectory settings of ``config``, without rho c snapshots: no command reads them."""
     return EnsembleConfig(
         grid=config.grid,
         params=config.params,
         initial=config.initial,
         paths=paths if paths is not None else config.paths,
         horizon=config.horizon,
-        snapshot_stride=snapshot_stride,
         betas=config.betas,
         workers=workers,
     )
@@ -89,7 +87,6 @@ def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    # no rho c snapshots: a run never reads them; checkpoints keep config.snapshot_stride
     ens = _ensemble_config(config, paths=1)
     params = config.params
 
@@ -99,16 +96,18 @@ def cmd_run(args) -> int:
         params.m, params.n, params.noise.K,
     )
     last = {"state": state0, "gen": None}
+    rows = [initial_ledger_row(state0, params)]
 
-    def on_step(done, state, gen, rep):
+    def on_step(done, state, gen, rep, row):
         last["state"], last["gen"] = state, gen
+        rows.append(row)
         if config.snapshot_stride and done % config.snapshot_stride == 0:
             save_checkpoint(
                 outdir / f"chk_{done:08d}.nsch", state, gen, params.m, params.n, params.noise.K
             )
 
     result = run_trajectory(ens, 0, initial_state=state0, on_step=on_step)
-    _write(outdir / "ledger.csv", ledger_to_csv(result.rows))
+    _write(outdir / "ledger.csv", ledger_to_csv(rows))
     _write(outdir / "config.cfg", format_config(config))
     if result.failure is not None:
         print(
@@ -126,7 +125,7 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
-    ens = _ensemble_config(config, workers=_workers(args), snapshot_stride=config.snapshot_stride)
+    ens = _ensemble_config(config, workers=_workers(args))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         report, _ = run_paths(ens)
@@ -143,8 +142,12 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK if mart["passed"] else EXIT_AUDIT
 
 
-def _meta_mismatches(meta: CheckpointMeta, config: RunConfig) -> list[str]:
-    """Header fields of a checkpoint that disagree with the configuration, each with both values."""
+def _meta_mismatches(name: str, t: float, meta: CheckpointMeta, config: RunConfig) -> list[str]:
+    """Header fields of a checkpoint that disagree with the configuration, each with both values.
+
+    The time of ``chk_<step>.nsch`` must be step x dt and that of ``final.nsch`` the
+    horizon, within 1e-9 x max(step, 1) x dt, since t accumulates by repeated addition.
+    """
     pairs = {
         "dim": (meta.dim, config.grid.dim),
         "modes": (meta.modes_per_dim, config.grid.modes_per_dim),
@@ -152,7 +155,18 @@ def _meta_mismatches(meta: CheckpointMeta, config: RunConfig) -> list[str]:
         "n": (meta.n, config.params.n),
         "K": (meta.noise_modes, config.params.noise.K),
     }
-    return [f"{k} = {a} in the checkpoint, {b} in the configuration" for k, (a, b) in pairs.items() if a != b]
+    found = [f"{k} = {a} in the checkpoint, {b} in the configuration" for k, (a, b) in pairs.items() if a != b]
+    dt, stem = config.params.dt, name.removesuffix(".nsch")
+    if stem == "final":
+        steps, expected, what = round(config.horizon / dt), config.horizon, "the horizon"
+    elif stem[4:].isdigit():
+        steps = int(stem[4:])
+        expected, what = steps * dt, f"step {steps} x dt"
+    else:  # a chk_*.nsch name without a step number implies no time
+        return found
+    if abs(t - expected) > 1e-9 * max(steps, 1) * dt:
+        found.append(f"t = {t:.17g} in the checkpoint, {expected:.17g} ({what}) in the configuration")
+    return found
 
 
 def cmd_verify(args) -> int:
@@ -193,7 +207,7 @@ def cmd_verify(args) -> int:
             mass_note = f"mass drifted (zero mode {k0!r} != {k0_ref!r})"
             problems.append(f"{snap.name}: {mass_note}")
         # the inequality checks use the configuration's physics, so they need the run it describes
-        mismatches = _meta_mismatches(meta, config)
+        mismatches = _meta_mismatches(snap.name, state.t, meta, config)
         if mismatches:
             problems.extend(f"{snap.name}: written under another configuration: {d}" for d in mismatches)
             print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, configuration mismatch, inequality checks skipped")

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row, v15_functional
+from .diagnostics import energy_ledger_step, v15_functional
 from .errors import (
     CutoffSaturatedWarning,
     GramSolveError,
@@ -94,7 +93,7 @@ class EnsembleConfig:
 @dataclass
 class TrajectoryResult:
     path_index: int
-    rows: list[EnergyLedger]
+    residuals: list[float]  # ledger residual per row, row 0 (always 0.0) included
     sup_stats: dict[str, float]
     initial_stats: dict[str, float]
     final_energy: float
@@ -125,12 +124,16 @@ def run_trajectory(
     initial_state: SchemeState | None = None,
     on_step=None,
 ) -> TrajectoryResult:
-    """One seeded path: ledger rows, running sup functionals, failure record."""
+    """One seeded path: ledger residuals, running sup functionals, failure record.
+
+    ``on_step(done, state, gen, rep, row)`` is called once after each step with
+    that step's ``EnergyLedger`` row; the trajectory keeps only its residual.
+    """
     params = config.params
     state = config.initial_state() if initial_state is None else initial_state
     gen = path_generator(config.base_seed, path_index, stream=0)
 
-    rows = [initial_ledger_row(state, params)]
+    residuals = [0.0]
     stats0 = _state_functionals(state, params)
     sup = dict(stats0)
     snaps: list[tuple[float, np.ndarray]] = []
@@ -152,7 +155,8 @@ def run_trajectory(
                 "message": str(exc),
             }
             break
-        rows.append(energy_ledger_step(state, new, rep.increment, params))
+        row = energy_ledger_step(state, new, rep.increment, params)
+        residuals.append(row.residual)
         state = new
         done = i + 1
         chi_min = min(chi_min, rep.chi)
@@ -163,7 +167,7 @@ def run_trajectory(
         if config.snapshot_stride > 0 and done % config.snapshot_stride == 0:
             snaps.append(_rho_c(state, params))
         if on_step is not None:
-            on_step(done, state, gen, rep)
+            on_step(done, state, gen, rep, row)
 
     frac = chi_zero / max(done, 1)
     final = collocation(state, params)
@@ -175,7 +179,7 @@ def run_trajectory(
         )
     return TrajectoryResult(
         path_index=path_index,
-        rows=rows,
+        residuals=residuals,
         sup_stats=sup,
         initial_stats=stats0,
         final_energy=float(sum(final.energies)) if failure is None else float("nan"),
@@ -278,6 +282,8 @@ def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryRe
     state0 = config.initial_state()
     jobs = [(config, i, state0) for i in range(config.paths)]
     if config.workers > 1 and config.paths > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by the runs that use it
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_one_path, jobs, chunksize=1))
     else:
@@ -307,7 +313,7 @@ def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryRe
         bound_ratios[name] = worst / base
 
     if len(survivors) >= 8:
-        mart = martingale_test([[row.residual for row in r.rows] for r in survivors]).as_dict()
+        mart = martingale_test([r.residuals for r in survivors]).as_dict()
     else:
         mart = {"kind": "skipped", "paths": len(survivors), "value": float("nan"), "passed": True}
 
@@ -371,7 +377,7 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
     for v, cell_config in zip(values, cell_configs):
         report, results = run_paths(cell_config)
         survivors = [r for r in results if r.failure is None]
-        acc = float(np.mean([abs(sum(row.residual for row in r.rows)) for r in survivors]))
+        acc = float(np.mean([abs(sum(r.residuals)) for r in survivors]))
         cells.append(
             SweepCell(
                 parameter=parameter,

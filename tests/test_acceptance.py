@@ -182,7 +182,7 @@ def test_criterion_05_deterministic_ledger_halving():
         )
         result = run_trajectory(config, 0)
         assert result.failure is None
-        acc[dt] = abs(sum(r.residual for r in result.rows))
+        acc[dt] = abs(sum(result.residuals))
     ratio = acc[2e-4] / acc[1e-4]
     elapsed = time.perf_counter() - started
     assert 1.8 < ratio < 2.2
@@ -386,9 +386,12 @@ def test_criterion_11_reproducibility_and_restart(tmp_path):
         paths=1,
         horizon=5e-3,
     )
-    a = run_trajectory(config, 0)
-    b = run_trajectory(config, 0)
-    assert a.rows == b.rows
+    runs = []
+    for _ in range(2):
+        rows = []
+        result = run_trajectory(config, 0, on_step=lambda *args, rows=rows: rows.append(args[4]))
+        runs.append((result.residuals, rows))
+    assert runs[0] == runs[1] and len(runs[0][1]) == config.steps
 
     data = config.initial
     state = data.build(grid, params, path_generator(params.noise.seed, 0, 1))

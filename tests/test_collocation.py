@@ -188,19 +188,21 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
     assert (config.params.noise.K == 0) == name.startswith("silent")
     ens = EnsembleConfig(grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon)
     params = config.params
-    chain, increments = [ens.initial_state()], []
+    chain, increments, rows = [ens.initial_state()], [], []
 
-    def keep(done, state, gen, rep):
+    def keep(done, state, gen, rep, row):
         chain.append(state)
         increments.append(rep.increment)
+        rows.append(row)
 
     result = run_trajectory(ens, 0, initial_state=chain[0], on_step=keep)
     assert result.failure is None and len(increments) == steps
+    assert result.residuals == [0.0] + [row.residual for row in rows]
 
-    assert result.rows[0] == EnergyLedger(*reference_energies(chain[0], params), *[0.0] * 10)
+    assert initial_ledger_row(chain[0], params) == EnergyLedger(*reference_energies(chain[0], params), *[0.0] * 10)
     for i, inc in enumerate(increments):
         expected = reference_ledger_row(chain[i], chain[i + 1], inc, params)
-        assert result.rows[i + 1] == expected, f"step {i + 1}"
+        assert rows[i] == expected, f"step {i + 1}"
         assert energy_ledger_step(chain[i], chain[i + 1], inc, params) == expected, f"step {i + 1}"
     for state in chain:
         assert _state_functionals(state, params) == reference_functionals(state, params), f"t = {state.t}"
@@ -238,7 +240,9 @@ def test_gram_iterations_bounded(monkeypatch):
     # bound the CG path on the default 1D system too, which is small enough for the direct solve
     monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 0)
     iterations = []
-    run_trajectory(default_config(20), 0, on_step=lambda done, state, gen, rep: iterations.append(rep.gram_iterations))
+    run_trajectory(
+        default_config(20), 0, on_step=lambda done, state, gen, rep, row: iterations.append(rep.gram_iterations)
+    )
     assert len(iterations) == 20 and max(iterations) <= MAX_GRAM_ITERATIONS
 
     config = parse_config("[grid]\ndim = 2\nmodes = 16\n\n[noise]\nseed = 7\n")
@@ -276,22 +280,23 @@ def test_stacked_fields_equal_separate_transforms(dim):
 
 def test_warm_ledger_rows_equal_cold_recomputation():
     config = default_config(30)
-    states, increments = [], []
+    states, increments, rows = [], [], []
 
-    def keep(done, state, gen, rep):
+    def keep(done, state, gen, rep, row):
         states.append(state)
         increments.append(rep.increment)
+        rows.append(row)
 
     initial = config.initial_state()
     result = run_trajectory(config, 0, initial_state=initial, on_step=keep)
-    assert result.failure is None and len(result.rows) == 31
+    assert result.failure is None and len(rows) == 30 and len(result.residuals) == 31
 
     params = config.params
     chain = [fresh(initial)] + [fresh(s) for s in states]
-    assert result.rows[0] == initial_ledger_row(fresh(initial), params)
+    assert initial_ledger_row(initial, params) == initial_ledger_row(fresh(initial), params)
     for i, inc in enumerate(increments):
         cold = energy_ledger_step(fresh(chain[i]), fresh(chain[i + 1]), inc, params)
-        assert result.rows[i + 1] == cold, f"step {i + 1}"
+        assert rows[i] == cold, f"step {i + 1}"
 
 
 def test_record_is_reused_per_params_and_read_only(rng):

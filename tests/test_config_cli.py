@@ -281,6 +281,53 @@ class TestCli:
         assert main(["sweep", str(cfg), "--param", "m", "--values", "2,3", "--workers", "1", "--out", str(out)]) == 0
         assert calls == [] and (out / "trend.csv").exists()
 
+    def test_ensemble_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
+        from nsch import ensemble
+
+        calls = []
+        rho_c = ensemble._rho_c
+        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["ensemble", str(cfg), "--workers", "1", "--out", str(out)]) in (0, 4)
+        assert calls == [] and (out / "report.json").exists()
+
+    def test_verify_rejects_checkpoints_of_another_time_step(self, tmp_path, capsys):
+        # a 1D/16 run (dt 1e-4, horizon 2e-3) audited with a config of the same grid and
+        # Galerkin orders but another dt, horizon and physics
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(
+            "[grid]\nmodes = 16\n\n[scheme]\nm = 3\nn = 5\ndt = 3e-4\neps = 0.5\n\n[free_energy]\ngamma = 5\n\n"
+            "[viscosity]\nshear = 3\n\n[noise]\nalpha0 = 0.9\nseed = 5\n\n[run]\nhorizon = 3e-3\n"
+        )
+        # a name without a step number implies no time to check
+        (out / "chk_copy.nsch").write_bytes((out / "chk_00000000.nsch").read_bytes())
+        capsys.readouterr()
+        assert main(["verify", str(other_cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        for name in ("chk_00000000.nsch", "chk_copy.nsch"):
+            (line,) = [line for line in captured.out.splitlines() if line.startswith(f"{name}:")]
+            assert line.endswith("inequality checks run")
+        for name, t, configured_t, source in (
+            ("chk_00000010.nsch", 10 * 1e-4, 10 * 3e-4, "step 10 x dt"),
+            ("chk_00000020.nsch", 20 * 1e-4, 20 * 3e-4, "step 20 x dt"),
+            ("final.nsch", 20 * 1e-4, 3e-3, "the horizon"),
+        ):
+            (line,) = [line for line in captured.out.splitlines() if line.startswith(f"{name}:")]
+            assert "inequality checks skipped" in line
+            (problem,) = [p for p in captured.err.splitlines() if p.startswith(f"  - {name}:")]
+            assert problem.startswith(f"  - {name}: written under another configuration: t = ")
+            stored, configured = problem.split("t = ")[1].split(" in the checkpoint, ")
+            assert float(stored) == pytest.approx(t, rel=1e-12)
+            assert configured.endswith(f" ({source}) in the configuration")
+            assert float(configured.split(" ")[0]) == pytest.approx(configured_t, rel=1e-12)
+        assert "all checks passed" not in captured.out
+
     def test_verify_rejects_checkpoints_of_another_configuration(self, tmp_path, capsys):
         # a noisy 1D/32 run (m = 6, n = 8, K = 20) audited with a config of other physics
         run_cfg = tmp_path / "run.cfg"

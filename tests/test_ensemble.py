@@ -1,8 +1,11 @@
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nsch.diagnostics import EnergyLedger, initial_ledger_row
 from nsch.ensemble import (
     EnsembleConfig,
     martingale_test,
@@ -57,15 +60,14 @@ class TestRunPaths:
         config = small_config(paths=1)
         report, results = run_paths(config)
         solo = run_trajectory(config, 0)
-        assert results[0].rows == solo.rows
+        assert results[0] == solo
         assert report.survivor_fraction == 1.0
 
     def test_deterministic_collapse(self):
         config = small_config(noise=silent_noise(), paths=8)
         report, results = run_paths(config)
-        base = results[0].rows
         for r in results[1:]:
-            assert r.rows == base
+            assert replace(r, path_index=0) == replace(results[0], path_index=0)
         for stat in report.statistics.values():
             for moment in stat.values():
                 assert moment["se"] == 0.0
@@ -112,6 +114,37 @@ class TestRunPaths:
         report, _ = run_paths(small_config())
         for v in report.bound_ratios.values():
             assert v < 10.0
+
+
+class TestWhatAPathKeeps:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_hold_no_ledger_rows(self, workers):
+        # a pickle names the class of every object it holds
+        _, results = run_paths(small_config(paths=2, horizon=1e-3, workers=workers))
+        assert EnergyLedger.__name__.encode() not in pickle.dumps(results)
+        for r in results:
+            assert len(r.residuals) == 11 and all(type(x) is float for x in r.residuals)
+
+    def test_on_step_fires_once_per_step_with_its_row(self):
+        config = small_config(paths=1, horizon=1e-3)
+        calls = []
+        run_trajectory(config, 0, on_step=lambda *args: calls.append(args))
+        assert [args[0] for args in calls] == list(range(1, config.steps + 1))
+        assert all(len(args) == 5 and type(args[4]) is EnergyLedger for args in calls)
+
+    def test_residuals_are_the_residual_column_of_the_rows(self):
+        config = small_config(paths=8, horizon=1e-3)
+        state0 = config.initial_state()
+        kept, from_rows = [], []
+        for p in range(config.paths):
+            rows = [initial_ledger_row(state0, config.params)]
+            result = run_trajectory(config, p, initial_state=state0, on_step=lambda *args: rows.append(args[4]))
+            kept.append(result.residuals)
+            from_rows.append([row.residual for row in rows])
+        assert kept == from_rows
+        assert martingale_test(kept) == martingale_test(from_rows)
+        report, _ = run_paths(config)
+        assert report.martingale == martingale_test(kept).as_dict()
 
 
 class TestMartingale:

@@ -101,9 +101,13 @@ class TestTorusGrid:
                 assert g.points_per_dim == next_fast_len(3 * g.kmax + 1, real=True), modes
 
     def test_cli_import_needs_numpy_only(self):
+        # no scipy, and no process pool: only a run on more than one worker imports it
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, nsch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, nsch.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+        )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 

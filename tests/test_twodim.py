@@ -37,7 +37,7 @@ class TestTwoDimensional:
         config = config_2d(paths=1, horizon=5e-3)
         result = run_trajectory(config, 0)
         assert result.failure is None
-        assert max(abs(r.residual) for r in result.rows) < 1e-3
+        assert max(abs(r) for r in result.residuals) < 1e-3
 
     def test_deterministic_halving(self):
         grid = TorusGrid(dim=2, modes_per_dim=16)
@@ -48,7 +48,7 @@ class TestTwoDimensional:
             config = EnsembleConfig(grid=grid, params=params, initial=initial, paths=1, horizon=8e-3, base_seed=99)
             result = run_trajectory(config, 0)
             assert result.failure is None
-            acc[dt] = abs(sum(r.residual for r in result.rows))
+            acc[dt] = abs(sum(result.residuals))
         assert 1.7 < acc[2e-4] / acc[1e-4] < 2.3
 
 
