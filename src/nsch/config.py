@@ -13,20 +13,27 @@ Grammar (all keys optional; defaults shown by ``print-config``):
     [run]         horizon, snapshot_stride, paths, betas
     [output]      dir
 
-Validation is collected, not short-circuited: a rejected configure lists
-every violation.  Floats are echoed with 17 significant digits so a printed
-configuration parses back to the identical run.
+Parsing is all this module checks: numbers, unknown sections and keys, the
+string choices and the ``betas`` list.  Every rule on a value lives on the
+type that holds it (``TorusGrid``, ``ApproxParams``, ``FreeEnergySpec``,
+``DoubleWell``, ``ViscositySpec``, ``geometric_noise``, ``InitialData``), and
+the rules that tie them to the grid and the time step on ``EnsembleConfig``;
+each raises one ``ConfigError`` listing all of its violations, and the parser
+prefixes each with its ``[section]``.  Violations are collected, not
+short-circuited: a part that fails is replaced by its default, so the rules of
+the parts around it still run.  Floats are echoed with 17 significant digits
+so a printed configuration parses back to the identical run.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constitutive import DoubleWell, FreeEnergySpec, QuadraticWell, TanhMixing, ViscositySpec, ZeroFunction
+from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .noise import ConstantDiffusion, SineDiffusion, geometric_noise, silent_noise
 from .scheme import ApproxParams, InitialData
@@ -64,27 +71,8 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     "output": {"dir": "out"},
 }
 
-_INT_KEYS = {
-    ("grid", "dim"),
-    ("grid", "modes"),
-    ("scheme", "m"),
-    ("scheme", "n"),
-    ("noise", "modes"),
-    ("noise", "seed"),
-    ("initial", "rho_band"),
-    ("initial", "u_band"),
-    ("initial", "c_band"),
-    ("run", "snapshot_stride"),
-    ("run", "paths"),
-}
-_STR_KEYS = {
-    ("free_energy", "well"),
-    ("free_energy", "mixing"),
-    ("noise", "kind"),
-    ("noise", "sigma"),
-    ("run", "betas"),
-    ("output", "dir"),
-}
+# each key's section, to file a rule that spans sections under the key it names
+_SECTION_OF = {key: section for section, kv in _DEFAULTS.items() for key in kv}
 
 
 @dataclass(frozen=True)
@@ -99,29 +87,54 @@ class RunConfig:
     outdir: str
     raw: dict  # resolved section -> key -> value, the printable form
 
+    def ensemble(self, workers: int = 1, paths: int | None = None) -> EnsembleConfig:
+        """The trajectory settings, without rho c snapshots: no command reads them."""
+        return EnsembleConfig(
+            grid=self.grid,
+            params=self.params,
+            initial=self.initial,
+            paths=self.paths if paths is None else paths,
+            horizon=self.horizon,
+            betas=self.betas,
+            workers=workers,
+        )
+
 
 def default_config() -> "RunConfig":
     return parse_config("")
 
 
 def _coerce(section: str, key: str, text: str, problems: list[str]):
-    if (section, key) in _STR_KEYS:
+    """The value of ``text`` in the type of the key's default (a number where the default is None)."""
+    kind = type(_DEFAULTS[section][key])
+    if kind is str:
         return text.strip()
-    if (section, key) in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            problems.append(f"[{section}] {key}: expected an integer, got {text!r}")
-            return None
     try:
-        return float(text)
+        return int(text) if kind is int else float(text)
     except ValueError:
-        problems.append(f"[{section}] {key}: expected a number, got {text!r}")
+        problems.append(f"[{section}] {key}: expected {'an integer' if kind is int else 'a number'}, got {text!r}")
         return None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate; raises ConfigError listing every violation."""
+def _build(problems: list[str], section: str | None, factory, **kwargs):
+    """``factory(**kwargs)``, or None with each of its violations listed under ``[section]``.
+
+    Arguments that are None are left out, so a part that failed is replaced by
+    the factory's default and the factory's own rules are still checked.
+    Without a section, a message goes under the section of the key it starts with.
+    """
+    try:
+        return factory(**{k: v for k, v in kwargs.items() if v is not None})
+    except ConfigError as exc:
+        problems.extend(f"[{section or _SECTION_OF[v.split()[0]]}] {v}" for v in exc.violations)
+        return None
+
+
+def parse_config(text: str, seed: int | None = None) -> RunConfig:
+    """Parse and fully validate; raises ConfigError listing every violation.
+
+    ``seed``, when given, replaces ``[noise] seed`` before any object is built.
+    """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
@@ -143,46 +156,15 @@ def parse_config(text: str) -> RunConfig:
             if coerced is not None:
                 resolved[section][key] = coerced
 
-    g = resolved["grid"]
-    if g["dim"] not in (1, 2):
-        problems.append(f"[grid] dim must be 1 or 2, got {g['dim']}")
-    if not (isinstance(g["modes"], int) and g["modes"] > 0 and g["modes"] % 2 == 0):
-        problems.append(f"[grid] modes must be a positive even integer, got {g['modes']}")
+    if seed is not None:
+        resolved["noise"]["seed"] = int(seed)
 
-    s = resolved["scheme"]
-    if s["eps"] <= 0:
-        problems.append(f"[scheme] eps must be positive, got {s['eps']}")
-    if s["alpha_exp"] <= 4:
-        problems.append(f"[scheme] alpha_exp must exceed 4 (artificial-pressure exponent), got {s['alpha_exp']}")
-    if s["R"] <= 0:
-        problems.append(f"[scheme] R must be positive, got {s['R']}")
-    if s["dt"] <= 0:
-        problems.append(f"[scheme] dt must be positive, got {s['dt']}")
-    if s["cfl"] <= 0:
-        problems.append(f"[scheme] cfl must be positive, got {s['cfl']}")
-    kmax = g["modes"] // 2 if isinstance(g["modes"], int) else 0
-    for name in ("m", "n"):
-        v = s[name]
-        if not (isinstance(v, int) and 1 <= v):
-            problems.append(f"[scheme] {name} must be a positive integer, got {v}")
-        elif kmax and v > kmax:
-            problems.append(f"[scheme] {name} = {v} exceeds the grid truncation {kmax}")
+    g, s, fe, nz, init, r = (resolved[k] for k in ("grid", "scheme", "free_energy", "noise", "initial", "run"))
+    grid = _build(problems, "grid", TorusGrid, dim=g["dim"], modes_per_dim=g["modes"])
 
-    fe = resolved["free_energy"]
-    if fe["a"] <= 0:
-        problems.append(f"[free_energy] a must be positive, got {fe['a']}")
-    if fe["gamma"] <= 3:
-        problems.append(f"[free_energy] gamma must exceed 3, got {fe['gamma']}")
-    if fe["rho_floor"] <= 0:
-        problems.append(f"[free_energy] rho_floor must be positive, got {fe['rho_floor']}")
-    well = None
+    well = mixing = family = noise = betas = None
     if fe["well"] == "double_well":
-        if fe["well_cstar"] <= 0:
-            problems.append(f"[free_energy] well_cstar must be positive, got {fe['well_cstar']}")
-        elif fe["well_kappa"] <= 0:
-            problems.append(f"[free_energy] well_kappa must be positive, got {fe['well_kappa']}")
-        else:
-            well = DoubleWell(cstar=fe["well_cstar"], kappa=fe["well_kappa"])
+        well = _build(problems, "free_energy", DoubleWell, cstar=fe["well_cstar"], kappa=fe["well_kappa"])
     elif fe["well"] == "quadratic":
         well = QuadraticWell(lam=fe["well_lambda"])
     elif fe["well"] == "zero":
@@ -194,108 +176,46 @@ def parse_config(text: str) -> RunConfig:
     elif fe["mixing"] == "zero":
         mixing = ZeroFunction()
     else:
-        mixing = None
         problems.append(f"[free_energy] mixing must be tanh or zero, got {fe['mixing']!r}")
-    fspec = None
-    if well is not None and mixing is not None and fe["gamma"] > 3 and fe["a"] > 0 and fe["rho_floor"] > 0:
-        fspec = FreeEnergySpec(a=fe["a"], gamma=fe["gamma"], mixing=mixing, well=well, rho_floor=fe["rho_floor"])
+    fspec = _build(problems, "free_energy", FreeEnergySpec, a=fe["a"], gamma=fe["gamma"], mixing=mixing, well=well,
+                   rho_floor=fe["rho_floor"])
+    if fspec is not None:
         problems.extend(f"[free_energy] {p}" for p in fspec.validate())
 
     vs = resolved["viscosity"]
-    visc = None
-    if vs["shear"] <= 0:
-        problems.append(f"[viscosity] shear must be positive, got {vs['shear']}")
-    elif vs["bulk"] < 0:
-        problems.append(f"[viscosity] bulk must be nonnegative, got {vs['bulk']}")
-    else:
-        visc = ViscositySpec(nu_shear=vs["shear"], nu_bulk=vs["bulk"])
+    visc = _build(problems, "viscosity", ViscositySpec, nu_shear=vs["shear"], nu_bulk=vs["bulk"])
 
-    nz = resolved["noise"]
-    noise = None
     if nz["kind"] == "off":
         noise = silent_noise(seed=nz["seed"])
     elif nz["kind"] == "geometric":
-        family = None
         if nz["sigma"] == "sine":
             family = SineDiffusion()
         elif nz["sigma"] == "constant":
             family = ConstantDiffusion(nz["sigma_value"])
         else:
             problems.append(f"[noise] sigma must be sine or constant, got {nz['sigma']!r}")
-        if nz["alpha0"] <= 0:
-            problems.append(f"[noise] alpha0 must be positive, got {nz['alpha0']}")
-        if family is not None and nz["alpha0"] > 0:
-            try:
-                noise = geometric_noise(K=nz["modes"], alpha0=nz["alpha0"], family=family, seed=nz["seed"])
-            except ValueError as exc:
-                problems.append(f"[noise] {exc}")
-            if noise is not None:
-                problems.extend(f"[noise] {p}" for p in noise.validate_bounds())
+        noise = _build(problems, "noise", geometric_noise, K=nz["modes"], alpha0=nz["alpha0"], family=family,
+                       seed=nz["seed"])
+        if noise is not None:
+            problems.extend(f"[noise] {p}" for p in noise.validate_bounds())
     else:
         problems.append(f"[noise] kind must be geometric or off, got {nz['kind']!r}")
 
-    init = resolved["initial"]
+    params = _build(problems, "scheme", ApproxParams, **s, visc=visc, fspec=fspec, noise=noise)
     if init["mass"] is None:
-        init["mass"] = float((2.0 * np.pi) ** g["dim"]) if g["dim"] in (1, 2) else 2.0 * np.pi
-    if init["mass"] <= 0:
-        problems.append(f"[initial] mass must be positive, got {init['mass']}")
-    if not 0 <= init["rho_amp"] < 1:
-        problems.append(f"[initial] rho_amp must lie in [0, 1), got {init['rho_amp']}")
-    for name in ("u_amp", "c_amp"):
-        if init[name] < 0:
-            problems.append(f"[initial] {name} must be nonnegative, got {init[name]}")
-    for name in ("rho_band", "u_band", "c_band"):
-        v = init[name]
-        if not (isinstance(v, int) and v >= 0):
-            problems.append(f"[initial] {name} must be a nonnegative integer, got {v}")
-        elif kmax and v > kmax:
-            problems.append(f"[initial] {name} = {v} exceeds the grid truncation {kmax}")
-
-    r = resolved["run"]
-    if r["horizon"] <= 0:
-        problems.append(f"[run] horizon must be positive, got {r['horizon']}")
-    elif s["dt"] > 0:
-        steps = r["horizon"] / s["dt"]
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            problems.append(f"[run] horizon = {r['horizon']} is not an integral number of steps at dt = {s['dt']}")
-    if not (isinstance(r["snapshot_stride"], int) and r["snapshot_stride"] >= 0):
-        problems.append(f"[run] snapshot_stride must be a nonnegative integer, got {r['snapshot_stride']}")
-    if not (isinstance(r["paths"], int) and r["paths"] >= 1):
-        problems.append(f"[run] paths must be a positive integer, got {r['paths']}")
-    betas: tuple[int, ...] = ()
+        init["mass"] = grid.volume if grid is not None else 2.0 * math.pi
+    initial = _build(problems, "initial", InitialData, **init)
     try:
         betas = tuple(int(b) for b in str(r["betas"]).split(",") if b.strip())
-        if not betas or any(b < 1 for b in betas):
-            raise ValueError
     except ValueError:
-        problems.append(f"[run] betas must be a comma list of positive integers, got {r['betas']!r}")
+        problems.append(f"[run] betas must be a comma list of integers, got {r['betas']!r}")
 
+    if None not in (grid, params, initial, betas):
+        # the rules that tie the parts to the grid and the time step, each under its key's section
+        _build(problems, None, EnsembleConfig, grid=grid, params=params, initial=initial, horizon=r["horizon"],
+               snapshot_stride=r["snapshot_stride"], paths=r["paths"], betas=betas)
     if problems:
         raise ConfigError(problems)
-
-    grid = TorusGrid(dim=g["dim"], modes_per_dim=g["modes"])
-    params = ApproxParams(
-        eps=s["eps"],
-        alpha_exp=s["alpha_exp"],
-        R=s["R"],
-        m=s["m"],
-        n=s["n"],
-        dt=s["dt"],
-        cfl=s["cfl"],
-        visc=visc,
-        fspec=fspec,
-        noise=noise,
-    )
-    initial = InitialData(
-        mass=init["mass"],
-        rho_amp=init["rho_amp"],
-        rho_band=init["rho_band"],
-        u_amp=init["u_amp"],
-        u_band=init["u_band"],
-        c_amp=init["c_amp"],
-        c_band=init["c_band"],
-        c_mean=init["c_mean"],
-    )
     return RunConfig(
         grid=grid,
         params=params,

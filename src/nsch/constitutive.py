@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import PositivityError, require
 from .spectral import SpectralField, TorusGrid, laplacian, lazy, to_physical, to_spectral
 
 __all__ = [
@@ -83,10 +83,10 @@ class DoubleWell:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.cstar <= 0:
-            raise ValueError("cstar must be positive")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        require(
+            (self.cstar > 0, f"cstar must be positive, got {self.cstar}"),
+            (self.kappa > 0, f"kappa must be positive, got {self.kappa}"),
+        )
 
     @lazy
     def _consts(self) -> tuple[float, ...]:
@@ -193,12 +193,11 @@ class FreeEnergySpec:
     derivative_bound: float = 20.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("elastic coefficient a must be positive")
-        if self.gamma <= 3:
-            raise ValueError(f"adiabatic exponent gamma must exceed 3, got {self.gamma}")
-        if self.rho_floor <= 0:
-            raise ValueError("rho_floor must be positive")
+        require(
+            (self.a > 0, f"a must be positive, got {self.a}"),
+            (self.gamma > 3, f"gamma must exceed 3, got {self.gamma}"),
+            (self.rho_floor > 0, f"rho_floor must be positive, got {self.rho_floor}"),
+        )
 
     def validate(self) -> list[str]:
         """Numeric checks of the structural hypotheses; returns violations."""
@@ -229,10 +228,10 @@ class ViscositySpec:
     nu_bulk: float = 0.0
 
     def __post_init__(self):
-        if self.nu_shear <= 0:
-            raise ValueError("nu_shear must be positive")
-        if self.nu_bulk < 0:
-            raise ValueError("nu_bulk must be nonnegative")
+        require(
+            (self.nu_shear > 0, f"nu_shear must be positive, got {self.nu_shear}"),
+            (self.nu_bulk >= 0, f"nu_bulk must be nonnegative, got {self.nu_bulk}"),
+        )
 
 
 def _profile(which: str, method: str) -> lazy:

@@ -18,12 +18,14 @@ import numpy as np
 
 from .diagnostics import energy_ledger_step, v15_functional
 from .errors import (
+    ConfigError,
     CutoffSaturatedWarning,
     GramSolveError,
     NonFiniteError,
     PositivityError,
     SchemeError,
     TimeStepError,
+    require,
 )
 from .noise import path_generator
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
@@ -71,13 +73,20 @@ class EnsembleConfig:
     keep_final_state: bool = False
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("ensemble needs at least one path")
-        steps = self.horizon / self.params.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"horizon {self.horizon} is not an integral number of steps at dt = {self.params.dt}")
-        if round(steps) < 1:
-            raise ValueError(f"horizon {self.horizon} covers no steps at dt = {self.params.dt}")
+        """The rules that tie the parts to the grid and the time step."""
+        kmax, dt, initial = self.grid.kmax, self.params.dt, self.initial
+        bands = {"m": self.params.m, "n": self.params.n}
+        bands.update((name, getattr(initial, name)) for name in ("rho_band", "u_band", "c_band"))
+        steps = self.horizon / dt
+        whole = math.isfinite(steps) and round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)
+        require(
+            *((v <= kmax, f"{name} = {v} exceeds the grid truncation {kmax}") for name, v in bands.items()),
+            (self.horizon > 0, f"horizon must be positive, got {self.horizon}"),
+            (self.horizon <= 0 or whole, f"horizon {self.horizon} is not an integral number of steps at dt = {dt}"),
+            (self.paths >= 1, f"paths must be a positive integer, got {self.paths}"),
+            (self.snapshot_stride >= 0, f"snapshot_stride must be a nonnegative integer, got {self.snapshot_stride}"),
+            (len(self.betas) > 0 and min(self.betas) >= 1, f"betas must be positive integers, got {self.betas}"),
+        )
         if self.base_seed is None:
             object.__setattr__(self, "base_seed", self.params.noise.seed)
 
@@ -356,23 +365,27 @@ class SweepCell:
 def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
     """One ensemble per value with common random numbers across cells.
 
-    Every cell is built and validated before the first one runs, so a bad
-    value is rejected with nothing run.
+    Every cell is built, and so validated, before the first one runs: a bad
+    value is rejected with nothing run, and one ``ConfigError`` lists the
+    violations of every cell.
     """
     if parameter not in _SWEEPABLE:
         raise ValueError(f"parameter must be one of {_SWEEPABLE}, got {parameter!r}")
     kind = type(getattr(config.params, parameter))
-    kmax = config.grid.kmax
+    problems, cell_configs = [], []
     for v in values:
         if not np.isfinite(v):
-            raise ValueError(f"sweep value {v} is not finite")
-        if kind is int and v != int(v):
-            raise ValueError(f"sweep value {v} of the integer parameter {parameter} is not an integer")
-        if kind is int and v > kmax:
-            raise ValueError(f"sweep value {parameter} = {int(v)} exceeds the grid truncation {kmax}")
-    cell_configs = [
-        replace(config, params=replace(config.params, **{parameter: kind(v)}), keep_final_state=True) for v in values
-    ]
+            problems.append(f"sweep value {v} is not finite")
+        elif kind is int and v != int(v):
+            problems.append(f"sweep value {v} of the integer parameter {parameter} is not an integer")
+        else:
+            try:
+                params = replace(config.params, **{parameter: kind(v)})
+                cell_configs.append(replace(config, params=params, keep_final_state=True))
+            except ConfigError as exc:
+                problems.extend(f"sweep value {p}" for p in exc.violations)
+    if problems:
+        raise ConfigError(problems)
     cells = []
     for v, cell_config in zip(values, cell_configs):
         report, results = run_paths(cell_config)

@@ -41,12 +41,19 @@ class CheckpointError(Exception):
     """Checkpoint file is malformed or inconsistent."""
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration rejected; carries the complete list of violations."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+
+def require(*rules: tuple[bool, str]):
+    """Raise one ConfigError listing the message of every ``(holds, message)`` rule that fails."""
+    violations = [message for holds, message in rules if not holds]
+    if violations:
+        raise ConfigError(violations)
 
 
 class CutoffSaturatedWarning(UserWarning):

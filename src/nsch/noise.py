@@ -17,6 +17,7 @@ from functools import cache
 import numpy as np
 
 from .constitutive import FreeEnergySpec, FreeEnergyValues
+from .errors import require
 from .spectral import (
     SpectralField,
     gradient,
@@ -110,13 +111,13 @@ class NoiseSpec:
         arr = np.asarray(self.alphas, dtype=float)
         object.__setattr__(self, "alphas", arr)
         arr.setflags(write=False)
-        if arr.shape != (self.K,):
-            raise ValueError(f"expected {self.K} weights, got shape {arr.shape}")
         total = float(np.sum(arr**2))
-        if self.K > 0 and self.tail_sq >= _TAIL_LIMIT * total:
-            raise ValueError(
-                f"noise truncation too aggressive: tail/total = {self.tail_sq / total:.3e} >= {_TAIL_LIMIT}"
-            )
+        tail = self.tail_sq / total if total > 0 else math.inf
+        require(
+            (arr.shape == (self.K,), f"expected {self.K} weights, got shape {arr.shape}"),
+            (self.K == 0 or tail < _TAIL_LIMIT,
+             f"noise truncation too aggressive: tail/total = {tail:.3e} >= {_TAIL_LIMIT}"),
+        )
 
     @property
     def modes(self) -> range:
@@ -140,8 +141,7 @@ class NoiseSpec:
 
 def geometric_noise(K: int = 20, alpha0: float = 0.05, family=None, seed: int = 20260809) -> NoiseSpec:
     """Weights alpha_k = alpha0 2^(-k), k = 1..K, with the exact geometric tail."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    require((K >= 1, f"K must be a positive integer, got {K}"), (alpha0 > 0, f"alpha0 must be positive, got {alpha0}"))
     k = np.arange(1, K + 1, dtype=float)
     alphas = alpha0 * 2.0**-k
     tail = alpha0**2 * 4.0 ** (-float(K)) / 3.0

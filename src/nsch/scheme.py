@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 
 from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress
-from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError
+from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError, require
 from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
 from .spectral import (
     TorusGrid,
@@ -88,16 +88,15 @@ class ApproxParams:
     noise: NoiseSpec = field(default_factory=silent_noise)
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.alpha_exp <= 4:
-            raise ValueError(f"alpha_exp must exceed 4, got {self.alpha_exp}")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("Galerkin orders m, n must be at least 1")
+        require(
+            (self.eps > 0, f"eps must be positive, got {self.eps}"),
+            (self.alpha_exp > 4, f"alpha_exp must exceed 4 (artificial-pressure exponent), got {self.alpha_exp}"),
+            (self.R > 0, f"R must be positive, got {self.R}"),
+            (self.m >= 1, f"m must be a positive integer, got {self.m}"),
+            (self.n >= 1, f"n must be a positive integer, got {self.n}"),
+            (self.dt > 0, f"dt must be positive, got {self.dt}"),
+            (self.cfl > 0, f"cfl must be positive, got {self.cfl}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -612,10 +611,14 @@ class InitialData:
     c_mean: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("total mass must be positive")
-        if not 0 <= self.rho_amp < 1:
-            raise ValueError("rho_amp must lie in [0, 1) to keep the density positive")
+        require(
+            (self.mass > 0, f"mass must be positive, got {self.mass}"),
+            (0 <= self.rho_amp < 1, f"rho_amp must lie in [0, 1), got {self.rho_amp}"),
+            *((getattr(self, name) >= 0, f"{name} must be nonnegative, got {getattr(self, name)}")
+              for name in ("u_amp", "c_amp")),
+            *((getattr(self, name) >= 0, f"{name} must be a nonnegative integer, got {getattr(self, name)}")
+              for name in ("rho_band", "u_band", "c_band")),
+        )
 
     def build(self, grid: TorusGrid, params: ApproxParams, rng: np.random.Generator) -> SchemeState:
         rho_mean = self.mass / grid.volume

@@ -23,6 +23,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "lazy",
     "TorusGrid",
@@ -90,10 +92,11 @@ class TorusGrid:
     modes_per_dim: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.modes_per_dim <= 0 or self.modes_per_dim % 2 != 0:
-            raise ValueError(f"modes_per_dim must be a positive even integer, got {self.modes_per_dim}")
+        require(
+            (self.dim in (1, 2), f"dim must be 1 or 2, got {self.dim}"),
+            (self.modes_per_dim > 0 and self.modes_per_dim % 2 == 0,
+             f"modes_per_dim must be a positive even integer, got {self.modes_per_dim}"),
+        )
 
     @property
     def kmax(self) -> int:

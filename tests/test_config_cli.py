@@ -359,6 +359,49 @@ class TestCli:
         assert report["paths"] == 8
         assert report["survivor_fraction"] == 1.0
 
+    def test_seed_flag_parses_the_config_once(self, tmp_path, capsys, monkeypatch):
+        from nsch.noise import NoiseSpec
+
+        calls = []
+        check = NoiseSpec.validate_bounds
+        monkeypatch.setattr(NoiseSpec, "validate_bounds", lambda spec: calls.append(spec.seed) or check(spec))
+        assert main(["print-config", "--seed", "5"]) == 0
+        assert calls == [5]
+        flagged = capsys.readouterr().out
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("[noise]\nseed = 5\n")
+        assert main(["print-config", str(cfg)]) == 0
+        assert capsys.readouterr().out == flagged
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (None, None),
+            (("dt = 1e-4", "dt = 1e-4\neps = 0.5"), "ledger row 1: "),
+            (("[noise]", "[free_energy]\ngamma = 5\n\n[noise]"), "ledger row 1: "),
+            (("alpha0 = 0.2", "alpha0 = 0.9"), "ledger row 1: "),
+            (("alpha0 = 0.2", "alpha0 = 0.2\nseed = 5"), "chk_00000000.nsch: rho differs from the initial state"),
+        ],
+        ids=["unchanged", "eps", "gamma", "alpha0", "seed"],
+    )
+    def test_verify_replays_the_start_of_the_run(self, tmp_path, capsys, change, message):
+        # the header cannot tell these configurations from the run's, the replayed start can
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(FAST_RUN if change is None else FAST_RUN.replace(*change))
+        capsys.readouterr()
+        code = main(["verify", str(other), "--out", str(out)])
+        captured = capsys.readouterr()
+        if change is None:
+            assert code == 0 and "replay: initial state and ledger row 1 reproduced" in captured.out
+        else:
+            assert code == 4 and "replay: initial state and ledger row 1 MISMATCH" in captured.out
+            (problem,) = [p for p in captured.err.splitlines() if p.startswith("  - ")]
+            assert problem.startswith(f"  - {message}")
+
     def test_seed_flag_changes_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_RUN)
@@ -476,8 +519,10 @@ class TestCli:
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=c)
         out = tmp_path / "out"
         out.mkdir()
-        # written under this configuration: verify compares the header with it
-        save_checkpoint(out / "chk_00000000.nsch", state, path_generator(0, 0), params.m, params.n, params.noise.K)
+        # written under this configuration: verify compares the header with it.  The state is
+        # not the one the configuration starts from, so the file has no step number: verify
+        # replays the start of a run only from chk_00000000.nsch
+        save_checkpoint(out / "chk_thin.nsch", state, path_generator(0, 0), params.m, params.n, params.noise.K)
         (out / "ledger.csv").write_text(ledger_to_csv([initial_ledger_row(state, params)]))
         code = main(["verify", str(cfg), "--out", str(out)])
         captured = capsys.readouterr()
