@@ -4,13 +4,12 @@ from .constitutive import DoubleWell, FreeEnergySpec, QuadraticWell, TanhMixing,
 from .ensemble import EnsembleConfig, martingale_test, run_paths, run_trajectory, sweep
 from .noise import NoiseSpec, geometric_noise, silent_noise
 from .scheme import ApproxParams, InitialData, SchemeState, step
-from .spectral import SpectralField, TorusGrid
+from .spectral import TorusGrid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TorusGrid",
-    "SpectralField",
     "FreeEnergySpec",
     "ViscositySpec",
     "DoubleWell",

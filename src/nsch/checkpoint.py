@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .scheme import SchemeState, recover_velocity
 from .spectral import TorusGrid
 
@@ -104,16 +104,15 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
             raise CheckpointError(f"bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}")
-        if dim not in (1, 2):
-            raise CheckpointError(f"dimension {dim} is not 1 or 2")
-        if modes == 0 or modes % 2:
-            raise CheckpointError(f"modes per dimension {modes} is not a positive even number")
+        try:
+            grid = TorusGrid(dim=dim, modes_per_dim=modes)
+        except ConfigError as exc:
+            raise CheckpointError("; ".join(exc.violations)) from exc
         for name, order in (("m", m), ("n", n)):
-            if not 1 <= order <= modes // 2:
-                raise CheckpointError(f"Galerkin order {name} = {order} outside [1, {modes // 2}]")
+            if not 1 <= order <= grid.kmax:
+                raise CheckpointError(f"Galerkin order {name} = {order} outside [1, {grid.kmax}]")
         if not math.isfinite(t):
             raise CheckpointError(f"non-finite t ({t})")
-        grid = TorusGrid(dim=dim, modes_per_dim=modes)
         band = grid.band_shape
         # rho, w and c blocks, then the generator state; checked before any read,
         # since the header alone sets how much is read

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PositivityError, require
-from .spectral import SpectralField, TorusGrid, laplacian, lazy, to_physical, to_spectral
+from .spectral import TorusGrid, laplacian, lazy, to_physical, to_spectral
 
 __all__ = [
     "DoubleWell",
@@ -306,12 +306,11 @@ class FreeEnergyValues:
         return self.f_c - lap_c / self.rho
 
 
-def chemical_potential(rho: SpectralField, c: SpectralField, spec: FreeEnergySpec) -> SpectralField:
-    """mu = df/dc - (1/rho) Lap c as a spectral field."""
-    grid = rho.grid
-    values = FreeEnergyValues(to_physical(grid, rho.coeffs)[0], to_physical(grid, c.coeffs)[0], spec)
-    lap_c = to_physical(grid, laplacian(grid, c.coeffs))[0]
-    return SpectralField(grid, to_spectral(grid, values.chemical_potential(lap_c)))
+def chemical_potential(grid: TorusGrid, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec) -> np.ndarray:
+    """Coefficients of mu = df/dc - (1/rho) Lap c."""
+    values = FreeEnergyValues(to_physical(grid, rho)[0], to_physical(grid, c)[0], spec)
+    lap_c = to_physical(grid, laplacian(grid, c))[0]
+    return to_spectral(grid, values.chemical_potential(lap_c))
 
 
 def stress(grid: TorusGrid, g: np.ndarray, visc: ViscositySpec) -> np.ndarray:

@@ -31,7 +31,6 @@ from .errors import PositivityError
 from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand
 from .scheme import ApproxParams, Collocation, SchemeState, collocation, mean_density
 from .spectral import (
-    SpectralField,
     TorusGrid,
     divergence,
     grad_tensor,
@@ -350,7 +349,7 @@ def holder_estimate(
             t2, f2 = snapshots[j]
             if t1 == t2:
                 continue
-            q = norm_sobolev(SpectralField(grid, f1 - f2), -ell) / abs(t1 - t2) ** omega
+            q = norm_sobolev(grid, f1 - f2, -ell) / abs(t1 - t2) ** omega
             worst = max(worst, q)
     return worst
 

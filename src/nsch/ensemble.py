@@ -9,10 +9,12 @@ the survivor fraction is itself a first-class output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -210,7 +212,7 @@ class MartingaleReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "paths": self.paths, "value": self.value, "passed": self.passed}
+        return asdict(self)
 
 
 def martingale_test(per_path_residuals) -> MartingaleReport:
@@ -248,21 +250,7 @@ class EnsembleReport:
     bound_ratios: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "paths": self.paths,
-                "survivors": self.survivors,
-                "survivor_fraction": self.survivor_fraction,
-                "failures": self.failures,
-                "statistics": self.statistics,
-                "martingale": self.martingale,
-                "mean_final_energy": self.mean_final_energy,
-                "mean_final_artificial": self.mean_final_artificial,
-                "bound_ratios": self.bound_ratios,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _moment_summary(values: np.ndarray, betas) -> dict:
@@ -293,7 +281,8 @@ def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryRe
     if config.workers > 1 and config.paths > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only by the runs that use it
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the pool starts all its processes at the first submit, so it gets no more than there are paths
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.paths)) as pool:
             results = list(pool.map(_one_path, jobs, chunksize=1))
     else:
         results = [_one_path(j) for j in jobs]
@@ -405,11 +394,8 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
 
 def sweep_trend_csv(cells: list[SweepCell]) -> str:
     """Trend table, one row per swept value."""
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     cols = ["parameter", "value", "survivor_fraction", "mean_final_energy", "mean_final_artificial",
             "accumulated_residual", "final_state_l2_diff_prev"]
     writer.writerow(cols)

@@ -18,14 +18,7 @@ import numpy as np
 
 from .constitutive import FreeEnergySpec, FreeEnergyValues
 from .errors import require
-from .spectral import (
-    SpectralField,
-    gradient,
-    integrate_values,
-    to_physical,
-    to_spectral,
-    zeros,
-)
+from .spectral import TorusGrid, gradient, integrate_values, to_physical, to_spectral
 
 __all__ = [
     "SineDiffusion",
@@ -199,13 +192,11 @@ def noise_sum(sigma: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.nd
     return _mode_sum(spec.alphas * inc.dbeta, sigma)
 
 
-def forcing(c: SpectralField, inc: WienerIncrement, spec: NoiseSpec) -> SpectralField:
-    """Ito increment sum_k alpha_k sigma_k(c) dbeta_k as a spectral field."""
-    grid = c.grid
+def forcing(grid: TorusGrid, c: np.ndarray, inc: WienerIncrement, spec: NoiseSpec) -> np.ndarray:
+    """Coefficients of the Ito increment sum_k alpha_k sigma_k(c) dbeta_k."""
     if spec.K == 0:
-        return zeros(grid)
-    increment = noise_sum(sigma_table(spec, to_physical(grid, c.coeffs)[0]), inc, spec)
-    return SpectralField(grid, to_spectral(grid, increment))
+        return np.zeros((1,) + grid.band_shape, dtype=np.complex128)
+    return to_spectral(grid, noise_sum(sigma_table(spec, to_physical(grid, c)[0]), inc, spec))
 
 
 def _sigma_sq_sum(spec: NoiseSpec, table: np.ndarray) -> np.ndarray:
@@ -222,24 +213,25 @@ def ito_value_integrand(spec: NoiseSpec, sigma: np.ndarray, rv: np.ndarray, fcc:
     return rv * fcc * _sigma_sq_sum(spec, sigma)
 
 
-def ito_grad_correction(c: SpectralField, spec: NoiseSpec) -> float:
+def ito_grad_correction(grid: TorusGrid, c: np.ndarray, spec: NoiseSpec) -> float:
     """(1/2) int sum_k alpha_k^2 |grad sigma_k(c)|^2 dx, by the chain rule."""
     if spec.K == 0:
         return 0.0
-    grid = c.grid
-    dsigma = sigma_table(spec, to_physical(grid, c.coeffs)[0], deriv=True)
-    grad_c_sq = np.sum(to_physical(grid, gradient(grid, c.coeffs)) ** 2, axis=0)
+    dsigma = sigma_table(spec, to_physical(grid, c)[0], deriv=True)
+    grad_c_sq = np.sum(to_physical(grid, gradient(grid, c)) ** 2, axis=0)
     return 0.5 * integrate_values(grid, ito_grad_integrand(spec, dsigma, grad_c_sq))
 
 
-def ito_value_correction(rho: SpectralField, c: SpectralField, spec: NoiseSpec, fspec: FreeEnergySpec) -> float:
+def ito_value_correction(
+    grid: TorusGrid, rho: np.ndarray, c: np.ndarray, spec: NoiseSpec, fspec: FreeEnergySpec
+) -> float:
     """(1/2) int rho f_cc(rho, c) sum_k alpha_k^2 sigma_k(c)^2 dx."""
     if spec.K == 0:
         return 0.0
-    rv = to_physical(rho.grid, rho.coeffs)[0]
-    cv = to_physical(c.grid, c.coeffs)[0]
+    rv = to_physical(grid, rho)[0]
+    cv = to_physical(grid, c)[0]
     fcc = FreeEnergyValues(rv, cv, fspec).f_cc
-    return 0.5 * integrate_values(c.grid, ito_value_integrand(spec, sigma_table(spec, cv), rv, fcc))
+    return 0.5 * integrate_values(grid, ito_value_integrand(spec, sigma_table(spec, cv), rv, fcc))
 
 
 def splitmix64(x: int) -> int:

@@ -624,14 +624,14 @@ class InitialData:
         rho_mean = self.mass / grid.volume
         if self.rho_amp > 0:
             bump = random_band_limited(grid, rng, band=self.rho_band, amplitude=self.rho_amp)
-            rho = to_spectral(grid, rho_mean * (1.0 + to_physical(grid, bump.coeffs)[0]))
+            rho = to_spectral(grid, rho_mean * (1.0 + to_physical(grid, bump)[0]))
         else:
             rho = to_spectral(grid, np.full(grid.pshape, rho_mean))
         rho[0][grid.zero_index] = rho_mean
 
         def sample(ncomp: int, band: int, amplitude: float) -> np.ndarray:
             if amplitude > 0:
-                return random_band_limited(grid, rng, ncomp=ncomp, band=band, amplitude=amplitude).coeffs.copy()
+                return random_band_limited(grid, rng, ncomp=ncomp, band=band, amplitude=amplitude)
             return np.zeros((ncomp,) + grid.band_shape, dtype=np.complex128)
 
         u0 = sample(grid.dim, self.u_band, self.u_amp)

@@ -8,17 +8,16 @@ construction.  All differential operators act exactly on coefficients;
 pointwise nonlinearities go through a padded collocation grid wide enough
 that quadratic products are alias-free after re-truncation.
 
-Inside the package a field is its coefficient array, of shape
-(..., ncomp) + band_shape: the operators and both transforms take
-``(grid, coeffs)`` and accept any leading axes in front of the component
-axis, so a stack of paths goes through one call.  ``SpectralField`` pairs an
-array with its grid and is the library's type at its boundary: the
-constructors, the dealiased products and the field norms.
+A field is its coefficient array, of shape (..., ncomp) + band_shape,
+everywhere in the package: every operator, transform, product and norm
+takes ``(grid, coeffs)``, and the operators, transforms and products accept
+any leading axes in front of the component axis, so a stack of paths goes
+through one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -28,9 +27,6 @@ from .errors import require
 __all__ = [
     "lazy",
     "TorusGrid",
-    "SpectralField",
-    "zeros",
-    "from_coeffs",
     "to_physical",
     "to_spectral",
     "project",
@@ -43,10 +39,8 @@ __all__ = [
     "dot",
     "outer",
     "pointwise",
-    "inner_product",
     "coeff_inner",
     "coeff_norm",
-    "norm_l2",
     "norms_l2_squared",
     "norm_sobolev",
     "integral",
@@ -205,30 +199,6 @@ class TorusGrid:
         return t
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Immutable real field; ``coeffs`` has shape (ncomp,) + grid.band_shape."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        expected = self.grid.band_shape
-        if self.coeffs.ndim != len(expected) + 1 or self.coeffs.shape[1:] != expected:
-            raise ValueError(f"coefficient shape {self.coeffs.shape} does not match band {expected}")
-        if self.coeffs.dtype != np.complex128:
-            raise ValueError(f"coefficients must be complex128, got {self.coeffs.dtype}")
-        self.coeffs.setflags(write=False)
-
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.ncomp == 1
-
-
 def _symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Enforce exact conjugate symmetry on the self-paired stored line."""
     if grid.dim == 1:
@@ -239,19 +209,6 @@ def _symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
         k = grid.kmax
         coeffs[..., k, 0] = coeffs[..., k, 0].real
     return coeffs
-
-
-def from_coeffs(grid: TorusGrid, coeffs: np.ndarray) -> SpectralField:
-    """Build a field from band coefficients, adding a component axis to scalars."""
-    arr = np.asarray(coeffs, dtype=np.complex128)
-    if arr.shape == grid.band_shape:
-        arr = arr[None, ...]
-    arr = _symmetrize(grid, arr.copy())
-    return SpectralField(grid, arr)
-
-
-def zeros(grid: TorusGrid, ncomp: int = 1) -> SpectralField:
-    return SpectralField(grid, np.zeros((ncomp,) + grid.band_shape, dtype=np.complex128))
 
 
 def _scatter(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -294,10 +251,6 @@ def to_spectral(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     if vals.shape[-grid.dim :] != grid.pshape:
         raise ValueError(f"value shape {vals.shape} does not match collocation grid {grid.pshape}")
     return _symmetrize(grid, _gather(grid, np.fft.rfftn(vals, **grid._fft)))
-
-
-def _field(grid: TorusGrid, values: np.ndarray) -> SpectralField:
-    return SpectralField(grid, to_spectral(grid, values))
 
 
 def project(grid: TorusGrid, coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -364,60 +317,36 @@ def div_tensor(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_same_grid(f: SpectralField, g: SpectralField):
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
+def multiply(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased pointwise product; a scalar broadcasts against a vector."""
+    na, nb = a.shape[-grid.dim - 1], b.shape[-grid.dim - 1]
+    if na != nb and 1 not in (na, nb):
+        raise ValueError(f"incompatible component counts {na} and {nb}")
+    return to_spectral(grid, to_physical(grid, a) * to_physical(grid, b))
 
 
-def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased pointwise product; scalars broadcast against vectors."""
-    _check_same_grid(f, g)
-    fv, gv = to_physical(f.grid, f.coeffs), to_physical(g.grid, g.coeffs)
-    if f.ncomp == g.ncomp:
-        prod = fv * gv
-    elif f.is_scalar:
-        prod = fv[0] * gv
-    elif g.is_scalar:
-        prod = fv * gv[0]
-    else:
-        raise ValueError(f"incompatible component counts {f.ncomp} and {g.ncomp}")
-    return _field(f.grid, prod)
-
-
-def dot(f: SpectralField, g: SpectralField) -> SpectralField:
+def dot(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dealiased pointwise dot product of two vector fields."""
-    _check_same_grid(f, g)
-    if f.ncomp != g.ncomp:
-        raise ValueError("dot requires matching component counts")
-    prod = np.sum(to_physical(f.grid, f.coeffs) * to_physical(g.grid, g.coeffs), axis=0)
-    return _field(f.grid, prod)
+    _check_components(grid, b, a.shape[-grid.dim - 1], "dot")
+    prod = to_physical(grid, a) * to_physical(grid, b)
+    return to_spectral(grid, prod.sum(axis=-grid.dim - 1, keepdims=True))
 
 
-def outer(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased outer product (f tensor g)_ij = f_i g_j, flattened as i*N+j."""
-    _check_same_grid(f, g)
-    fv, gv = to_physical(f.grid, f.coeffs), to_physical(g.grid, g.coeffs)
-    prod = np.stack([fv[i] * gv[j] for i in range(f.ncomp) for j in range(g.ncomp)])
-    return _field(f.grid, prod)
+def outer(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dealiased outer product (a tensor b)_ij = a_i b_j, flattened as i*N+j."""
+    n = grid.dim
+    prod = np.expand_dims(to_physical(grid, a), -n - 1) * np.expand_dims(to_physical(grid, b), -n - 2)
+    return to_spectral(grid, prod.reshape(prod.shape[: -n - 2] + (-1,) + grid.pshape))
 
 
-def pointwise(grid: TorusGrid, fn, *fields: SpectralField) -> SpectralField:
-    """Apply ``fn`` to the physical values of the given fields, re-truncate.
+def pointwise(grid: TorusGrid, fn, *arrays: np.ndarray) -> np.ndarray:
+    """Apply ``fn`` to the physical values of the given coefficient arrays, re-truncate.
 
     Used for compositions of degree higher than two (powers of the density,
     free-energy derivatives); these accept truncation error but see no
     aliasing of retained modes beyond it.
     """
-    vals = [to_physical(grid, f.coeffs) for f in fields]
-    return _field(grid, fn(*vals))
-
-
-def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product over the torus, summed over components."""
-    _check_same_grid(f, g)
-    if f.ncomp != g.ncomp:
-        raise ValueError("inner product requires matching component counts")
-    return coeff_inner(f.grid, f.coeffs, g.coeffs)
+    return to_spectral(grid, fn(*(to_physical(grid, a) for a in arrays)))
 
 
 def coeff_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -430,16 +359,12 @@ def coeff_norm(grid: TorusGrid, a: np.ndarray) -> float:
     return float(np.sqrt(max(coeff_inner(grid, a, a), 0.0)))
 
 
-def norm_l2(f: SpectralField) -> float:
-    return coeff_norm(f.grid, f.coeffs)
-
-
 def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
-    """norm_l2(f) ** 2 of the field of each coefficient block, rounded exactly as that.
+    """coeff_norm(grid, b) ** 2 of each coefficient block b, rounded exactly as that.
 
     The single-component blocks share one stacked Parseval row sum; a block
     of several components keeps one pairwise sum over all of them, as in
-    norm_l2, because a sum of its row sums would round differently.
+    coeff_norm, because a sum of its row sums would round differently.
     """
     stack = np.concatenate(blocks)
     weighted = (grid.parseval_weights * (stack * stack.conj()).real).reshape(len(stack), -1)
@@ -451,19 +376,18 @@ def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
     return [float(np.sqrt(max(grid.volume * s, 0.0))) ** 2 for s in sums]
 
 
-def norm_sobolev(f: SpectralField, order: float) -> float:
+def norm_sobolev(grid: TorusGrid, a: np.ndarray, order: float) -> float:
     """Sobolev norm with coefficient weights (1 + |k|^2)^order; order may be negative."""
-    w = f.grid.parseval_weights * (1.0 + f.grid.k_squared) ** order
-    val = f.grid.volume * np.sum(w * np.abs(f.coeffs) ** 2)
+    w = grid.parseval_weights * (1.0 + grid.k_squared) ** order
+    val = grid.volume * np.sum(w * np.abs(a) ** 2)
     return float(np.sqrt(max(val, 0.0)))
 
 
-def integral(f: SpectralField) -> float:
+def integral(grid: TorusGrid, a: np.ndarray) -> float:
     """Integral over the torus, exact from the zero mode."""
-    grid = f.grid
-    if not f.is_scalar:
+    if len(a) != 1:
         raise ValueError("integral expects a scalar field")
-    return float(grid.volume * f.coeffs[0][grid.zero_index].real)
+    return float(grid.volume * a[0][grid.zero_index].real)
 
 
 def integrate_values(grid: TorusGrid, values: np.ndarray) -> float:
@@ -489,16 +413,16 @@ def random_band_limited(
     band: int = 2,
     amplitude: float = 1.0,
     zero_mean: bool = True,
-) -> SpectralField:
-    """Random field supported on |k_i| <= band, scaled to the given sup norm."""
+) -> np.ndarray:
+    """Coefficients of a random field supported on |k_i| <= band, scaled to the given sup norm."""
     if band > grid.kmax:
         raise ValueError(f"band {band} exceeds grid truncation {grid.kmax}")
     shape = (ncomp,) + grid.band_shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = project(grid, from_coeffs(grid, raw).coeffs, band)
+    coeffs = project(grid, _symmetrize(grid, raw), band)
     if zero_mean:
         coeffs[(slice(None), *grid.zero_index)] = 0.0
     sup = np.max(np.abs(to_physical(grid, coeffs)))
     if sup == 0.0:
-        return SpectralField(grid, coeffs)
-    return SpectralField(grid, coeffs * (amplitude / sup))
+        return coeffs
+    return coeffs * (amplitude / sup)

@@ -1,8 +1,8 @@
 """Field-by-field recomputation of a ledger row and of the sup functionals.
 
 Each quantity gets its own transform and its own ``integrate_values`` or
-``norm_l2``, with the free energy and its partials from a FreeEnergyValues
-of its own and the Ito terms from the field-level corrections.  The fused
+``coeff_norm``, with the free energy and its partials from a FreeEnergyValues
+of its own and the Ito terms from the one-field corrections.  The fused
 ledger and the stacked functionals must equal these values exactly, not
 just closely.  The momentum right-hand side is recomputed with each flux
 projected before it is differentiated, which the single projection of the
@@ -16,7 +16,6 @@ from nsch.diagnostics import EnergyLedger
 from nsch.noise import ito_grad_correction, ito_value_correction
 from nsch.scheme import collocation
 from nsch.spectral import (
-    SpectralField,
     coeff_norm,
     div_tensor,
     grad_tensor,
@@ -49,13 +48,12 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
     kin0, fre0, int0, art0 = reference_energies(pre, params)
     d_total = (kin1 + fre1 + int1 + art1) - (kin0 + fre0 + int0 + art0)
 
-    rho, c = SpectralField(grid, pre.rho), SpectralField(grid, pre.c)
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]
     grad_u = grad_tensor(grid, pre.u)
     gv = to_physical(grid, grad_u)
     sv = to_physical(grid, stress(grid, grad_u, params.visc))
-    mu = chemical_potential(rho, c, fspec).coeffs
+    mu = chemical_potential(grid, pre.rho, pre.c, fspec)
     gmu = to_physical(grid, gradient(grid, mu))
     grho = to_physical(grid, gradient(grid, pre.rho))
     gc = to_physical(grid, gradient(grid, pre.c))
@@ -74,8 +72,8 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
 
     ito1 = ito2 = stoch = 0.0
     if noise.K > 0:
-        ito1 = ito_grad_correction(c, noise) * dt
-        ito2 = ito_value_correction(rho, c, noise, fspec) * dt
+        ito1 = ito_grad_correction(grid, pre.c, noise) * dt
+        ito2 = ito_value_correction(grid, pre.rho, pre.c, noise, fspec) * dt
         base = rv * to_physical(grid, mu)[0]
         for i, k in enumerate(noise.modes):
             if inc.dbeta[i] != 0.0:

@@ -26,7 +26,6 @@ from nsch.noise import (
 )
 from nsch.scheme import SchemeState, collocation, step
 from nsch.spectral import (
-    SpectralField,
     TorusGrid,
     coeff_norm,
     grad_tensor,
@@ -50,13 +49,10 @@ DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 MAX_FFT_CALLS_PER_STEP = 6
 MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
-# SpectralField constructions and free-energy profile evaluations (TanhMixing
-# and DoubleWell value, d1, d2) per step, over the same step + ledger row + sup
-# functionals on DEFAULT_NOISY.  The state, the step, the record and the
-# ledger hold coefficient arrays and build no field; each state evaluates
-# log rho and each profile once, for the step and the ledger together.  For
-# each count: lower it, never raise it.
-MAX_FIELDS_PER_STEP = 0
+# free-energy profile evaluations (TanhMixing and DoubleWell value, d1, d2)
+# per step, over the same step + ledger row + sup functionals on
+# DEFAULT_NOISY.  Each state evaluates log rho and each profile once, for the
+# step and the ledger together.  Lower it, never raise it.
 MAX_PROFILE_CALLS_PER_STEP = 6
 
 # calls per step (step + ledger row + sup functionals on DEFAULT_NOISY) to
@@ -121,15 +117,8 @@ def test_record_fields_are_plain_attributes():
             assert not block.flags.writeable, f"{stack}.{name}"
 
 
-def test_fields_and_profile_calls_per_step_bounded(monkeypatch):
-    calls = {"fields": 0, "profiles": 0}
-    construct = SpectralField.__post_init__
-
-    def counted_construct(self):
-        calls["fields"] += 1
-        construct(self)
-
-    monkeypatch.setattr(SpectralField, "__post_init__", counted_construct)
+def test_profile_calls_per_step_bounded(monkeypatch):
+    calls = {"profiles": 0}
     for profile in (TanhMixing, DoubleWell):
         for name in ("value", "d1", "d2"):
 
@@ -142,7 +131,6 @@ def test_fields_and_profile_calls_per_step_bounded(monkeypatch):
     at_step = {}
     run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
     per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in calls}
-    assert per_step["fields"] == MAX_FIELDS_PER_STEP
     assert 0 < per_step["profiles"] <= MAX_PROFILE_CALLS_PER_STEP
 
 
@@ -274,8 +262,7 @@ def test_stacked_fields_equal_separate_transforms(dim):
     for name, f in separate.items():
         assert np.array_equal(getattr(col, name), to_physical(grid, f)), name
     # the stacked forward transform of the products gives mu exactly as a transform of its own
-    rho, c = SpectralField(grid, state.rho), SpectralField(grid, state.c)
-    assert np.array_equal(col.mu, chemical_potential(rho, c, params.fspec).coeffs)
+    assert np.array_equal(col.mu, chemical_potential(grid, state.rho, state.c, params.fspec))
 
 
 def test_warm_ledger_rows_equal_cold_recomputation():
@@ -349,7 +336,7 @@ def test_record_is_not_pickled(rng):
 def test_sigma_table_matches_each_mode(family, dim, rng):
     grid = TorusGrid(dim=dim, modes_per_dim=8)
     spec = NoiseSpec(K=6, alphas=0.5 ** np.arange(1, 7), family=family)
-    cv = to_physical(grid, random_band_limited(grid, rng, amplitude=2.0).coeffs)[0]
+    cv = to_physical(grid, random_band_limited(grid, rng, amplitude=2.0))[0]
     for deriv, fn in ((False, family.value), (True, family.d1)):
         table = sigma_table(spec, cv, deriv=deriv)
         assert table.shape == (spec.K,) + grid.pshape
@@ -364,10 +351,10 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
     spec = geometric_noise(K=20, alpha0=1.0)
     fspec = FreeEnergySpec()
     c = random_band_limited(grid, rng, amplitude=2.0)
-    cv = to_physical(grid, c.coeffs)[0]
-    rho = SpectralField(grid, to_spectral(grid, 1.0 + 0.5 * np.cos(cv)))
-    rv = to_physical(grid, rho.coeffs)[0]
-    gv = to_physical(grid, gradient(grid, c.coeffs))
+    cv = to_physical(grid, c)[0]
+    rho = to_spectral(grid, 1.0 + 0.5 * np.cos(cv))
+    rv = to_physical(grid, rho)[0]
+    gv = to_physical(grid, gradient(grid, c))
     inc = sample_increment(1e-3, rng, spec)
 
     forced = np.zeros(grid.pshape)
@@ -380,9 +367,9 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
 
     sigma = sigma_table(spec, cv)
     assert np.array_equal(noise_sum(sigma, inc, spec), forced)
-    assert ito_grad_correction(c, spec) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
+    assert ito_grad_correction(grid, c, spec) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
     fcc = FreeEnergyValues(rv, cv, fspec).f_cc
-    assert ito_value_correction(rho, c, spec, fspec) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
+    assert ito_value_correction(grid, rho, c, spec, fspec) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
 
 
 def test_stochastic_transfer_equals_per_mode_loop():
@@ -395,8 +382,8 @@ def test_stochastic_transfer_equals_per_mode_loop():
     noise, grid = params.noise, config.grid
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]
-    mu = chemical_potential(SpectralField(grid, pre.rho), SpectralField(grid, pre.c), params.fspec)
-    base = rv * to_physical(grid, mu.coeffs)[0]
+    mu = chemical_potential(grid, pre.rho, pre.c, params.fspec)
+    base = rv * to_physical(grid, mu)[0]
     expected = 0.0
     for i, k in enumerate(noise.modes):
         expected += noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))

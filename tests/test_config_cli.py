@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "chk_00000010.nsch: unreadable" in err and "99" in err
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            (2, 3, "dim must be 1 or 2, got 3"),
+            (3, 7, "modes_per_dim must be a positive even integer, got 7"),
+            (3, 0, "modes_per_dim must be a positive even integer, got 0"),
+            (4, 9, "Galerkin order m = 9 outside [1, 8]"),
+        ],
+        ids=["dim-3", "modes-7", "modes-0", "m-above-kmax"],
+    )
+    def test_verify_lists_checkpoint_with_bad_grid_header(self, tmp_path, capsys, field, value, named):
+        from nsch.checkpoint import _HEADER, load_checkpoint
+        from nsch.errors import CheckpointError
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        snap = out / "chk_00000010.nsch"
+        raw = snap.read_bytes()
+        head = list(_HEADER.unpack_from(raw))
+        head[field] = value
+        snap.write_bytes(_HEADER.pack(*head) + raw[_HEADER.size :])
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            load_checkpoint(snap)
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "chk_00000010.nsch: unreadable" in err and named in err
+
     def test_verify_lists_checkpoint_whose_header_outgrows_the_file(self, tmp_path, capsys):
         from nsch.checkpoint import _HEADER
 
@@ -292,6 +323,36 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["ensemble", str(cfg), "--workers", "1", "--out", str(out)]) in (0, 4)
         assert calls == [] and (out / "report.json").exists()
+
+    def test_pool_is_no_larger_than_the_paths(self, tmp_path, monkeypatch):
+        # a pool forks all its workers at the first submit; a stand-in records the size and maps serially
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(FAST_RUN.replace("paths = 8", "paths = 4"))
+        reports = {}
+        for workers in (1, 500):
+            out = tmp_path / f"out{workers}"
+            main(["ensemble", str(cfg), "--workers", str(workers), "--out", str(out)])
+            reports[workers] = (out / "report.json").read_bytes()
+        assert sizes == [4]
+        assert reports[500] == reports[1]
 
     def test_verify_rejects_checkpoints_of_another_time_step(self, tmp_path, capsys):
         # a 1D/16 run (dt 1e-4, horizon 2e-3) audited with a config of the same grid and
@@ -504,7 +565,7 @@ class TestCli:
         from nsch.diagnostics import initial_ledger_row, ledger_to_csv
         from nsch.noise import path_generator
         from nsch.scheme import SchemeState
-        from nsch.spectral import SpectralField, multiply, project, to_physical, to_spectral
+        from nsch.spectral import multiply, project, to_physical, to_spectral
 
         cfg = tmp_path / "thin.cfg"
         cfg.write_text("[grid]\nmodes = 16\n\n[scheme]\nm = 2\nn = 5\n\n[free_energy]\nrho_floor = 1e-10\n")
@@ -514,7 +575,7 @@ class TestCli:
         rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
         assert 1e-10 < np.min(to_physical(grid, rho)) < 1e-8
         u = to_spectral(grid, 0.1 * np.sin(x))
-        w = project(grid, multiply(SpectralField(grid, rho), SpectralField(grid, u)).coeffs, params.m)
+        w = project(grid, multiply(grid, rho, u), params.m)
         c = np.zeros((1,) + grid.band_shape, dtype=complex)
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=c)
         out = tmp_path / "out"

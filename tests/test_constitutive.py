@@ -15,7 +15,6 @@ from nsch.constitutive import (
 )
 from nsch.errors import PositivityError
 from nsch.spectral import (
-    SpectralField,
     TorusGrid,
     coeff_norm,
     div_tensor,
@@ -251,21 +250,21 @@ class TestChemicalPotential:
         lam = 2.0
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=lam))
-        rho = SpectralField(grid, to_spectral(grid, np.ones(grid.pshape)))
+        rho = to_spectral(grid, np.ones(grid.pshape))
         (x,) = grid.mesh()
-        c = SpectralField(grid, to_spectral(grid, np.cos(x)))
-        mu = chemical_potential(rho, c, spec)
-        np.testing.assert_allclose(to_physical(grid, mu.coeffs)[0], (lam + 1.0) * np.cos(x), atol=1e-12)
+        c = to_spectral(grid, np.cos(x))
+        mu = chemical_potential(grid, rho, c, spec)
+        np.testing.assert_allclose(to_physical(grid, mu)[0], (lam + 1.0) * np.cos(x), atol=1e-12)
 
     def test_constant_state(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = FreeEnergySpec()
-        rho = SpectralField(grid, to_spectral(grid, np.ones(grid.pshape)))
+        rho = to_spectral(grid, np.ones(grid.pshape))
         c0 = 0.7
-        c = SpectralField(grid, to_spectral(grid, np.full(grid.pshape, c0)))
-        mu = chemical_potential(rho, c, spec)
+        c = to_spectral(grid, np.full(grid.pshape, c0))
+        mu = chemical_potential(grid, rho, c, spec)
         expect = float(spec.well.d1(np.array(c0)))
-        np.testing.assert_allclose(to_physical(grid, mu.coeffs)[0], expect, atol=1e-12)
+        np.testing.assert_allclose(to_physical(grid, mu)[0], expect, atol=1e-12)
 
     def test_identity_rho_mu_plus_lap_c(self, rng):
         # rho mu + Lap c = rho df/dc, both sides evaluated independently;
@@ -273,12 +272,12 @@ class TestChemicalPotential:
         grid = TorusGrid(dim=2, modes_per_dim=64)
         spec = FreeEnergySpec()
         bump = random_band_limited(grid, rng, band=2)
-        rho = SpectralField(grid, to_spectral(grid, 1.0 + 0.1 * to_physical(grid, bump.coeffs)[0]))
+        rho = to_spectral(grid, 1.0 + 0.1 * to_physical(grid, bump)[0])
         c = random_band_limited(grid, rng, band=2, amplitude=0.3)
-        mu = chemical_potential(rho, c, spec)
-        lhs = to_physical(grid, multiply(rho, mu).coeffs)[0] + to_physical(grid, laplacian(grid, c.coeffs))[0]
-        rv = to_physical(grid, rho.coeffs)[0]
-        rhs_coeffs = to_spectral(grid, rv * FreeEnergyValues(rv, to_physical(grid, c.coeffs)[0], spec).f_c)
+        mu = chemical_potential(grid, rho, c, spec)
+        lhs = to_physical(grid, multiply(grid, rho, mu))[0] + to_physical(grid, laplacian(grid, c))[0]
+        rv = to_physical(grid, rho)[0]
+        rhs_coeffs = to_spectral(grid, rv * FreeEnergyValues(rv, to_physical(grid, c)[0], spec).f_c)
         rhs = to_physical(grid, rhs_coeffs)[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -311,7 +310,7 @@ class TestStress:
     def test_shear_term_traceless(self, rng):
         grid = TorusGrid(dim=2, modes_per_dim=16)
         u = random_band_limited(grid, rng, ncomp=2, band=5)
-        s = stress(grid, grad_tensor(grid, u.coeffs), ViscositySpec(nu_shear=1.3, nu_bulk=0.0))
+        s = stress(grid, grad_tensor(grid, u), ViscositySpec(nu_shear=1.3, nu_bulk=0.0))
         vals = to_physical(grid, s)
         trace = vals[0] + vals[3]
         assert np.max(np.abs(trace)) < 1e-12
@@ -321,7 +320,7 @@ class TestStress:
         visc = ViscositySpec(nu_shear=0.8, nu_bulk=0.2)
         for _ in range(20):
             u = random_band_limited(grid, rng, ncomp=2, band=6)
-            g = grad_tensor(grid, u.coeffs)
+            g = grad_tensor(grid, u)
             s = stress(grid, g, visc)
             contraction = np.sum(to_physical(grid, s) * to_physical(grid, g), axis=0)
             assert np.min(contraction) > -1e-12
@@ -352,10 +351,9 @@ class TestKorteweg:
         for dim, modes in ((1, 64), (2, 32)):
             grid = TorusGrid(dim=dim, modes_per_dim=modes)
             c = random_band_limited(grid, rng, band=grid.kmax // 2, amplitude=1.0)
-            lhs = div_tensor(grid, korteweg(grid, c.coeffs))
-            lap, grad = (SpectralField(grid, a) for a in (laplacian(grid, c.coeffs), gradient(grid, c.coeffs)))
-            rhs = multiply(lap, grad)
-            assert np.max(np.abs(lhs - rhs.coeffs)) < 1e-10
+            lhs = div_tensor(grid, korteweg(grid, c))
+            rhs = multiply(grid, laplacian(grid, c), gradient(grid, c))
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestViscositySpec:

@@ -18,17 +18,7 @@ from nsch.noise import (
     sample_increment,
     silent_noise,
 )
-from nsch.spectral import SpectralField, TorusGrid, norm_l2, to_physical, to_spectral
-
-
-def constant_field(grid, value):
-    """The field of a constant."""
-    return SpectralField(grid, constant(grid, value))
-
-
-def field_of(grid, values):
-    """The field of grid values."""
-    return SpectralField(grid, to_spectral(grid, values))
+from nsch.spectral import TorusGrid, coeff_norm, to_physical, to_spectral
 
 
 def single_mode_spec(sigma, alpha=1.0, **kw):
@@ -105,31 +95,30 @@ class TestForcing:
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = single_mode_spec(ConstantDiffusion(1.0))
         inc = WienerIncrement(dt=0.1, dbeta=np.array([0.37]))
-        c = constant_field(grid, 0.0)
-        f = forcing(c, inc, spec)
-        np.testing.assert_allclose(to_physical(grid, f.coeffs)[0], 0.37, atol=1e-14)
+        f = forcing(grid, constant(grid, 0.0), inc, spec)
+        np.testing.assert_allclose(to_physical(grid, f)[0], 0.37, atol=1e-14)
 
     def test_zero_increment(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = geometric_noise(K=20)
         inc = WienerIncrement(dt=0.1, dbeta=np.zeros(20))
-        f = forcing(constant_field(grid, 0.5), inc, spec)
-        assert norm_l2(f) == 0.0
+        f = forcing(grid, constant(grid, 0.5), inc, spec)
+        assert coeff_norm(grid, f) == 0.0
 
     def test_family_vanishing_at_zero(self):
         # sine family has sigma_k(0) = 0
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = geometric_noise(K=20)
         inc = WienerIncrement(dt=0.1, dbeta=np.ones(20))
-        f = forcing(constant_field(grid, 0.0), inc, spec)
-        assert norm_l2(f) < 1e-14
+        f = forcing(grid, constant(grid, 0.0), inc, spec)
+        assert coeff_norm(grid, f) < 1e-14
 
     def test_silent_noise(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = silent_noise()
         inc = sample_increment(0.1, np.random.default_rng(0), spec)
         assert inc.dbeta.shape == (0,)
-        assert norm_l2(forcing(constant_field(grid, 1.0), inc, spec)) == 0.0
+        assert coeff_norm(grid, forcing(grid, constant(grid, 1.0), inc, spec)) == 0.0
 
 
 class TestItoCorrections:
@@ -137,28 +126,28 @@ class TestItoCorrections:
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = single_mode_spec(ConstantDiffusion(0.8))
         (x,) = grid.mesh()
-        c = field_of(grid, np.sin(x))
-        assert ito_grad_correction(c, spec) == 0.0
+        c = to_spectral(grid, np.sin(x))
+        assert ito_grad_correction(grid, c, spec) == 0.0
 
     def test_constant_c_no_grad_term(self):
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = single_mode_spec(LinearDiffusion())
-        assert abs(ito_grad_correction(constant_field(grid, 0.9), spec)) < 1e-25
+        assert abs(ito_grad_correction(grid, constant(grid, 0.9), spec)) < 1e-25
 
     def test_grad_correction_hand_value(self):
         # sigma(c) = c, alpha = 1, c = sin x: (1/2) int cos^2 = pi/2
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = single_mode_spec(LinearDiffusion())
         (x,) = grid.mesh()
-        c = field_of(grid, np.sin(x))
-        assert abs(ito_grad_correction(c, spec) - np.pi / 2) < 1e-12
+        c = to_spectral(grid, np.sin(x))
+        assert abs(ito_grad_correction(grid, c, spec) - np.pi / 2) < 1e-12
 
     def test_value_correction_zero_family(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         spec = single_mode_spec(ConstantDiffusion(0.0))
-        rho = constant_field(grid, 1.0)
-        c = constant_field(grid, 0.3)
-        assert ito_value_correction(rho, c, spec, FreeEnergySpec()) == 0.0
+        rho = constant(grid, 1.0)
+        c = constant(grid, 0.3)
+        assert ito_value_correction(grid, rho, c, spec, FreeEnergySpec()) == 0.0
 
     def test_value_correction_constant_integrand(self):
         # rho = 1, f_cc = lam, sigma = 1, alpha = 1: (1/2) lam (2 pi)^N
@@ -167,18 +156,18 @@ class TestItoCorrections:
         for dim, modes in ((1, 16), (2, 16)):
             grid = TorusGrid(dim=dim, modes_per_dim=modes)
             spec = single_mode_spec(ConstantDiffusion(1.0))
-            got = ito_value_correction(constant_field(grid, 1.0), constant_field(grid, 0.0), spec, fspec)
+            got = ito_value_correction(grid, constant(grid, 1.0), constant(grid, 0.0), spec, fspec)
             assert abs(got - 0.5 * lam * (2 * np.pi) ** dim) < 1e-10
 
     def test_value_correction_sign_follows_curvature(self, rng):
         grid = TorusGrid(dim=1, modes_per_dim=32)
         spec = single_mode_spec(ConstantDiffusion(1.0))
-        rho = constant_field(grid, 1.0)
-        c = constant_field(grid, 0.0)
+        rho = constant(grid, 1.0)
+        c = constant(grid, 0.0)
         pos = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=2.0))
         neg = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=1e-6))
-        assert ito_value_correction(rho, c, spec, pos) > 0
-        assert ito_value_correction(rho, c, spec, neg) > 0
+        assert ito_value_correction(grid, rho, c, spec, pos) > 0
+        assert ito_value_correction(grid, rho, c, spec, neg) > 0
 
 
 class TestItoIsometry:
@@ -189,7 +178,7 @@ class TestItoIsometry:
         spec = geometric_noise(K=20, alpha0=0.5)
         (x,) = grid.mesh()
         c0_vals = 0.2 * np.cos(x)
-        c0 = field_of(grid, c0_vals)
+        c0 = to_spectral(grid, c0_vals)
         t_final = 0.25
         nsteps = 8
         dt = t_final / nsteps
@@ -200,7 +189,7 @@ class TestItoIsometry:
             acc = np.zeros(grid.band_shape, dtype=complex)
             for _ in range(nsteps):
                 inc = sample_increment(dt, rng, spec)
-                acc = acc + forcing(c0, inc, spec).coeffs[0]
+                acc = acc + forcing(grid, c0, inc, spec)[0]
             w = grid.parseval_weights
             sq[p] = grid.volume * np.sum(w * np.abs(acc) ** 2)
         theory = t_final * sum(

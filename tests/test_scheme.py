@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from coefficients import constant, product
+from coefficients import constant
 
 from nsch import checkpoint, scheme
 from nsch.checkpoint import atomic_open, load_checkpoint, save_checkpoint
@@ -23,17 +23,13 @@ from nsch.scheme import (
     step,
 )
 from nsch.spectral import (
-    SpectralField,
     TorusGrid,
     coeff_norm,
-    from_coeffs,
     multiply,
-    norm_l2,
     project,
     random_band_limited,
     to_physical,
     to_spectral,
-    zeros,
 )
 
 
@@ -52,10 +48,8 @@ def grid16():
 
 
 def rest_state(grid, params, rho0=1.0, c0=0.0):
-    rho = constant(grid, rho0)
-    return SchemeState(
-        t=0.0, grid=grid, rho=rho, w=zeros(grid, grid.dim).coeffs, u=zeros(grid, grid.dim).coeffs, c=constant(grid, c0)
-    )
+    zero = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
+    return SchemeState(t=0.0, grid=grid, rho=constant(grid, rho0), w=zero, u=zero.copy(), c=constant(grid, c0))
 
 
 def generic_state(grid, params, rng, rho_amp=0.1, u_amp=0.1, c_amp=0.2):
@@ -74,27 +68,27 @@ class TestCutoff:
     def test_below_radius_is_identity(self, rng):
         grid = grid16()
         u = random_band_limited(grid, rng, ncomp=1, band=3, amplitude=0.3)
-        R = 2.0 * norm_l2(u)
-        out, chi = cutoff(grid, u.coeffs, R)
+        R = 2.0 * coeff_norm(grid, u)
+        out, chi = cutoff(grid, u, R)
         assert chi == 1.0
-        assert np.array_equal(out, u.coeffs)
+        assert np.array_equal(out, u)
 
     def test_beyond_radius_plus_one_vanishes(self, rng):
         grid = grid16()
         u = random_band_limited(grid, rng, ncomp=1, band=3, amplitude=5.0)
-        R = norm_l2(u) - 2.0
+        R = coeff_norm(grid, u) - 2.0
         assert R > 0
-        out, chi = cutoff(grid, u.coeffs, R)
+        out, chi = cutoff(grid, u, R)
         assert chi == 0.0
         assert coeff_norm(grid, out) == 0.0
 
     def test_transition_monotone(self, rng):
         grid = grid16()
         u = random_band_limited(grid, rng, ncomp=1, band=3, amplitude=1.0)
-        nrm = norm_l2(u)
+        nrm = coeff_norm(grid, u)
         chis = []
         for offset in (0.25, 0.5, 0.75):
-            _, chi = cutoff(grid, u.coeffs, nrm - offset)
+            _, chi = cutoff(grid, u, nrm - offset)
             chis.append(chi)
         assert 0 < chis[2] < chis[1] < chis[0] < 1
 
@@ -127,7 +121,7 @@ class TestDensityUpdate:
         xs, ys = grid.mesh()
         u = to_spectral(grid, np.stack([np.sin(ys), np.sin(xs)]))
         rho = constant(grid, 2.0)
-        w = project(grid, product(grid, rho, u), params.m)
+        w = project(grid, multiply(grid, rho, u), params.m)
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=constant(grid, 0.0))
         new, _ = step(state, params, path_generator(0, 0))
         assert np.max(np.abs(new.rho - rho)) < 1e-12
@@ -162,8 +156,8 @@ class TestMomentumRhs:
 
         u_r, chi = cutoff(grid, state.u, params.R)
         assert chi == 0.0
-        momentum = multiply(SpectralField(grid, state.rho), SpectralField(grid, state.u))
-        transport = div_tensor(grid, project(grid, outer(momentum, SpectralField(grid, u_r)).coeffs, params.m))
+        momentum = multiply(grid, state.rho, state.u)
+        transport = div_tensor(grid, project(grid, outer(grid, momentum, u_r), params.m))
         expect = (
             -transport
             + params.eps * laplacian(grid, state.w)
@@ -227,7 +221,7 @@ class TestChDrift:
         state = data.build(grid, params, rng)
         cc = state.c.copy()
         cc[0, 0] = 0.8
-        state = SchemeState(t=0.0, grid=grid, rho=state.rho, w=state.w, u=state.u, c=from_coeffs(grid, cc[0]).coeffs)
+        state = SchemeState(t=0.0, grid=grid, rho=state.rho, w=state.w, u=state.u, c=cc)
         drift = ch_drift(state, params)
         assert coeff_norm(grid, drift) < 1e-11
 
@@ -256,8 +250,8 @@ class TestRecoverVelocity:
         grid = grid16()
         r0 = 2.5
         rho = constant(grid, r0)
-        v = random_band_limited(grid, rng, ncomp=1, band=4, amplitude=1.0).coeffs
-        w = project(grid, product(grid, rho, v), 4)
+        v = random_band_limited(grid, rng, ncomp=1, band=4, amplitude=1.0)
+        w = project(grid, multiply(grid, rho, v), 4)
         u, iters = recover_velocity(grid, rho, w, 4)
         assert np.max(np.abs(u - v)) < 1e-12
 
@@ -265,13 +259,13 @@ class TestRecoverVelocity:
         # 81 unknowns, solved directly
         monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 81)
         grid = TorusGrid(dim=2, modes_per_dim=16)
-        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2).coeffs)[0])
-        v = random_band_limited(grid, rng, ncomp=2, band=4, amplitude=1.0).coeffs
-        w = project(grid, product(grid, rho, v), 4)
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2))[0])
+        v = random_band_limited(grid, rng, ncomp=2, band=4, amplitude=1.0)
+        w = project(grid, multiply(grid, rho, v), 4)
         u, iters = recover_velocity(grid, rho, w, 4)
         assert iters == 0
-        residual = project(grid, product(grid, rho, u), 4) - w
-        assert norm_l2(from_coeffs(grid, residual[0])) <= 1e-14 * coeff_norm(grid, w)
+        residual = project(grid, multiply(grid, rho, u), 4) - w
+        assert coeff_norm(grid, residual[:1]) <= 1e-14 * coeff_norm(grid, w)
         assert np.max(np.abs(u - v)) < 1e-14
 
     @pytest.mark.parametrize(
@@ -282,8 +276,8 @@ class TestRecoverVelocity:
     def test_direct_solve_equals_cg(self, rng, monkeypatch, dim, modes, m):
         # the same system on both paths, on both sides of the size rule
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
-        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=3).coeffs)[0])
-        w = project(grid, product(grid, rho, random_band_limited(grid, rng, ncomp=dim, band=m).coeffs), m)
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=3))[0])
+        w = project(grid, multiply(grid, rho, random_band_limited(grid, rng, ncomp=dim, band=m)), m)
         default_path, default_iters = recover_velocity(grid, rho, w, m, rtol=1e-14)
         assert (default_iters == 0) == ((2 * m + 1) ** dim <= scheme.DIRECT_GRAM_MAX_SIZE)
         monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 0)
@@ -298,10 +292,10 @@ class TestRecoverVelocity:
     def test_nonfinite_momentum_fails_without_iterating(self, rng, monkeypatch, fft_calls, size_rule):
         monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", size_rule)
         grid = grid16()
-        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2).coeffs)[0])
-        coeffs = random_band_limited(grid, rng, band=4).coeffs.copy()
-        coeffs[0, 2] = np.nan
-        w, rho_values = from_coeffs(grid, coeffs[0]).coeffs, to_physical(grid, rho)[0]
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2))[0])
+        w = random_band_limited(grid, rng, band=4)
+        w[0, 2] = np.nan
+        rho_values = to_physical(grid, rho)[0]
         before = fft_calls["n"]
         with pytest.raises(GramSolveError, match="non-finite momentum"):
             recover_velocity(grid, rho, w, 4, rho_values=rho_values)
@@ -309,19 +303,19 @@ class TestRecoverVelocity:
 
     def test_failed_direct_solve_is_reported(self, rng):
         grid = grid16()
-        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2).coeffs)[0])
-        w = random_band_limited(grid, rng, band=4).coeffs
+        rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2))[0])
+        w = random_band_limited(grid, rng, band=4)
         with pytest.raises(GramSolveError, match="relative residual .*min rho"):
             recover_velocity(grid, rho, w, 4, rtol=0.0)
         # density coefficients that disagree with the grid values the positivity guard saw
-        for rho, message in ((zeros(grid).coeffs, "Singular matrix"), (constant(grid, np.nan), "failed: .*")):
+        for rho, message in ((constant(grid, 0.0), "Singular matrix"), (constant(grid, np.nan), "failed: .*")):
             with pytest.raises(GramSolveError, match=f"{message} .*min rho 1.000e\\+00"):
                 recover_velocity(grid, rho, w, 4, rho_values=np.ones(grid.pshape))
 
     def test_near_vacuum_guard(self, rng):
         grid = grid16()
         rho = to_spectral(grid, np.full(grid.pshape, 1e-9))
-        w = random_band_limited(grid, rng, ncomp=1, band=2, amplitude=1.0).coeffs
+        w = random_band_limited(grid, rng, ncomp=1, band=2, amplitude=1.0)
         with pytest.raises(PositivityError):
             recover_velocity(grid, rho, w, 2)
 
@@ -332,8 +326,8 @@ class TestStep:
         params = small_params()
         state = rest_state(grid, params, rho0=1.2, c0=0.3)
         new, report = step(state, params, path_generator(0, 0))
-        assert norm_l2(from_coeffs(grid, (new.rho - state.rho)[0])) < 1e-12
-        assert norm_l2(from_coeffs(grid, (new.c - state.c)[0])) < 1e-12
+        assert coeff_norm(grid, new.rho - state.rho) < 1e-12
+        assert coeff_norm(grid, new.c - state.c) < 1e-12
         assert coeff_norm(grid, new.u) < 1e-12
         assert report.chi == 1.0
 
@@ -456,7 +450,7 @@ class TestStep:
         state = generic_state(grid, params, rng)
         coeffs = getattr(state, field).copy()
         coeffs[0, 1] = np.nan
-        state = replace(state, **{field: from_coeffs(grid, coeffs[0]).coeffs})
+        state = replace(state, **{field: coeffs})
         with pytest.raises(NonFiniteError, match="non-finite"):
             step(state, params, path_generator(0, 0))
 
@@ -510,7 +504,7 @@ class TestCheckpoint:
         rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
         assert 1e-10 < np.min(to_physical(grid, rho)) < 1e-8
         u = to_spectral(grid, 0.1 * np.sin(x))
-        w = project(grid, product(grid, rho, u), params.m)
+        w = project(grid, multiply(grid, rho, u), params.m)
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=constant(grid, 0.0))
         path = tmp_path / "thin.nsch"
         save_checkpoint(path, state, path_generator(0, 0), params.m, params.n, 0)
@@ -650,7 +644,7 @@ class TestInitialData:
         grid = grid16()
         params = small_params(m=4)
         state = InitialData(mass=grid.volume, rho_amp=0.2, u_amp=0.5, c_amp=0.2).build(grid, params, rng)
-        resid = project(grid, product(grid, state.rho, state.u), params.m) - state.w
+        resid = project(grid, multiply(grid, state.rho, state.u), params.m) - state.w
         assert np.max(np.abs(resid)) <= 1e-10 * max(coeff_norm(grid, state.w), 1e-30)
 
     def test_validation(self):
