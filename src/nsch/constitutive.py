@@ -181,6 +181,10 @@ class TanhMixing:
         return self.h0 * (4.0 * sech2 * t**2 - 2.0 * sech2**2)
 
 
+# bound that validate() holds the profile derivatives (well d2, d3, mixing d1-d3) to
+DERIVATIVE_BOUND = 20.0
+
+
 @dataclass(frozen=True)
 class FreeEnergySpec:
     """Parameters and component profiles of the free energy density."""
@@ -190,7 +194,6 @@ class FreeEnergySpec:
     mixing: object = field(default_factory=TanhMixing)
     well: object = field(default_factory=DoubleWell)
     rho_floor: float = 1e-8
-    derivative_bound: float = 20.0
 
     def __post_init__(self):
         require(
@@ -209,8 +212,8 @@ class FreeEnergySpec:
                          ("mixing d1", self.mixing.d1), ("mixing d2", self.mixing.d2),
                          ("mixing d3", self.mixing.d3)):
             m = float(np.max(np.abs(fn(cgrid))))
-            if not np.isfinite(m) or m > self.derivative_bound:
-                problems.append(f"{name} exceeds bound {self.derivative_bound} (max {m:.3g})")
+            if not np.isfinite(m) or m > DERIVATIVE_BOUND:
+                problems.append(f"{name} exceeds bound {DERIVATIVE_BOUND} (max {m:.3g})")
         # derivative of the well must grow linearly far from the origin
         far = 10.0 * getattr(self.well, "cstar", 1.0)
         r1 = float(self.well.d1(np.array(far))) / far

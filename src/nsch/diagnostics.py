@@ -292,13 +292,12 @@ def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> Inequalit
 
 
 def poincare_check(
-    grid: TorusGrid, rho: np.ndarray, v: np.ndarray, total_mass: float, gamma: float, fitted_constant: float | None = None
+    grid: TorusGrid, rho: np.ndarray, v: np.ndarray, total_mass: float, gamma: float
 ) -> InequalityReport:
     """Verify ||v||^2 <= C [(1 + ||rho||_{L^gamma}^2) ||grad v||^2 + |int rho v|^2] on coefficients of rho and v.
 
-    With no constant supplied, reports the smallest admissible C for this
-    sample (the fitted ratio); with one supplied, checks the inequality at
-    that C.  Requires rho >= 0 with int rho >= total_mass > 0 and
+    Reports the smallest admissible C for this sample (the fitted ratio).
+    Requires rho >= 0 with int rho >= total_mass > 0 and
     gamma > 2N/(N+2).
     """
     n = grid.dim
@@ -320,8 +319,7 @@ def poincare_check(
     if rhs_raw <= 1e-28:
         return InequalityReport(lhs, 0.0, -lhs, v, passed=lhs <= 1e-24, degenerate=True)
     ratio = lhs / rhs_raw
-    c_fit = fitted_constant if fitted_constant is not None else ratio
-    rhs = c_fit * rhs_raw
+    rhs = ratio * rhs_raw
     margin = rhs - lhs
     passed = math.isfinite(ratio) and margin >= -1e-10 * max(abs(rhs), abs(lhs), 1.0)
     return InequalityReport(lhs, rhs, margin, v, passed=passed, constant=ratio)
@@ -372,9 +370,11 @@ def ledger_to_csv(rows: list[EnergyLedger]) -> str:
 
 
 def ledger_from_csv(text: str) -> list[EnergyLedger]:
-    """Ledger rows of a CSV text; raises ValueError on a wrong header or a row of the wrong length."""
+    """Ledger rows of a CSV text; raises ValueError on an empty text, a wrong header or a row of the wrong length."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty ledger file")
     if header != LEDGER_COLUMNS:
         raise ValueError(f"unexpected ledger header {header}")
     rows = []

@@ -26,7 +26,7 @@ functionals, so each state is transformed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate
 
@@ -47,7 +47,6 @@ from .spectral import (
     integrate_rows,
     integrate_values,
     laplacian,
-    lazy,
     project,
     random_band_limited,
     to_physical,
@@ -157,174 +156,90 @@ def _stacked_spectra(grid: TorusGrid, blocks: list[np.ndarray]) -> list[np.ndarr
     return _split(coeffs, [len(b) for b in blocks])
 
 
-def _part(stack: str, index: int) -> lazy:
-    """Block ``index`` of the stack ``stack`` of the record, read before the stack is computed."""
-    return lazy(lambda self: getattr(self, stack)[index])
-
-
-class _stack(lazy):
-    """A record's list of blocks that pins each named block as a plain attribute when computed.
-
-    A named block read before its stack computes the stack through a
-    ``_part`` fallback; every later read is an instance-dict hit.
-    """
-
-    def __init__(self, *names: str):
-        self.names = names
-
-    def __call__(self, compute):
-        super().__init__(compute)
-        return self
-
-    def __set_name__(self, owner, name):
-        super().__set_name__(owner, name)
-        for index, part in enumerate(self.names):
-            fallback = _part(name, index)
-            fallback.__set_name__(owner, part)
-            setattr(owner, part, fallback)
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        blocks = super().__get__(obj)
-        obj.__dict__.update(zip(self.names, blocks))
-        return blocks
-
-
 class Collocation:
     """Collocation values of one state under one parameter set.
 
     This is the one place a state becomes grid values: every field,
     derivative, constitutive quantity, noise table and energy below is
-    computed on first use and then shared by the step, the energy ledger and
-    the sup functionals.  Values keep the component axis of ``to_physical``
-    and are read-only.  Obtain records through ``collocation``.
+    computed when the record is built, in the order the step uses them, and
+    then shared by the step, the energy ledger and the sup functionals.
+    Values keep the component axis of ``to_physical`` and are read-only.  The
+    record reads its state only while it is built and keeps no reference to
+    it.  Obtain records through ``collocation``.
 
     Fields are transformed in stacks, one transform call per stack: the
-    fields linear in the state (``_linear``, from the coefficient blocks of
-    ``_linear_hat``), the pre-step products (``_products``, kept as
-    coefficients, mu among them), mu with its derivatives and the
-    dealiased momentum (``_resampled``), and the products of those
-    (``_second_products``, coefficients).  Each named field is a view of its
-    stack, stored as a plain attribute when the stack is computed.  The
-    density has its own transform, because the positivity guard of the
-    velocity recovery of a new state needs it first.  The pointwise
-    constitutive values (log rho and the free-energy profiles) are evaluated
-    once per state, in ``free_energy_values``.
+    fields linear in the state, the pre-step products (kept as coefficients,
+    mu among them), mu with its derivatives and the dealiased momentum, and
+    the products of those (coefficients).  Each named field is a read-only
+    view of its stack.  The density has its own transform, which a step
+    passes in as ``rho``, because the positivity guard of the velocity
+    recovery of a new state needs it first.  The pointwise constitutive
+    values (log rho and the free-energy profiles) are evaluated once per
+    state, in ``free_energy_values``.
+
+    Raises PositivityError, at the state's time, if the density is not positive.
     """
 
     def __init__(self, state: SchemeState, params: ApproxParams, rho: np.ndarray | None = None):
-        # a record-free twin of the state, so the state and its record form no reference cycle
-        self.state = replace(state)
+        grid = self.grid = state.grid
         self.params = params
-        self.grid = state.grid
-        if rho is not None:
-            self.rho = rho
+        self.rho = _read_only(to_physical(grid, state.rho)) if rho is None else rho
 
-    @lazy
-    def rho(self) -> np.ndarray:
-        return _read_only(to_physical(self.grid, self.state.rho))
-
-    @lazy
-    def _linear_hat(self) -> list[np.ndarray]:
-        s, grid = self.state, self.grid
-        grad_u = grad_tensor(grid, s.u)
-        blocks = [
-            s.u,
-            s.c,
-            gradient(grid, s.c),
-            laplacian(grid, s.c),
-            gradient(grid, s.rho),
+        grad_u = grad_tensor(grid, state.u)
+        self.visc_stress_hat = _read_only(stress(grid, grad_u, params.visc))
+        linear = [
+            state.u,
+            state.c,
+            gradient(grid, state.c),
+            laplacian(grid, state.c),
+            gradient(grid, state.rho),
             grad_u,
-            stress(grid, grad_u, self.params.visc),
+            self.visc_stress_hat,
         ]
-        return [_read_only(b) for b in blocks]
+        self.u, self.c, self.grad_c, self.lap_c, self.grad_rho, self.grad_u, self.visc_stress = _stacked_values(
+            grid, linear
+        )
 
-    visc_stress_hat = _part("_linear_hat", 6)
-
-    @_stack("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress")
-    def _linear(self) -> list[np.ndarray]:
-        return _stacked_values(self.grid, self._linear_hat)
-
-    @lazy
-    def cut(self) -> tuple[np.ndarray, float]:
-        """Coefficients of [u]_R and the cut-off factor chi."""
-        return cutoff(self.grid, self.state.u, self.params.R)
-
-    @lazy
-    def u_r(self) -> np.ndarray:
+        # coefficients of [u]_R and the cut-off factor chi
+        self.cut = cutoff(grid, state.u, params.R)
         u_r, _ = self.cut
-        return self.u if u_r is self.state.u else _read_only(to_physical(self.grid, u_r))
+        self.u_r = self.u if u_r is state.u else _read_only(to_physical(grid, u_r))
 
-    @lazy
-    def free_energy_values(self) -> FreeEnergyValues:
-        """f and its partials at this state's values.
-
-        Raises PositivityError, at the state's time, if the density is not positive.
-        """
-        return FreeEnergyValues(self.rho[0], self.c[0], self.params.fspec, t=self.state.t)
-
-    @lazy
-    def _rho_alpha(self) -> np.ndarray:
-        """rho^alpha, shared by the artificial pressure and the artificial energy."""
-        return self.rho[0] ** self.params.alpha_exp
-
-    @_stack("mu", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r")
-    def _products(self) -> list[np.ndarray]:
-        p = self.params
-        values = self.free_energy_values
-        blocks = [
+        values = self.free_energy_values = FreeEnergyValues(self.rho[0], self.c[0], params.fspec, t=state.t)
+        # rho^alpha, shared by the artificial pressure and the artificial energy
+        rho_alpha = self.rho[0] ** params.alpha_exp
+        products = [
             values.chemical_potential(self.lap_c[0])[None],
             self.rho * self.u,
-            (values.pressure + math.sqrt(p.eps) * self._rho_alpha)[None],
+            (values.pressure + math.sqrt(params.eps) * rho_alpha)[None],
             korteweg_values(self.grad_c),
             (self.u_r * self.grad_c).sum(axis=0)[None],
             self.rho * self.u_r,
         ]
-        return _stacked_spectra(self.grid, blocks)
+        self.mu, self.momentum, self.art_pressure, self.korteweg, self.u_r_grad_c, self.rho_u_r = _stacked_spectra(
+            grid, products
+        )
 
-    @_stack("mu_values", "grad_mu", "lap_mu", "momentum_values")
-    def _resampled(self) -> list[np.ndarray]:
-        grid, mu = self.grid, self.mu
-        return _stacked_values(grid, [mu, gradient(grid, mu), laplacian(grid, mu), self.momentum])
+        resampled = [self.mu, gradient(grid, self.mu), laplacian(grid, self.mu), self.momentum]
+        self.mu_values, self.grad_mu, self.lap_mu, self.momentum_values = _stacked_values(grid, resampled)
 
-    @_stack("lap_mu_over_rho", "momentum_flux")
-    def _second_products(self) -> list[np.ndarray]:
-        mv, u_r = self.momentum_values, self.u_r
+        mv = self.momentum_values
         # flux component i*N+j is mv_i u_r_j
-        flux = (mv[:, None] * u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
-        return _stacked_spectra(self.grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
+        flux = (mv[:, None] * self.u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
+        self.lap_mu_over_rho, self.momentum_flux = _stacked_spectra(grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
-    @lazy
-    def sigma(self) -> np.ndarray:
-        return sigma_table(self.params.noise, self.c[0])
+        self.sigma = sigma_table(params.noise, self.c[0])
+        self.dsigma = sigma_table(params.noise, self.c[0], deriv=True)
 
-    @lazy
-    def dsigma(self) -> np.ndarray:
-        return sigma_table(self.params.noise, self.c[0], deriv=True)
+        # rho |u|^2, the kinetic energy integrand without its factor 1/2, and |grad c|^2
+        self.rho_u_sq = _read_only(self.rho[0] * (self.u**2).sum(axis=0))
+        self.grad_c_sq = _read_only((self.grad_c**2).sum(axis=0))
 
-    @lazy
-    def rho_u_sq(self) -> np.ndarray:
-        """rho |u|^2, the kinetic energy integrand without its factor 1/2."""
-        return _read_only(self.rho[0] * (self.u**2).sum(axis=0))
-
-    @lazy
-    def grad_c_sq(self) -> np.ndarray:
-        """|grad c|^2."""
-        return _read_only((self.grad_c**2).sum(axis=0))
-
-    @lazy
-    def energies(self) -> tuple[float, float, float]:
-        """Kinetic, free and interface energy; raises if the density is not positive."""
-        free = self.rho[0] * self.free_energy_values.free_energy
-        kinetic, free, interface = integrate_rows(self.grid, [self.rho_u_sq, free, self.grad_c_sq])
-        return 0.5 * kinetic, free, 0.5 * interface
-
-    @lazy
-    def artificial(self) -> float:
-        """sqrt(eps)/(alpha-1) int rho^alpha."""
-        p = self.params
-        return float(math.sqrt(p.eps) / (p.alpha_exp - 1.0) * integrate_values(self.grid, self._rho_alpha))
+        # kinetic, free and interface energy, and sqrt(eps)/(alpha-1) int rho^alpha
+        free = self.rho[0] * values.free_energy
+        kinetic, free, interface = integrate_rows(grid, [self.rho_u_sq, free, self.grad_c_sq])
+        self.energies = (0.5 * kinetic, free, 0.5 * interface)
+        self.artificial = float(math.sqrt(params.eps) / (params.alpha_exp - 1.0) * integrate_values(grid, rho_alpha))
 
 
 def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
@@ -360,11 +275,6 @@ def cutoff(grid: TorusGrid, u: np.ndarray, R: float) -> tuple[np.ndarray, float]
     if chi == 1.0:
         return u, 1.0
     return chi * u, chi
-
-
-def _transport_rho(col: Collocation) -> np.ndarray:
-    """Coefficients of -Div(rho [u]_R); its zero mode is structurally zero."""
-    return -divergence(col.grid, col.rho_u_r)
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> np.ndarray:
@@ -403,6 +313,9 @@ def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams)
 # largest Gram system, (2m+1)^dim unknowns, solved directly; CG above it.  In
 # 1D the direct solve wins up to 49 unknowns and loses from 65 (see CHANGES.md)
 DIRECT_GRAM_MAX_SIZE = 49
+
+# conjugate-gradient iterations after which a velocity recovery has stalled
+CG_MAX_ITERATIONS = 400
 
 
 @cache
@@ -472,7 +385,6 @@ def recover_velocity(
     m: int,
     rho_floor: float = 1e-8,
     rtol: float = 1e-12,
-    maxiter: int = 400,
     rho_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve P_m(rho u) = w for u in the order-m space.
@@ -510,7 +422,7 @@ def recover_velocity(
     p = r
     rs = coeff_inner(grid, r, r)
     tol = rtol * wnorm
-    for it in range(1, maxiter + 1):
+    for it in range(1, CG_MAX_ITERATIONS + 1):
         if np.sqrt(rs) <= tol:
             return x, it - 1
         ap = apply(p)
@@ -521,7 +433,7 @@ def recover_velocity(
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise GramSolveError(
-        f"velocity recovery stalled after {maxiter} iterations (residual {np.sqrt(rs) / wnorm:.3e}, min rho {min_rho:.3e})"
+        f"velocity recovery stalled after {CG_MAX_ITERATIONS} iterations (residual {np.sqrt(rs) / wnorm:.3e}, min rho {min_rho:.3e})"
     )
 
 
@@ -570,8 +482,9 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
     explicit = ch_drift(state, params) - stiff * state.c
     c_new = propag * (state.c + dt * explicit + ch_diffusion(state, inc, params))
 
-    # density: implicit artificial diffusion, explicit transport
-    rho_new = fac * (state.rho + dt * _transport_rho(col))
+    # density: implicit artificial diffusion, explicit transport -Div(rho [u]_R),
+    # whose zero mode is structurally zero
+    rho_new = fac * (state.rho + dt * -divergence(grid, col.rho_u_r))
 
     # momentum: implicit artificial diffusion, explicit remainder
     w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)

@@ -1,5 +1,7 @@
 import functools
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from nsch.config import parse_config
 from nsch.constitutive import DoubleWell, FreeEnergySpec, FreeEnergyValues, TanhMixing, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row
 from nsch.ensemble import EnsembleConfig, _state_functionals, run_trajectory
+from nsch.errors import PositivityError
 from nsch.noise import (
     ConstantDiffusion,
     LinearDiffusion,
@@ -79,7 +82,7 @@ def default_config(steps: int) -> EnsembleConfig:
 
 
 def fresh(state: SchemeState) -> SchemeState:
-    """The same state as a new object, so its collocation record starts empty."""
+    """The same state as a new object, without a collocation record."""
     return SchemeState(t=state.t, grid=state.grid, rho=state.rho, w=state.w, u=state.u, c=state.c)
 
 
@@ -92,29 +95,73 @@ def test_fft_calls_per_step_bounded(fft_calls):
     assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
 
 
+# the named blocks of each transform stack of a collocation record, in stack order
+RECORD_STACKS = {
+    "linear": ("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress"),
+    "products": ("mu", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r"),
+    "resampled": ("mu_values", "grad_mu", "lap_mu", "momentum_values"),
+    "second_products": ("lap_mu_over_rho", "momentum_flux"),
+}
+# the record's other fields
+RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma", "dsigma",
+                 "rho_u_sq", "grad_c_sq", "energies", "artificial")
+
+
 def test_record_fields_are_plain_attributes():
-    # no property machinery between a record and its values: every named
-    # block of a stack is stored on the record, as a view of the stack, when
-    # the stack is computed, and every other field is stored on first read
+    # no property machinery between a record and its values: collocation()
+    # returns a record built whole, with every field stored on it and the
+    # blocks of each stack read-only views of one array
     for cls in (scheme.Collocation, FreeEnergyValues):
         for name, attr in vars(cls).items():
             assert not isinstance(attr, (property, functools.cached_property)), f"{cls.__name__}.{name}"
-    stacks = {name: attr for name, attr in vars(scheme.Collocation).items() if isinstance(attr, scheme._stack)}
-    assert set(stacks) == {"_linear", "_products", "_resampled", "_second_products"}
 
     config = default_config(1)
-    params = config.params
-    pre = config.initial_state()
-    post, rep = step(pre, params, path_generator(config.base_seed, 0))
-    energy_ledger_step(pre, post, rep.increment, params)
-    _state_functionals(post, params)
-    record = vars(collocation(pre, params))
-    for stack, attr in stacks.items():
-        blocks = record[stack]
-        assert len(attr.names) == len(blocks), stack
-        for name, block in zip(attr.names, blocks):
-            assert record.get(name) is block and block.base is blocks[0].base is not None, f"{stack}.{name}"
+    record = vars(collocation(config.initial_state(), config.params))
+    assert "state" not in record
+    for name in RECORD_FIELDS:
+        assert name in record, name
+    for stack, names in RECORD_STACKS.items():
+        base = record[names[0]].base
+        assert base is not None, stack
+        for name in names:
+            block = record[name]
+            assert block.base is base, f"{stack}.{name}"
             assert not block.flags.writeable, f"{stack}.{name}"
+
+
+def test_stepped_past_state_is_freed_by_reference_counts():
+    # a record keeps no reference to its state, so a state and its record
+    # form no cycle and a trajectory frees each state without the collector
+    config = default_config(2)
+    params = config.params
+    gen = path_generator(config.base_seed, 0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pre, _ = step(config.initial_state(), params, gen)
+        post, rep = step(pre, params, gen)
+        energy_ledger_step(pre, post, rep.increment, params)
+        _state_functionals(pre, params)
+        ref = weakref.ref(pre)
+        del pre
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_record_of_a_state_at_the_floor_raises_at_its_time():
+    config = default_config(1)
+    state = replace(config.initial_state(), t=0.125)
+    floor = float(to_physical(config.grid, state.rho).min())
+    params = replace(config.params, fspec=replace(config.params.fspec, rho_floor=floor))
+    with pytest.raises(PositivityError) as built:
+        collocation(state, params)
+    assert built.value.t == 0.125 and built.value.min_rho == floor
+    assert "_collocation" not in vars(state)
+    with pytest.raises(PositivityError) as stepped:
+        step(state, params, path_generator(config.base_seed, 0))
+    assert (stepped.value.t, str(stepped.value)) == (built.value.t, str(built.value))
 
 
 def test_profile_calls_per_step_bounded(monkeypatch):
@@ -214,14 +261,15 @@ def test_momentum_rhs_equals_per_flux_projection(name):
         assert (0.0 < rep.chi < 1.0) == name.startswith("cut-off")
 
 
-def test_ledger_row_after_step_transforms_at_most_once(fft_calls):
+def test_ledger_row_after_step_transforms_nothing(fft_calls):
+    # the step builds the new state's whole record, which the ledger row reads
     config = default_config(1)
     params = config.params
     pre = config.initial_state()
     post, rep = step(pre, params, path_generator(config.base_seed, 0))
     before = fft_calls["n"]
     energy_ledger_step(pre, post, rep.increment, params)
-    assert fft_calls["n"] - before <= 1
+    assert fft_calls["n"] - before == 0
 
 
 def test_gram_iterations_bounded(monkeypatch):

@@ -288,6 +288,16 @@ class TestCli:
         assert main(["verify", str(cfg), "--out", str(out)]) == 4
         assert "unreadable ledger: line 22 has 13 fields, expected 14" in capsys.readouterr().err
 
+    def test_verify_names_empty_ledger(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        (out / "ledger.csv").write_text("")
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        assert "unreadable ledger: empty ledger file" in capsys.readouterr().err
+
     def test_run_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
         from nsch import ensemble
 
