@@ -26,7 +26,6 @@ from .diagnostics import (
     korn_check,
     ledger_from_csv,
     ledger_to_csv,
-    mass,
     poincare_check,
     worst_relative_residual,
 )
@@ -79,7 +78,7 @@ def cmd_run(args) -> int:
 
     state0 = ens.initial_state()
     save_checkpoint(
-        outdir / "chk_00000000.nsch", state0, path_generator(ens.base_seed, 0, stream=0),
+        outdir / "chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0),
         params.m, params.n, params.noise.K,
     )
     last = {"state": state0, "gen": None}
@@ -231,7 +230,11 @@ def cmd_verify(args) -> int:
             problems.append(f"{snap.name}: Korn inequality violated (margin {korn.margin:.3e})")
         mu = collocation(state, config.params).mu
         for name, v in (("mu", mu),) + tuple((f"u{i}", state.u[i : i + 1]) for i in range(len(state.u))):
-            rep = poincare_check(grid, state.rho, v, total_mass=mass(state), gamma=config.params.fspec.gamma)
+            try:
+                rep = poincare_check(grid, state.rho, v, config.initial.mass, config.params.fspec.gamma)
+            except ValueError as exc:
+                problems.append(f"{snap.name}: Poincare {exc}")
+                break
             if not rep.passed:
                 problems.append(f"{snap.name}: Poincare inequality violated on {name} (margin {rep.margin:.3e})")
         print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, inequality checks run")

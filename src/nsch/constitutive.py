@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PositivityError, require
-from .spectral import TorusGrid, laplacian, lazy, to_physical, to_spectral
+from .spectral import TorusGrid, laplacian, to_physical, to_spectral
 
 __all__ = [
     "DoubleWell",
@@ -87,9 +87,6 @@ class DoubleWell:
             (self.cstar > 0, f"cstar must be positive, got {self.cstar}"),
             (self.kappa > 0, f"kappa must be positive, got {self.kappa}"),
         )
-
-    @lazy
-    def _consts(self) -> tuple[float, ...]:
         cs, kap = self.cstar, self.kappa
         a = 3.0 * cs**2 - 1.0  # curvature at the joint
         b = 6.0 * cs  # its slope
@@ -99,7 +96,8 @@ class DoubleWell:
         f0 = 0.25 * (cs**2 - 1.0) ** 2 - 0.25
         p1 = w1 + a + b / 2.0 + cc / 3.0 + dd / 4.0
         p0 = f0 + w1 + a / 2.0 + b / 6.0 + cc / 12.0 + dd / 20.0
-        return a, b, cc, dd, w1, f0, p1, p0
+        # the blend constants; not a field, so eq, hash and repr see cstar and kappa only
+        object.__setattr__(self, "_consts", (a, b, cc, dd, w1, f0, p1, p0))
 
     def _piecewise(self, c, inner, blend, linear, linear_at):
         """inner(c), overwritten beyond cstar by blend(r, sign) or, where linear_at(s, q), by linear(q, sign).
@@ -237,19 +235,14 @@ class ViscositySpec:
         )
 
 
-def _profile(which: str, method: str) -> lazy:
-    """``spec.<which>.<method>(c)`` of a FreeEnergyValues, evaluated on first use."""
-    return lazy(lambda self: getattr(getattr(self.spec, which), method)(self.c))
-
-
 class FreeEnergyValues:
     """f, p and the partials of f at grid values of (rho, c), for one spec.
 
-    Positivity is checked once, on construction (``t`` names the state's
-    time in the error).  log(rho), each profile H, H', H'', fc, fc', fc''
-    and each quantity below are evaluated once, on first use, and the
-    profiles are shared by every quantity; each quantity is the one place
-    its formula is written.
+    Positivity is checked on construction (``t`` names the state's time in
+    the error).  log(rho) and the profiles H, H', fc, fc' are evaluated once
+    and shared by every quantity; each quantity is the one place its formula
+    is written.  The second c-derivative f_cc is a method, so only its
+    callers (the Ito terms of a noisy run) evaluate H'' and fc''.
     """
 
     def __init__(self, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, t: float | None = None):
@@ -259,50 +252,26 @@ class FreeEnergyValues:
         self.rho = rho
         self.c = c
         self.spec = spec
+        a, g = spec.a, spec.gamma
+        log_rho = self.log_rho = np.log(rho)
+        h = self.mixing = spec.mixing.value(c)
+        h1 = self.mixing_d1 = spec.mixing.d1(c)
+        fc = self.well = spec.well.value(c)
+        fc1 = self.well_d1 = spec.well.d1(c)
+        # f = a rho^(gamma-1) + log(rho) H(c) + fc(c)
+        self.free_energy = a * rho ** (g - 1.0) + log_rho * h + fc
+        # p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)
+        self.pressure = a * (g - 1.0) * rho**g + rho * h
+        # df/dc = log(rho) H'(c) + fc'(c)
+        self.f_c = log_rho * h1 + fc1
+        # d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho
+        self.rho_f_rho_rho = a * g * (g - 1.0) * rho ** (g - 2.0) + h / rho
+        # d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)
+        self.rho_f_rho_c = (1.0 + log_rho) * h1 + fc1
 
-    @lazy
-    def log_rho(self) -> np.ndarray:
-        return np.log(self.rho)
-
-    mixing = _profile("mixing", "value")
-    mixing_d1 = _profile("mixing", "d1")
-    mixing_d2 = _profile("mixing", "d2")
-    well = _profile("well", "value")
-    well_d1 = _profile("well", "d1")
-    well_d2 = _profile("well", "d2")
-
-    @lazy
-    def free_energy(self) -> np.ndarray:
-        """f = a rho^(gamma-1) + log(rho) H(c) + fc(c)."""
-        s = self.spec
-        return s.a * self.rho ** (s.gamma - 1.0) + self.log_rho * self.mixing + self.well
-
-    @lazy
-    def pressure(self) -> np.ndarray:
-        """p = rho^2 df/drho = a (gamma-1) rho^gamma + rho H(c)."""
-        s = self.spec
-        return s.a * (s.gamma - 1.0) * self.rho**s.gamma + self.rho * self.mixing
-
-    @lazy
-    def f_c(self) -> np.ndarray:
-        """df/dc = log(rho) H'(c) + fc'(c)."""
-        return self.log_rho * self.mixing_d1 + self.well_d1
-
-    @lazy
     def f_cc(self) -> np.ndarray:
         """d2f/dc2 = log(rho) H''(c) + fc''(c)."""
-        return self.log_rho * self.mixing_d2 + self.well_d2
-
-    @lazy
-    def rho_f_rho_rho(self) -> np.ndarray:
-        """d2(rho f)/drho2 = a gamma (gamma-1) rho^(gamma-2) + H(c)/rho."""
-        g = self.spec.gamma
-        return self.spec.a * g * (g - 1.0) * self.rho ** (g - 2.0) + self.mixing / self.rho
-
-    @lazy
-    def rho_f_rho_c(self) -> np.ndarray:
-        """d2(rho f)/drho dc = (1 + log rho) H'(c) + fc'(c)."""
-        return (1.0 + self.log_rho) * self.mixing_d1 + self.well_d1
+        return self.log_rho * self.spec.mixing.d2(self.c) + self.spec.well.d2(self.c)
 
     def chemical_potential(self, lap_c: np.ndarray) -> np.ndarray:
         """mu = df/dc - (1/rho) Lap c, from grid values of Lap c."""

@@ -53,6 +53,7 @@ __all__ = [
     "concentration_momentum_residual",
     "InequalityReport",
     "korn_check",
+    "poincare_constant",
     "poincare_check",
     "holder_estimate",
     "ledger_to_csv",
@@ -135,7 +136,7 @@ def energy_ledger_step(
     if noise.K > 0:
         integrands += [
             ito_grad_integrand(noise, a.dsigma, a.grad_c_sq),
-            ito_value_integrand(noise, a.sigma, rv, values.f_cc),
+            ito_value_integrand(noise, a.sigma, rv, values.f_cc()),
         ]
     visc, mu, eps, art, rhs_rr, rhs_rc, *ito = integrate_rows(grid, integrands)
 
@@ -291,23 +292,34 @@ def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> Inequalit
     return InequalityReport(lhs, rhs, margin, u, passed=passed, constant=rhs / lhs_raw)
 
 
+def poincare_constant(grid: TorusGrid, total_mass: float, gamma: float) -> float:
+    """C = max(1, 2 |Omega|^(2-2/gamma) / M^2, 2 |Omega| / M^2), the torus constant of poincare_check.
+
+    On [-pi, pi)^N the smallest nonzero |k|^2 is 1, so ||v - vbar||^2 <=
+    ||grad v||^2, and ||v||^2 = ||v - vbar||^2 + |Omega| vbar^2.  With
+    int rho >= M, M |vbar| <= |int rho v| + ||rho||_2 ||v - vbar||, and
+    ||rho||_2 <= |Omega|^(1/2-1/gamma) ||rho||_gamma for gamma >= 2.
+    """
+    vol = grid.volume
+    return max(1.0, 2.0 * vol ** (2.0 - 2.0 / gamma) / total_mass**2, 2.0 * vol / total_mass**2)
+
+
 def poincare_check(
     grid: TorusGrid, rho: np.ndarray, v: np.ndarray, total_mass: float, gamma: float
 ) -> InequalityReport:
     """Verify ||v||^2 <= C [(1 + ||rho||_{L^gamma}^2) ||grad v||^2 + |int rho v|^2] on coefficients of rho and v.
 
-    Reports the smallest admissible C for this sample (the fitted ratio).
-    Requires rho >= 0 with int rho >= total_mass > 0 and
-    gamma > 2N/(N+2).
+    C is ``poincare_constant``.  Requires rho >= 0 with int rho >= total_mass > 0
+    and gamma >= 2; a violated hypothesis raises ValueError.
     """
-    n = grid.dim
-    if gamma <= 2.0 * n / (n + 2.0):
-        raise ValueError(f"gamma = {gamma} violates gamma > 2N/(N+2) = {2.0 * n / (n + 2.0):.3g}")
+    if gamma < 2.0:
+        raise ValueError(f"gamma = {gamma} < 2: the constant needs ||rho||_2 <= |Omega|^(1/2-1/gamma) ||rho||_gamma")
     rv = to_physical(grid, rho)[0]
     if float(np.min(rv)) < -1e-12:
         raise ValueError("density must be nonnegative")
     got_mass = grid.volume * mean_density(grid, rho)
-    if got_mass < total_mass - 1e-12:
+    # relative: a density built for mass M has int rho = |Omega| (M / |Omega|), which can round below M
+    if got_mass < total_mass - 1e-12 * max(1.0, total_mass):
         raise ValueError(f"hypothesis violated: int rho = {got_mass:.6g} < M = {total_mass:.6g}")
     vv = to_physical(grid, v)[0]
     lhs = integrate_values(grid, vv**2)
@@ -316,13 +328,13 @@ def poincare_check(
     grad_sq = integrate_values(grid, np.sum(gvv**2, axis=0))
     mean_term = integrate_values(grid, rv * vv) ** 2
     rhs_raw = (1.0 + rho_lg**2) * grad_sq + mean_term
+    constant = poincare_constant(grid, total_mass, gamma)
     if rhs_raw <= 1e-28:
-        return InequalityReport(lhs, 0.0, -lhs, v, passed=lhs <= 1e-24, degenerate=True)
-    ratio = lhs / rhs_raw
-    rhs = ratio * rhs_raw
+        return InequalityReport(lhs, 0.0, -lhs, v, passed=lhs <= 1e-24, degenerate=True, constant=constant)
+    rhs = constant * rhs_raw
     margin = rhs - lhs
-    passed = math.isfinite(ratio) and margin >= -1e-10 * max(abs(rhs), abs(lhs), 1.0)
-    return InequalityReport(lhs, rhs, margin, v, passed=passed, constant=ratio)
+    passed = margin >= -1e-10 * max(abs(rhs), abs(lhs), 1.0)
+    return InequalityReport(lhs, rhs, margin, v, passed=passed, constant=constant)
 
 
 def holder_estimate(

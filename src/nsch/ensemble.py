@@ -1,6 +1,6 @@
 """Monte Carlo driver: independent trajectories, moment statistics, martingale test.
 
-Each path owns a generator derived from (base seed, path index), so the
+Each path owns a generator derived from (noise seed, path index), so the
 ensemble is reproducible for any worker count and any path ordering.  Failed
 paths (positivity loss, failed velocity recovery, stability aborts) are
 recorded with their failure time and excluded from the survivor statistics;
@@ -70,7 +70,6 @@ class EnsembleConfig:
     horizon: float
     snapshot_stride: int = 0
     betas: tuple[int, ...] = (1, 2)
-    base_seed: int | None = None
     workers: int = 1
     keep_final_state: bool = False
 
@@ -89,8 +88,6 @@ class EnsembleConfig:
             (self.snapshot_stride >= 0, f"snapshot_stride must be a nonnegative integer, got {self.snapshot_stride}"),
             (len(self.betas) > 0 and min(self.betas) >= 1, f"betas must be positive integers, got {self.betas}"),
         )
-        if self.base_seed is None:
-            object.__setattr__(self, "base_seed", self.params.noise.seed)
 
     @property
     def steps(self) -> int:
@@ -98,7 +95,7 @@ class EnsembleConfig:
 
     def initial_state(self) -> SchemeState:
         """The shared initial state, drawn from stream 1 of path 0 (the data stream)."""
-        return self.initial.build(self.grid, self.params, path_generator(self.base_seed, 0, stream=1))
+        return self.initial.build(self.grid, self.params, path_generator(self.params.noise.seed, 0, stream=1))
 
 
 @dataclass
@@ -142,7 +139,7 @@ def run_trajectory(
     """
     params = config.params
     state = config.initial_state() if initial_state is None else initial_state
-    gen = path_generator(config.base_seed, path_index, stream=0)
+    gen = path_generator(config.params.noise.seed, path_index, stream=0)
 
     residuals = [0.0]
     stats0 = _state_functionals(state, params)

@@ -230,7 +230,7 @@ def ito_value_correction(
         return 0.0
     rv = to_physical(grid, rho)[0]
     cv = to_physical(grid, c)[0]
-    fcc = FreeEnergyValues(rv, cv, fspec).f_cc
+    fcc = FreeEnergyValues(rv, cv, fspec).f_cc()
     return 0.5 * integrate_values(grid, ito_value_integrand(spec, sigma_table(spec, cv), rv, fcc))
 
 

@@ -174,8 +174,9 @@ class Collocation:
     view of its stack.  The density has its own transform, which a step
     passes in as ``rho``, because the positivity guard of the velocity
     recovery of a new state needs it first.  The pointwise constitutive
-    values (log rho and the free-energy profiles) are evaluated once per
-    state, in ``free_energy_values``.
+    values (log rho, the free-energy profiles, f, p and the partials of f)
+    are computed with the record, in ``free_energy_values``; only f_cc,
+    which the Ito terms of a noisy ledger row read, is computed on call.
 
     Raises PositivityError, at the state's time, if the density is not positive.
     """

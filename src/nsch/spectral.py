@@ -25,7 +25,6 @@ import numpy as np
 from .errors import require
 
 __all__ = [
-    "lazy",
     "TorusGrid",
     "to_physical",
     "to_spectral",
@@ -43,33 +42,10 @@ __all__ = [
     "coeff_norm",
     "norms_l2_squared",
     "norm_sobolev",
-    "integral",
     "integrate_values",
     "integrate_rows",
     "random_band_limited",
 ]
-
-
-class lazy:
-    """An attribute computed on its first read and then stored on the instance.
-
-    ``functools.cached_property`` without its lock (Python 3.12 dropped the
-    lock too): the value goes into the instance ``__dict__``, which every
-    later read finds before this non-data descriptor.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -381,13 +357,6 @@ def norm_sobolev(grid: TorusGrid, a: np.ndarray, order: float) -> float:
     w = grid.parseval_weights * (1.0 + grid.k_squared) ** order
     val = grid.volume * np.sum(w * np.abs(a) ** 2)
     return float(np.sqrt(max(val, 0.0)))
-
-
-def integral(grid: TorusGrid, a: np.ndarray) -> float:
-    """Integral over the torus, exact from the zero mode."""
-    if len(a) != 1:
-        raise ValueError("integral expects a scalar field")
-    return float(grid.volume * a[0][grid.zero_index].real)
 
 
 def integrate_values(grid: TorusGrid, values: np.ndarray) -> float:

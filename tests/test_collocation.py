@@ -1,6 +1,7 @@
 import functools
 import gc
 import pickle
+import types
 import weakref
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from ledger_reference import reference_energies, reference_functionals, reference_ledger_row, reference_momentum_rhs
 
-from nsch import scheme
+from nsch import scheme, spectral
 from nsch.config import parse_config
 from nsch.constitutive import DoubleWell, FreeEnergySpec, FreeEnergyValues, TanhMixing, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row
@@ -105,6 +106,9 @@ RECORD_STACKS = {
 # the record's other fields
 RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma", "dsigma",
                  "rho_u_sq", "grad_c_sq", "energies", "artificial")
+# the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
+FREE_ENERGY_FIELDS = ("log_rho", "mixing", "mixing_d1", "well", "well_d1",
+                      "free_energy", "pressure", "f_c", "rho_f_rho_rho", "rho_f_rho_c")
 
 
 def test_record_fields_are_plain_attributes():
@@ -129,12 +133,47 @@ def test_record_fields_are_plain_attributes():
             assert not block.flags.writeable, f"{stack}.{name}"
 
 
+def test_free_energy_values_are_plain_attributes(monkeypatch):
+    # FreeEnergyValues and DoubleWell compute their values on construction:
+    # apart from the instance dict, every attribute of the class that binds
+    # on read is a plain function
+    for cls in (FreeEnergyValues, DoubleWell):
+        for name, attr in vars(cls).items():
+            if name not in ("__dict__", "__weakref__") and hasattr(attr, "__get__"):
+                assert isinstance(attr, types.FunctionType), f"{cls.__name__}.{name}"
+    assert not hasattr(spectral, "lazy")
+
+    config = default_config(1)
+    state = config.initial_state()
+    rv, cv = to_physical(config.grid, state.rho)[0], to_physical(config.grid, state.c)[0]
+    values = vars(FreeEnergyValues(rv, cv, config.params.fspec))
+    for name in FREE_ENERGY_FIELDS:
+        assert name in values, name
+
+    # only the Ito terms of a noisy ledger row evaluate H'' and fc''
+    calls = {"d2": 0}
+    for profile in (TanhMixing, DoubleWell):
+
+        def counted(self, c, _method=profile.d2):
+            calls["d2"] += 1
+            return _method(self, c)
+
+        monkeypatch.setattr(profile, "d2", counted)
+    quiet = parse_config("[noise]\nkind = off\n\n[run]\nhorizon = 1e-05\n")
+    for params, d2_calls in ((quiet.params, 0), (config.params, 2)):
+        calls["d2"] = 0
+        pre = config.initial.build(config.grid, params, path_generator(params.noise.seed, 0, stream=1))
+        post, rep = step(pre, params, path_generator(params.noise.seed, 0))
+        energy_ledger_step(pre, post, rep.increment, params)
+        assert calls["d2"] == d2_calls, params.noise.K
+
+
 def test_stepped_past_state_is_freed_by_reference_counts():
     # a record keeps no reference to its state, so a state and its record
     # form no cycle and a trajectory frees each state without the collector
     config = default_config(2)
     params = config.params
-    gen = path_generator(config.base_seed, 0)
+    gen = path_generator(config.params.noise.seed, 0)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -160,7 +199,7 @@ def test_record_of_a_state_at_the_floor_raises_at_its_time():
     assert built.value.t == 0.125 and built.value.min_rho == floor
     assert "_collocation" not in vars(state)
     with pytest.raises(PositivityError) as stepped:
-        step(state, params, path_generator(config.base_seed, 0))
+        step(state, params, path_generator(config.params.noise.seed, 0))
     assert (stepped.value.t, str(stepped.value)) == (built.value.t, str(built.value))
 
 
@@ -266,7 +305,7 @@ def test_ledger_row_after_step_transforms_nothing(fft_calls):
     config = default_config(1)
     params = config.params
     pre = config.initial_state()
-    post, rep = step(pre, params, path_generator(config.base_seed, 0))
+    post, rep = step(pre, params, path_generator(config.params.noise.seed, 0))
     before = fft_calls["n"]
     energy_ledger_step(pre, post, rep.increment, params)
     assert fft_calls["n"] - before == 0
@@ -360,7 +399,7 @@ def test_stepped_state_is_read_only(monkeypatch, size_rule):
     # writeable, also once pickled back from a pool worker
     monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", size_rule)
     config = default_config(1)
-    state, _ = step(config.initial_state(), config.params, path_generator(config.base_seed, 0))
+    state, _ = step(config.initial_state(), config.params, path_generator(config.params.noise.seed, 0))
     for copy in (state, pickle.loads(pickle.dumps(state))):
         for name in ("rho", "w", "u", "c"):
             coeffs = getattr(copy, name)
@@ -416,7 +455,7 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
     sigma = sigma_table(spec, cv)
     assert np.array_equal(noise_sum(sigma, inc, spec), forced)
     assert ito_grad_correction(grid, c, spec) == 0.5 * integrate_values(grid, d1_sq * np.sum(gv**2, axis=0))
-    fcc = FreeEnergyValues(rv, cv, fspec).f_cc
+    fcc = FreeEnergyValues(rv, cv, fspec).f_cc()
     assert ito_value_correction(grid, rho, c, spec, fspec) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
 
 

@@ -288,6 +288,20 @@ class TestCli:
         assert main(["verify", str(cfg), "--out", str(out)]) == 4
         assert "unreadable ledger: line 22 has 13 fields, expected 14" in capsys.readouterr().err
 
+    def test_verify_names_the_poincare_hypothesis(self, tmp_path, capsys):
+        # a configured mass above the run's int rho breaks the hypothesis int rho >= M
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        heavier = tmp_path / "heavier.cfg"
+        heavier.write_text(FAST_RUN + "\n[initial]\nmass = 12\n")
+        capsys.readouterr()
+        assert main(["verify", str(heavier), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        for name in ("chk_00000000.nsch", "chk_00000010.nsch", "chk_00000020.nsch", "final.nsch"):
+            assert f"  - {name}: Poincare hypothesis violated: int rho = 6.28319 < M = 12\n" in err
+
     def test_verify_names_empty_ledger(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_RUN)

@@ -221,7 +221,7 @@ class TestPartials:
 
     def test_quadratic_well_curvature(self, rng):
         spec = FreeEnergySpec(mixing=ZeroFunction(), well=QuadraticWell(lam=2.5))
-        got = FreeEnergyValues(rng.uniform(0.5, 3.0, 8), rng.standard_normal(8), spec).f_cc
+        got = FreeEnergyValues(rng.uniform(0.5, 3.0, 8), rng.standard_normal(8), spec).f_cc()
         np.testing.assert_allclose(got, 2.5, atol=1e-14)
 
     def test_all_partials_vs_finite_differences(self, rng):
@@ -236,7 +236,7 @@ class TestPartials:
         fd_c = (f(rho, c + h) - f(rho, c - h)) / (2 * h)
         np.testing.assert_allclose(values.f_c, fd_c, rtol=1e-6, atol=1e-7)
         fd_cc = (f(rho, c + h) - 2 * f(rho, c) + f(rho, c - h)) / h**2
-        np.testing.assert_allclose(values.f_cc, fd_cc, rtol=1e-6, atol=atol2)
+        np.testing.assert_allclose(values.f_cc(), fd_cc, rtol=1e-6, atol=atol2)
         rf = lambda r, cc: r * f(r, cc)
         fd_rr = (rf(rho + h, c) - 2 * rf(rho, c) + rf(rho - h, c)) / h**2
         np.testing.assert_allclose(values.rho_f_rho_rho, fd_rr, rtol=1e-6, atol=atol2)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from coefficients import constant
 
+from nsch import diagnostics
+from nsch.config import parse_config
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ViscositySpec, ZeroFunction
 from nsch.diagnostics import (
     EnergyLedger,
@@ -18,13 +20,14 @@ from nsch.diagnostics import (
     ledger_to_csv,
     mass,
     poincare_check,
+    poincare_constant,
     renormalized_residual,
     total_energy,
     v15_functional,
     worst_relative_residual,
 )
 from nsch.noise import geometric_noise, path_generator, silent_noise
-from nsch.scheme import ApproxParams, InitialData, SchemeState, step
+from nsch.scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from nsch.spectral import (
     TorusGrid,
     integrate_values,
@@ -321,6 +324,35 @@ class TestPoincare:
         v = to_spectral(grid, np.exp(2.0 * (np.cos(x - np.pi) - 1.0)))
         rep = poincare_check(grid, rho, v, total_mass=1e-3 * 2 * np.pi, gamma=4.0)
         assert rep.passed and np.isfinite(rep.constant)
+
+    def test_torus_constant(self):
+        grid = TorusGrid(dim=1, modes_per_dim=16)
+        assert poincare_constant(grid, grid.volume, 4.0) == 1.0
+        assert poincare_constant(grid, 1.0, 4.0) == 2.0 * grid.volume**1.5
+        assert poincare_constant(grid, 1.0, 2.0) == 2.0 * grid.volume
+
+    def test_constant_cut_twentyfold_fails_on_run_1d_mu(self, monkeypatch):
+        # the benchmark's run-1d problem (1D/32, noise on, dt = 1e-5): ||mu||^2
+        # of the initial state is 0.071 of the bound, so C/20 must fail it
+        config = parse_config("[grid]\ndim = 1\nmodes = 32\n\n[scheme]\ndt = 1e-05\n\n[noise]\nseed = 1\n")
+        state = config.ensemble(paths=1).initial_state()
+        mu = collocation(state, config.params).mu
+        args = (config.grid, state.rho, mu, config.initial.mass, config.params.fspec.gamma)
+        rep = poincare_check(*args)
+        assert rep.passed and rep.constant == 1.0
+        assert 0.05 < rep.lhs / rep.rhs < 0.1
+        full = diagnostics.poincare_constant
+        monkeypatch.setattr(diagnostics, "poincare_constant", lambda *a: full(*a) / 20.0)
+        rep = poincare_check(*args)
+        assert not rep.passed and rep.margin < 0
+
+    def test_mass_hypothesis_holds_for_the_density_of_its_mass(self):
+        # |Omega| (M / |Omega|) rounds one unit in the last place below M = 57921
+        grid = TorusGrid(dim=1, modes_per_dim=16)
+        total_mass = 57921.0
+        assert grid.volume * (total_mass / grid.volume) < total_mass - 1e-12
+        rho = constant(grid, total_mass / grid.volume)
+        assert poincare_check(grid, rho, constant(grid, 1.0), total_mass=total_mass, gamma=4.0).passed
 
     def test_hypothesis_violation(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -84,8 +85,11 @@ def test_tracer_installs_on_the_loaded_package():
         "import sys; sys.path.insert(0, sys.argv[1]); import nsch.cli; import spans; "
         "spans.Tracer().install(); print('installed')"
     )
+    # pytest's pythonpath setting reaches this process only, so the child gets the package's path too
+    src = str(PERFBENCH.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", code, str(PERFBENCH)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, str(PERFBENCH)], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "installed"

@@ -44,8 +44,8 @@ class TestTwoDimensional:
         initial = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=0.1, c_amp=0.2)
         acc = {}
         for dt in (2e-4, 1e-4):
-            params = ApproxParams(eps=1e-2, R=5.0, m=3, n=5, dt=dt, noise=silent_noise())
-            config = EnsembleConfig(grid=grid, params=params, initial=initial, paths=1, horizon=8e-3, base_seed=99)
+            params = ApproxParams(eps=1e-2, R=5.0, m=3, n=5, dt=dt, noise=silent_noise(seed=99))
+            config = EnsembleConfig(grid=grid, params=params, initial=initial, paths=1, horizon=8e-3)
             result = run_trajectory(config, 0)
             assert result.failure is None
             acc[dt] = abs(sum(result.residuals))
@@ -69,10 +69,10 @@ class TestTrajectoryAudits:
 
     def test_cutoff_saturation_warns(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
-        params = ApproxParams(eps=1e-2, R=0.5, m=3, n=5, dt=1e-5, noise=silent_noise())
+        params = ApproxParams(eps=1e-2, R=0.5, m=3, n=5, dt=1e-5, noise=silent_noise(seed=7))
         initial = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=3.0, c_amp=0.1)
         config = EnsembleConfig(
-            grid=grid, params=params, initial=initial, paths=1, horizon=2e-4, base_seed=7
+            grid=grid, params=params, initial=initial, paths=1, horizon=2e-4
         )
         with pytest.warns(CutoffSaturatedWarning):
             result = run_trajectory(config, 0)
