@@ -35,11 +35,13 @@ from .errors import CheckpointError, ConfigError
 from .scheme import SchemeState, recover_velocity
 from .spectral import TorusGrid
 
-__all__ = ["CheckpointMeta", "atomic_open", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointMeta", "atomic_open", "checkpoint_bytes", "checkpoint_diff", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"NSCH"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIIIId")
+_HEADER_FIELDS = ("magic", "version", "dim", "modes", "m", "n", "K", "t")
+_GENERATOR_SIZE = 40
 
 
 @dataclass(frozen=True)
@@ -73,19 +75,42 @@ def _coeff_bytes(coeffs: np.ndarray) -> bytes:
     return np.ascontiguousarray(coeffs).astype("<c16", copy=False).tobytes()
 
 
-def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, n: int, noise_modes: int):
+def checkpoint_bytes(state: SchemeState, rng: np.random.Generator, m: int, n: int, noise_modes: int) -> bytes:
+    """The content of the checkpoint file of ``state`` and the generator position ``rng``."""
     grid = state.grid
     st = rng.bit_generator.state
     if st["bit_generator"] != "PCG64":
         raise CheckpointError(f"unsupported generator {st['bit_generator']}")
+    head = _HEADER.pack(MAGIC, VERSION, grid.dim, grid.modes_per_dim, m, n, noise_modes, state.t)
+    blocks = b"".join(_coeff_bytes(a) for a in (state.rho, state.w, state.c))
+    position = st["state"]["state"].to_bytes(16, "little") + st["state"]["inc"].to_bytes(16, "little")
+    return head + blocks + position + struct.pack("<II", st["has_uint32"], st["uinteger"])
+
+
+def save_checkpoint(path, state: SchemeState, rng: np.random.Generator, m: int, n: int, noise_modes: int):
     with atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, grid.dim, grid.modes_per_dim, m, n, noise_modes, state.t))
-        fh.write(_coeff_bytes(state.rho))
-        fh.write(_coeff_bytes(state.w))
-        fh.write(_coeff_bytes(state.c))
-        fh.write(st["state"]["state"].to_bytes(16, "little"))
-        fh.write(st["state"]["inc"].to_bytes(16, "little"))
-        fh.write(struct.pack("<II", st["has_uint32"], st["uinteger"]))
+        fh.write(checkpoint_bytes(state, rng, m, n, noise_modes))
+
+
+def checkpoint_diff(stored: bytes, replayed: bytes) -> str | None:
+    """The first part of the layout in which a stored checkpoint differs from a replayed one, or None.
+
+    The parts (header fields, rho, w and c blocks, generator) are placed by the
+    replayed header; a header field is named with both values.
+    """
+    head = _HEADER.unpack_from(replayed)
+    if stored[: _HEADER.size] != replayed[: _HEADER.size]:
+        got = _HEADER.unpack_from(stored) if len(stored) >= _HEADER.size else (None,) * len(head)
+        name, a, b = next((n, a, b) for n, a, b in zip(_HEADER_FIELDS, got, head) if repr(a) != repr(b))
+        return f"header field {name} = {a!r} in the file, {b!r} in the replay"
+    dim, start = head[2], _HEADER.size
+    block = (len(replayed) - _HEADER.size - _GENERATOR_SIZE) // (2 + dim)
+    parts = (("rho block", block), ("w block", dim * block), ("c block", block), ("generator", _GENERATOR_SIZE))
+    for name, size in parts:
+        if stored[start : start + size] != replayed[start : start + size]:
+            return f"{name} differs from the replay"
+        start += size
+    return None if stored == replayed else f"{len(stored) - len(replayed)} bytes after the generator"
 
 
 def _read_block(fh, shape) -> np.ndarray:
@@ -116,7 +141,7 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         band = grid.band_shape
         # rho, w and c blocks, then the generator state; checked before any read,
         # since the header alone sets how much is read
-        expected = _HEADER.size + 16 * math.prod(band) * (2 + dim) + 40
+        expected = _HEADER.size + 16 * math.prod(band) * (2 + dim) + _GENERATOR_SIZE
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CheckpointError(f"file holds {size} bytes but its header implies {expected}")
@@ -127,7 +152,7 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         for name, a in (("rho", rho), ("w", w), ("c", c)):
             if not np.isfinite(a).all():
                 raise CheckpointError(f"non-finite {name} coefficients")
-        raw = fh.read(40)
+        raw = fh.read(_GENERATOR_SIZE)
         state_int = int.from_bytes(raw[:16], "little")
         inc_int = int.from_bytes(raw[16:32], "little")
         has_uint32, uinteger = struct.unpack("<II", raw[32:40])

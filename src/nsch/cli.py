@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 configuration rejected, 3 runtime scheme failure,
 4 audit failure.  Physics lives in the config file; only operational knobs
 (--seed, --workers, --out) are flags.  The worker count honors the
 NSCH_WORKERS environment variable unless the flag overrides it.
+
+A run directory has one rule, ``_run_outputs``: ``run`` writes the ledger rows
+and checkpoints it hands out, and ``verify`` replays the same loop, compares
+every row as 17-digit text and every checkpoint as bytes, checks the file set,
+and audits each checkpoint's state whose bytes agree.
 """
 
 from __future__ import annotations
@@ -14,25 +19,23 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import CheckpointMeta, atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, checkpoint_bytes, checkpoint_diff, save_checkpoint
 from .config import RunConfig, format_config, parse_config
 from .diagnostics import (
-    LEDGER_COLUMNS,
     audit_ledger_rows,
-    energy_ledger_step,
     initial_ledger_row,
     korn_check,
+    korn_constant,
     ledger_from_csv,
+    ledger_row_diff,
     ledger_to_csv,
     poincare_check,
     worst_relative_residual,
 )
 from .ensemble import _SWEEPABLE, run_paths, run_trajectory, sweep, sweep_trend_csv
-from .errors import CheckpointError, ConfigError, SchemeError
+from .errors import ConfigError, SchemeError
 from .noise import path_generator
-from .scheme import collocation, step
+from .scheme import collocation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,40 +72,50 @@ def _workers(args) -> int:
     return workers
 
 
+def _run_outputs(config: RunConfig, on_row, on_file):
+    """The run a configuration describes, told to ``on_row(step, row)`` for every ledger row and to
+    ``on_file(name, state, gen)`` for every checkpoint: ``chk_<step>.nsch`` at step 0 and every
+    ``snapshot_stride`` steps, ``final.nsch`` if the trajectory completes.  Returns its TrajectoryResult.
+    """
+    ens = config.ensemble(paths=1)
+    params = config.params
+    state0 = ens.initial_state()
+    on_file("chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0))
+    on_row(0, initial_ledger_row(state0, params))
+    last = [state0, None]
+
+    def on_step(done, state, gen, rep, row):
+        last[:] = state, gen
+        on_row(done, row)
+        if config.snapshot_stride and done % config.snapshot_stride == 0:
+            on_file(f"chk_{done:08d}.nsch", state, gen)
+
+    result = run_trajectory(ens, 0, initial_state=state0, on_step=on_step)
+    if result.failure is None:
+        on_file("final.nsch", *last)
+    return result
+
+
+def _failure_text(failure: dict) -> str:
+    return f"failed at step {failure['step']} (t = {failure['t']:.17g}): {failure['kind']}: {failure['message']}"
+
+
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ens = config.ensemble(paths=1)
     params = config.params
+    rows = []
 
-    state0 = ens.initial_state()
-    save_checkpoint(
-        outdir / "chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0),
-        params.m, params.n, params.noise.K,
-    )
-    last = {"state": state0, "gen": None}
-    rows = [initial_ledger_row(state0, params)]
+    def save(name, state, gen):
+        save_checkpoint(outdir / name, state, gen, params.m, params.n, params.noise.K)
 
-    def on_step(done, state, gen, rep, row):
-        last["state"], last["gen"] = state, gen
-        rows.append(row)
-        if config.snapshot_stride and done % config.snapshot_stride == 0:
-            save_checkpoint(
-                outdir / f"chk_{done:08d}.nsch", state, gen, params.m, params.n, params.noise.K
-            )
-
-    result = run_trajectory(ens, 0, initial_state=state0, on_step=on_step)
+    result = _run_outputs(config, lambda done, row: rows.append(row), save)
     _write(outdir / "ledger.csv", ledger_to_csv(rows))
     _write(outdir / "config.cfg", format_config(config))
     if result.failure is not None:
-        print(
-            f"run failed at step {result.failure['step']} (t = {result.failure['t']:.17g}): "
-            f"{result.failure['kind']}: {result.failure['message']}",
-            file=sys.stderr,
-        )
+        print(f"run {_failure_text(result.failure)}", file=sys.stderr)
         return EXIT_RUNTIME
-    save_checkpoint(outdir / "final.nsch", last["state"], last["gen"], params.m, params.n, params.noise.K)
     print(f"run complete: {result.steps_done} steps, ledger and checkpoints in {outdir}")
     print(f"final energy {result.final_energy:.17g}, min cutoff factor {result.chi_min:.17g}")
     return EXIT_OK
@@ -128,62 +141,10 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK if mart["passed"] else EXIT_AUDIT
 
 
-def _meta_mismatches(name: str, t: float, meta: CheckpointMeta, config: RunConfig) -> list[str]:
-    """Header fields of a checkpoint that disagree with the configuration, each with both values.
-
-    The time of ``chk_<step>.nsch`` must be step x dt and that of ``final.nsch`` the
-    horizon, within 1e-9 x max(step, 1) x dt, since t accumulates by repeated addition.
-    """
-    pairs = {
-        "dim": (meta.dim, config.grid.dim),
-        "modes": (meta.modes_per_dim, config.grid.modes_per_dim),
-        "m": (meta.m, config.params.m),
-        "n": (meta.n, config.params.n),
-        "K": (meta.noise_modes, config.params.noise.K),
-    }
-    found = [f"{k} = {a} in the checkpoint, {b} in the configuration" for k, (a, b) in pairs.items() if a != b]
-    dt, stem = config.params.dt, name.removesuffix(".nsch")
-    if stem == "final":
-        steps, expected, what = round(config.horizon / dt), config.horizon, "the horizon"
-    elif stem[4:].isdigit():
-        steps = int(stem[4:])
-        expected, what = steps * dt, f"step {steps} x dt"
-    else:  # a chk_*.nsch name without a step number implies no time
-        return found
-    if abs(t - expected) > 1e-9 * max(steps, 1) * dt:
-        found.append(f"t = {t:.17g} in the checkpoint, {expected:.17g} ({what}) in the configuration")
-    return found
-
-
-def _replay_start(config: RunConfig, state, gen, rows) -> list[str]:
-    """Differences between the run's start and a replay of it under the configuration.
-
-    The configuration must rebuild the rho, w, u and c of ``chk_00000000.nsch``
-    exactly, and one step from it with its stored generator must reproduce
-    ledger row 1 in every column (17-digit CSV floats round-trip exactly).
-    """
-    built = config.ensemble(paths=1).initial_state()
-    for name in ("rho", "w", "u", "c"):
-        if not np.array_equal(getattr(built, name), getattr(state, name)):
-            return [f"chk_00000000.nsch: {name} differs from the initial state the configuration builds"]
-    if len(rows) < 2:
-        return []
-    try:
-        new, rep = step(state, config.params, gen)
-    except SchemeError as exc:
-        return [f"replay of step 1 failed: {exc}"]
-    replayed = energy_ledger_step(state, new, rep.increment, config.params)
-    for col in LEDGER_COLUMNS:
-        stored, again = getattr(rows[1], col), getattr(replayed, col)
-        if stored != again:
-            return [f"ledger row 1: {col} = {stored!r} in the ledger, {again!r} in the replay"]
-    return []
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args.config, args.seed)
     outdir = Path(args.out or config.outdir)
-    problems: list[str] = []
+    params, grid = config.params, config.grid
 
     ledger_path = outdir / "ledger.csv"
     if not ledger_path.exists():
@@ -194,57 +155,67 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"verify: unreadable ledger: {exc}", file=sys.stderr)
         return EXIT_AUDIT
-    ledger_problems = audit_ledger_rows(rows)
-    problems.extend(ledger_problems)
-    print(f"ledger: {len(rows)} rows, {'ok' if not ledger_problems else 'VIOLATIONS'}")
+    problems = audit_ledger_rows(rows)
+    print(f"ledger: {len(rows)} rows, {'VIOLATIONS' if problems else 'ok'}")
     if rows:
         worst_step, worst = worst_relative_residual(rows)
         print(f"ledger: worst relative residual {worst:.3e} at step {worst_step}")
 
-    snaps = sorted(outdir.glob("chk_*.nsch")) + [p for p in (outdir / "final.nsch",) if p.exists()]
-    k0_ref = start = None
-    for snap in snaps:
-        try:
-            state, gen, meta = load_checkpoint(snap, rho_floor=config.params.fspec.rho_floor)
-        except (CheckpointError, SchemeError) as exc:
-            problems.append(f"{snap.name}: unreadable ({exc})")
-            continue
-        grid = state.grid
+    # replay the run and compare as it goes: ledger rows as 17-digit text, checkpoints as bytes
+    row_diffs, mismatches, written, zero_modes = [], [], [], []
+
+    def compare_row(i, row):
+        diff = ledger_row_diff(rows[i], row) if i < len(rows) else "missing from the ledger"
+        if diff is not None:
+            row_diffs.append(f"ledger row {i}: {diff}")
+
+    def compare_file(name, state, gen):
+        written.append(name)
         k0 = state.rho[0][grid.zero_index]
-        mass_note = "mass ok"
-        if k0_ref is None:
-            k0_ref = k0
-        elif k0 != k0_ref:
-            mass_note = f"mass drifted (zero mode {k0!r} != {k0_ref!r})"
-            problems.append(f"{snap.name}: {mass_note}")
-        # the inequality checks use the configuration's physics, so they need the run it describes
-        mismatches = _meta_mismatches(snap.name, state.t, meta, config)
-        if mismatches:
-            problems.extend(f"{snap.name}: written under another configuration: {d}" for d in mismatches)
-            print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, configuration mismatch, inequality checks skipped")
-            continue
-        if snap.name == "chk_00000000.nsch":
-            start = state, gen
-        korn = korn_check(grid, state.u, config.params.visc)
-        if not korn.passed:
-            problems.append(f"{snap.name}: Korn inequality violated (margin {korn.margin:.3e})")
-        mu = collocation(state, config.params).mu
-        for name, v in (("mu", mu),) + tuple((f"u{i}", state.u[i : i + 1]) for i in range(len(state.u))):
+        zero_modes.append(k0)
+        path = outdir / name
+        replayed = checkpoint_bytes(state, gen, params.m, params.n, params.noise.K)
+        diff = checkpoint_diff(path.read_bytes(), replayed) if path.exists() else "missing"
+        if diff is not None:
+            mismatches.append(f"{name}: {diff}")
+            print(f"{name}: t = {state.t:.17g}, {diff}, checks skipped")
+            return
+        # the bytes agree, so the replayed state is the file's state: audit it
+        found, notes = [], ["mass ok"]
+        if k0 != zero_modes[0]:
+            notes[0] = f"mass drifted (zero mode {k0!r} != {zero_modes[0]!r})"
+            found.append(notes[0])
+        if korn_constant(grid.dim, params.visc) == 0.0:
+            notes.append("Korn not applicable (no viscous stress), Poincare checks run")
+        else:
+            korn = korn_check(grid, state.u, params.visc)
+            if not korn.passed:
+                found.append(f"Korn inequality violated (margin {korn.margin:.3e})")
+            notes.append("inequality checks run")
+        mu = collocation(state, params).mu
+        for v_name, v in (("mu", mu),) + tuple((f"u{i}", state.u[i : i + 1]) for i in range(len(state.u))):
             try:
-                rep = poincare_check(grid, state.rho, v, config.initial.mass, config.params.fspec.gamma)
+                rep = poincare_check(grid, state.rho, v, config.initial.mass, params.fspec.gamma)
             except ValueError as exc:
-                problems.append(f"{snap.name}: Poincare {exc}")
+                found.append(f"Poincare {exc}")
                 break
             if not rep.passed:
-                problems.append(f"{snap.name}: Poincare inequality violated on {name} (margin {rep.margin:.3e})")
-        print(f"{snap.name}: t = {state.t:.17g}, {mass_note}, inequality checks run")
+                found.append(f"Poincare inequality violated on {v_name} (margin {rep.margin:.3e})")
+        problems.extend(f"{name}: {p}" for p in found)
+        print(f"{name}: t = {state.t:.17g}, {', '.join(notes)}")
 
-    # last: perfbench's tracer counts every call after a `step` as loop work
-    if start is not None:
-        replay_problems = _replay_start(config, *start, rows)
-        problems.extend(replay_problems)
-        replayed = "initial state and ledger row 1" if len(rows) > 1 else "initial state"
-        print(f"replay: {replayed} {'MISMATCH' if replay_problems else 'reproduced'}")
+    result = _run_outputs(config, compare_row, compare_file)
+    if row_diffs:
+        mismatches.insert(0, row_diffs[0] + (f" ({len(row_diffs)} rows differ)" if len(row_diffs) > 1 else ""))
+    if len(rows) > result.steps_done + 1:
+        mismatches.append(f"ledger.csv holds {len(rows)} rows, the replay {result.steps_done + 1}")
+    stored = sorted(outdir.glob("chk_*.nsch")) + [p for p in (outdir / "final.nsch",) if p.exists()]
+    mismatches.extend(f"{p.name}: not written by the run" for p in stored if p.name not in written)
+    if result.failure is not None:
+        print(f"replay: {_failure_text(result.failure)}")
+    files = f"{len(written)} checkpoint{'s' * (len(written) != 1)}"
+    print(f"replay: {result.steps_done + 1} ledger rows and {files} {'MISMATCH' if mismatches else 'reproduced'}")
+    problems.extend(mismatches)
 
     if problems:
         print("verify FAILED:", file=sys.stderr)
@@ -312,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--workers", type=int, default=None, help="worker processes (default NSCH_WORKERS or 1)")
     p_ens.set_defaults(func=cmd_ensemble)
 
-    p_ver = sub.add_parser("verify", help="re-audit a stored run; exit 0 iff all checks pass")
+    p_ver = sub.add_parser("verify", help="replay the run, compare ledger and checkpoints byte for byte, audit them")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -52,12 +52,14 @@ __all__ = [
     "renormalized_residual",
     "concentration_momentum_residual",
     "InequalityReport",
+    "korn_constant",
     "korn_check",
     "poincare_constant",
     "poincare_check",
     "holder_estimate",
     "ledger_to_csv",
     "ledger_from_csv",
+    "ledger_row_diff",
     "worst_relative_residual",
     "audit_ledger_rows",
     "v15_functional",
@@ -270,20 +272,19 @@ class InequalityReport:
     constant: float = float("nan")
 
 
-def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> InequalityReport:
-    """Verify int S(grad u):grad u >= C int |grad u|^2 for velocity coefficients u.
+def korn_constant(dim: int, visc: ViscositySpec) -> float:
+    """nu_shear (2 - 2/N) for N >= 2; in 1D the shear part is deviatoric-free, so nu_bulk (0: no stress at all)."""
+    return visc.nu_shear * (2.0 - 2.0 / dim) + (visc.nu_bulk if dim == 1 else 0.0)
 
-    The reference constant is nu_shear (2 - 2/N) for N >= 2; in 1D the shear
-    part is identically deviatoric-free and only the bulk viscosity
-    dissipates, so the reference constant is nu_bulk.
-    """
-    n = grid.dim
+
+def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> InequalityReport:
+    """Verify int S(grad u):grad u >= C int |grad u|^2 for velocity coefficients u, C = korn_constant."""
     g = grad_tensor(grid, u)
     gv = to_physical(grid, g)
     sv = to_physical(grid, stress(grid, g, visc))
     lhs_raw = integrate_values(grid, np.sum(gv**2, axis=0))
     rhs = integrate_values(grid, np.sum(sv * gv, axis=0))
-    c_ref = visc.nu_shear * (2.0 - 2.0 / n) + (visc.nu_bulk if n == 1 else 0.0)
+    c_ref = korn_constant(grid.dim, visc)
     if lhs_raw <= 1e-28:
         return InequalityReport(0.0, rhs, rhs, u, passed=rhs >= -1e-12, degenerate=True, constant=c_ref)
     lhs = c_ref * lhs_raw
@@ -376,9 +377,21 @@ def ledger_to_csv(rows: list[EnergyLedger]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(LEDGER_COLUMNS)
-    for row in rows:
-        writer.writerow([f"{getattr(row, c):.17g}" for c in LEDGER_COLUMNS])
+    writer.writerows(map(_ledger_cells, rows))
     return buf.getvalue()
+
+
+def _ledger_cells(row: EnergyLedger) -> list[str]:
+    """The CSV text of a row; 17 significant digits round-trip every double exactly."""
+    return [f"{getattr(row, c):.17g}" for c in LEDGER_COLUMNS]
+
+
+def ledger_row_diff(stored: EnergyLedger, replayed: EnergyLedger) -> str | None:
+    """The first column whose CSV text differs between a stored and a replayed row, or None; NaN equals NaN."""
+    for col, a, b in zip(LEDGER_COLUMNS, _ledger_cells(stored), _ledger_cells(replayed)):
+        if a != b:
+            return f"{col} = {a} in the ledger, {b} in the replay"
+    return None
 
 
 def ledger_from_csv(text: str) -> list[EnergyLedger]:

@@ -335,17 +335,8 @@ class SweepCell:
     parameter: str
     value: float
     report: EnsembleReport
-    final_state: SchemeState | None
+    final_state: SchemeState | None  # path 0's, None if path 0 failed
     accumulated_residual: float
-
-    def trend_columns(self) -> dict:
-        return {
-            "value": self.value,
-            "survivor_fraction": self.report.survivor_fraction,
-            "mean_final_energy": self.report.mean_final_energy,
-            "mean_final_artificial": self.report.mean_final_artificial,
-            "accumulated_residual": self.accumulated_residual,
-        }
 
 
 def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
@@ -382,7 +373,7 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
                 parameter=parameter,
                 value=float(v),
                 report=report,
-                final_state=survivors[0].final_state,
+                final_state=results[0].final_state if results[0].failure is None else None,
                 accumulated_residual=acc,
             )
         )
@@ -390,26 +381,20 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
 
 
 def sweep_trend_csv(cells: list[SweepCell]) -> str:
-    """Trend table, one row per swept value."""
+    """Trend table, one row per swept value; the final-state distance is blank if path 0 failed in either cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cols = ["parameter", "value", "survivor_fraction", "mean_final_energy", "mean_final_artificial",
             "accumulated_residual", "final_state_l2_diff_prev"]
     writer.writerow(cols)
-    prev = None
-    for cell in cells:
+    for prev, cell in zip([None] + cells, cells):
+        a, b = (None if prev is None else prev.final_state), cell.final_state
         diff = ""
-        if prev is not None and prev.final_state is not None and cell.final_state is not None:
-            a, b = prev.final_state, cell.final_state
-            d = 0.0
-            for name in ("rho", "u", "c"):
-                d += coeff_norm(a.grid, getattr(a, name) - getattr(b, name)) ** 2
+        if a is not None and b is not None:
+            d = sum(coeff_norm(a.grid, getattr(a, name) - getattr(b, name)) ** 2 for name in ("rho", "u", "c"))
             diff = f"{math.sqrt(d):.17g}"
-        row = cell.trend_columns()
-        writer.writerow(
-            [cell.parameter]
-            + [f"{row[c]:.17g}" if isinstance(row[c], float) else row[c] for c in cols[1:-1]]
-            + [diff]
-        )
-        prev = cell
+        report = cell.report
+        numbers = (cell.value, report.survivor_fraction, report.mean_final_energy, report.mean_final_artificial,
+                   cell.accumulated_residual)
+        writer.writerow([cell.parameter, *(f"{x:.17g}" for x in numbers), diff])
     return buf.getvalue()

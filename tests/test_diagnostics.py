@@ -281,6 +281,20 @@ class TestKorn:
             ratios.append(rep.constant)
         assert min(ratios) > 0
 
+    def test_half_shear_stress_fails(self, rng, monkeypatch):
+        # a stress at half the shear viscosity, checked against the full viscosity's constant
+        grid = TorusGrid(dim=2, modes_per_dim=16)
+        visc = ViscositySpec(nu_shear=1.0, nu_bulk=0.0)
+        u = random_band_limited(grid, rng, ncomp=2, band=5, amplitude=1.0)
+        assert korn_check(grid, u, visc).passed
+        stress = diagnostics.stress
+        monkeypatch.setattr(
+            diagnostics, "stress", lambda grid, g, visc: stress(grid, g, replace(visc, nu_shear=visc.nu_shear / 2))
+        )
+        rep = korn_check(grid, u, visc)
+        assert not rep.passed and not rep.degenerate
+        assert rep.margin == pytest.approx(-rep.lhs / 2, rel=1e-9)
+
     def test_1d_bulk_only(self):
         grid = TorusGrid(dim=1, modes_per_dim=16)
         (x,) = grid.mesh()

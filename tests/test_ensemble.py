@@ -240,6 +240,33 @@ class TestSweep:
         assert lines[0].startswith("parameter,value,survivor_fraction")
         assert lines[1].split(",")[0] == "eps"
 
+    def test_trend_compares_path_0_only(self, monkeypatch):
+        # path 0 fails in the middle cell: its distance column and the next one stay blank
+        from nsch import ensemble
+        from nsch.errors import TimeStepError
+        from nsch.noise import path_generator
+
+        config = small_config(paths=2, horizon=1e-3)
+        path0 = path_generator(config.params.noise.seed, 0, stream=0).bit_generator.state["state"]["inc"]
+        step = ensemble.step
+
+        def failing(state, params, gen):
+            if params.eps == 1e-3 and state.t > 5e-4 and gen.bit_generator.state["state"]["inc"] == path0:
+                raise TimeStepError("path 0 stopped for the test")
+            return step(state, params, gen)
+
+        monkeypatch.setattr(ensemble, "step", failing)
+        cells = sweep(config, "eps", [1e-2, 1e-3, 5e-3])
+        assert [c.report.survivors for c in cells] == [2, 1, 2]
+        assert cells[1].final_state is None
+        for cell in (cells[0], cells[2]):
+            params = replace(config.params, eps=cell.value)
+            own = run_trajectory(replace(config, params=params, keep_final_state=True), 0)
+            assert np.array_equal(cell.final_state.c, own.final_state.c)
+        assert [line.split(",")[-1] for line in sweep_trend_csv(cells).splitlines()[1:]] == ["", "", ""]
+        cells[1] = replace(cells[1], final_state=cells[0].final_state)
+        assert sweep_trend_csv(cells).splitlines()[2].split(",")[-1] == "0"
+
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             sweep(small_config(), "gamma", [3.5])
