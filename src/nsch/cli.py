@@ -5,22 +5,26 @@ Exit codes: 0 success, 2 configuration rejected, 3 runtime scheme failure,
 (--seed, --workers, --out) are flags.  The worker count honors the
 NSCH_WORKERS environment variable unless the flag overrides it.
 
-A run directory has one rule, ``_run_outputs``: ``run`` writes the ledger rows
-and checkpoints it hands out, and ``verify`` replays the same loop, compares
-every row as 17-digit text and every checkpoint as bytes, checks the file set,
-and audits each checkpoint's state whose bytes agree.
+Every command runs the ``EnsembleConfig`` that ``parse_config`` returns.  A run
+directory has one rule, ``_run_outputs``: ``run`` writes ``config.cfg`` first,
+then the ledger rows and checkpoints it hands out; ``verify`` replays the
+directory's ``config.cfg`` (or a config that formats to the same text),
+compares every row as 17-digit text and every checkpoint as bytes, checks the
+file set, and audits each checkpoint's state whose bytes agree.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import atomic_open, checkpoint_bytes, checkpoint_diff, save_checkpoint
-from .config import RunConfig, format_config, parse_config
+from .config import format_config, parse_config
 from .diagnostics import (
     audit_ledger_rows,
     initial_ledger_row,
@@ -32,10 +36,10 @@ from .diagnostics import (
     poincare_check,
     worst_relative_residual,
 )
-from .ensemble import _SWEEPABLE, run_paths, run_trajectory, sweep, sweep_trend_csv
+from .ensemble import _SWEEPABLE, EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from .errors import ConfigError, SchemeError
 from .noise import path_generator
-from .scheme import collocation
+from .scheme import collocation, mean_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,14 +47,16 @@ EXIT_RUNTIME = 3
 EXIT_AUDIT = 4
 
 
-def _load_config(path: str | None, seed: int | None) -> RunConfig:
+def _load_config(args) -> tuple[EnsembleConfig, Path]:
+    """The command's configuration and its output directory: --out, else ``[output] dir``."""
     text = ""
-    if path is not None:
-        p = Path(path)
+    if args.config is not None:
+        p = Path(args.config)
         if not p.exists():
-            raise ConfigError([f"config file not found: {path}"])
+            raise ConfigError([f"config file not found: {args.config}"])
         text = p.read_text()
-    return parse_config(text, seed=seed)
+    config = parse_config(text, seed=args.seed)
+    return config, Path(args.out or config.outdir)
 
 
 def _write(path: Path, text: str):
@@ -72,14 +78,13 @@ def _workers(args) -> int:
     return workers
 
 
-def _run_outputs(config: RunConfig, on_row, on_file):
+def _run_outputs(config: EnsembleConfig, on_row, on_file):
     """The run a configuration describes, told to ``on_row(step, row)`` for every ledger row and to
     ``on_file(name, state, gen)`` for every checkpoint: ``chk_<step>.nsch`` at step 0 and every
     ``snapshot_stride`` steps, ``final.nsch`` if the trajectory completes.  Returns its TrajectoryResult.
     """
-    ens = config.ensemble(paths=1)
     params = config.params
-    state0 = ens.initial_state()
+    state0 = config.initial_state()
     on_file("chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0))
     on_row(0, initial_ledger_row(state0, params))
     last = [state0, None]
@@ -90,7 +95,7 @@ def _run_outputs(config: RunConfig, on_row, on_file):
         if config.snapshot_stride and done % config.snapshot_stride == 0:
             on_file(f"chk_{done:08d}.nsch", state, gen)
 
-    result = run_trajectory(ens, 0, initial_state=state0, on_step=on_step)
+    result = run_trajectory(config, 0, initial_state=state0, on_step=on_step)
     if result.failure is None:
         on_file("final.nsch", *last)
     return result
@@ -101,8 +106,7 @@ def _failure_text(failure: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config, args.seed)
-    outdir = Path(args.out or config.outdir)
+    config, outdir = _load_config(args)
     outdir.mkdir(parents=True, exist_ok=True)
     params = config.params
     rows = []
@@ -110,9 +114,9 @@ def cmd_run(args) -> int:
     def save(name, state, gen):
         save_checkpoint(outdir / name, state, gen, params.m, params.n, params.noise.K)
 
+    _write(outdir / "config.cfg", format_config(config))  # first, so a stopped run still names its configuration
     result = _run_outputs(config, lambda done, row: rows.append(row), save)
     _write(outdir / "ledger.csv", ledger_to_csv(rows))
-    _write(outdir / "config.cfg", format_config(config))
     if result.failure is not None:
         print(f"run {_failure_text(result.failure)}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -122,12 +126,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    config = _load_config(args.config, args.seed)
-    outdir = Path(args.out or config.outdir)
-    ens = config.ensemble(workers=_workers(args))
+    config, outdir = _load_config(args)
+    config = replace(config, workers=_workers(args))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        report, _ = run_paths(ens)
+        report, _ = run_paths(config)
     except SchemeError as exc:
         print(f"ensemble failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -142,8 +145,14 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config, args.seed)
-    outdir = Path(args.out or config.outdir)
+    config, outdir = _load_config(args)
+    cfg_path = outdir / "config.cfg"
+    cfg_text = cfg_path.read_text() if cfg_path.exists() else None
+    if args.config is None:
+        if cfg_text is None:
+            print(f"verify: no configuration given and none at {cfg_path}", file=sys.stderr)
+            return EXIT_AUDIT
+        config = parse_config(cfg_text, seed=args.seed)
     params, grid = config.params, config.grid
 
     ledger_path = outdir / "ledger.csv"
@@ -171,7 +180,7 @@ def cmd_verify(args) -> int:
 
     def compare_file(name, state, gen):
         written.append(name)
-        k0 = state.rho[0][grid.zero_index]
+        k0 = mean_density(grid, state.rho)
         zero_modes.append(k0)
         path = outdir / name
         replayed = checkpoint_bytes(state, gen, params.m, params.n, params.noise.K)
@@ -216,6 +225,13 @@ def cmd_verify(args) -> int:
     files = f"{len(written)} checkpoint{'s' * (len(written) != 1)}"
     print(f"replay: {result.steps_done + 1} ledger rows and {files} {'MISMATCH' if mismatches else 'reproduced'}")
     problems.extend(mismatches)
+    text = format_config(config)
+    if cfg_text is None:
+        problems.append("config.cfg: missing")
+    elif cfg_text != text:
+        lines = enumerate(itertools.zip_longest(cfg_text.split("\n"), text.split("\n")), 1)
+        i, (found, wanted) = next((i, pair) for i, pair in lines if pair[0] != pair[1])
+        problems.append(f"config.cfg: line {i} is {found!r} in the file, {wanted!r} in the configuration")
 
     if problems:
         print("verify FAILED:", file=sys.stderr)
@@ -227,8 +243,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, args.seed)
-    outdir = Path(args.out or config.outdir)
+    config, outdir = _load_config(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -237,10 +252,10 @@ def cmd_sweep(args) -> int:
     if not values:
         print("sweep: empty --values", file=sys.stderr)
         return EXIT_CONFIG
-    ens = config.ensemble(workers=_workers(args))
+    config = replace(config, workers=_workers(args))
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        cells = sweep(ens, args.param, values)
+        cells = sweep(config, args.param, values)
     except SchemeError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -254,7 +269,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_print_config(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config, _ = _load_config(args)
     print(format_config(config), end="")
     return EXIT_OK
 
@@ -266,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
+    def common(p, if_absent=None):
+        if if_absent is None:
             p.add_argument("config", help="run configuration file")
         else:
-            p.add_argument("config", nargs="?", default=None, help="run configuration file (defaults if absent)")
+            p.add_argument("config", nargs="?", default=None, help=f"run configuration file ({if_absent})")
         p.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, default=None, help="override the noise seed")
 
@@ -283,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--workers", type=int, default=None, help="worker processes (default NSCH_WORKERS or 1)")
     p_ens.set_defaults(func=cmd_ensemble)
 
-    p_ver = sub.add_parser("verify", help="replay the run, compare ledger and checkpoints byte for byte, audit them")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", help="replay the run, compare its files byte for byte, audit them")
+    common(p_ver, if_absent="the run directory's config.cfg if absent")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="parameter sweep with common random numbers; writes trend.csv")
@@ -295,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pc = sub.add_parser("print-config", help="echo the resolved configuration with defaults filled")
-    common(p_pc, config_required=False)
+    common(p_pc, if_absent="defaults if absent")
     p_pc.set_defaults(func=cmd_print_config)
 
     return parser

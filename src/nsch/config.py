@@ -10,9 +10,12 @@ Grammar (all keys optional; defaults shown by ``print-config``):
     [noise]       kind (geometric|off), modes, alpha0, sigma (sine|constant),
                   sigma_value, seed
     [initial]     mass, rho_amp, rho_band, u_amp, u_band, c_amp, c_band, c_mean
-    [run]         horizon, snapshot_stride, paths, betas
+    [run]         horizon, snapshot_stride (steps between nsch run's checkpoints),
+                  paths, betas
     [output]      dir
 
+``parse_config`` returns the ``EnsembleConfig`` it validates, which also
+carries ``[output] dir`` and the resolved values that ``format_config`` prints.
 Parsing is all this module checks: numbers, unknown sections and keys, the
 string choices and the ``betas`` list.  Every rule on a value lives on the
 type that holds it (``TorusGrid``, ``ApproxParams``, ``FreeEnergySpec``,
@@ -30,7 +33,6 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
 
 from .constitutive import DoubleWell, FreeEnergySpec, QuadraticWell, TanhMixing, ViscositySpec, ZeroFunction
 from .ensemble import EnsembleConfig
@@ -39,7 +41,7 @@ from .noise import ConstantDiffusion, SineDiffusion, geometric_noise, silent_noi
 from .scheme import ApproxParams, InitialData
 from .spectral import TorusGrid
 
-__all__ = ["RunConfig", "parse_config", "format_config", "default_config"]
+__all__ = ["parse_config", "format_config", "default_config"]
 
 _DEFAULTS: dict[str, dict[str, object]] = {
     "grid": {"dim": 1, "modes": 32},
@@ -75,32 +77,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 _SECTION_OF = {key: section for section, kv in _DEFAULTS.items() for key in kv}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    grid: TorusGrid
-    params: ApproxParams
-    initial: InitialData
-    horizon: float
-    snapshot_stride: int
-    paths: int
-    betas: tuple[int, ...]
-    outdir: str
-    raw: dict  # resolved section -> key -> value, the printable form
-
-    def ensemble(self, workers: int = 1, paths: int | None = None) -> EnsembleConfig:
-        """The trajectory settings, without rho c snapshots: no command reads them."""
-        return EnsembleConfig(
-            grid=self.grid,
-            params=self.params,
-            initial=self.initial,
-            paths=self.paths if paths is None else paths,
-            horizon=self.horizon,
-            betas=self.betas,
-            workers=workers,
-        )
-
-
-def default_config() -> "RunConfig":
+def default_config() -> EnsembleConfig:
     return parse_config("")
 
 
@@ -130,7 +107,7 @@ def _build(problems: list[str], section: str | None, factory, **kwargs):
         return None
 
 
-def parse_config(text: str, seed: int | None = None) -> RunConfig:
+def parse_config(text: str, seed: int | None = None) -> EnsembleConfig:
     """Parse and fully validate; raises ConfigError listing every violation.
 
     ``seed``, when given, replaces ``[noise] seed`` before any object is built.
@@ -210,41 +187,23 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
     except ValueError:
         problems.append(f"[run] betas must be a comma list of integers, got {r['betas']!r}")
 
+    config = None
     if None not in (grid, params, initial, betas):
         # the rules that tie the parts to the grid and the time step, each under its key's section
-        _build(problems, None, EnsembleConfig, grid=grid, params=params, initial=initial, horizon=r["horizon"],
-               snapshot_stride=r["snapshot_stride"], paths=r["paths"], betas=betas)
+        config = _build(problems, None, EnsembleConfig, grid=grid, params=params, initial=initial,
+                        horizon=r["horizon"], snapshot_stride=r["snapshot_stride"], paths=r["paths"], betas=betas,
+                        outdir=resolved["output"]["dir"], raw=resolved)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        grid=grid,
-        params=params,
-        initial=initial,
-        horizon=r["horizon"],
-        snapshot_stride=r["snapshot_stride"],
-        paths=r["paths"],
-        betas=betas,
-        outdir=str(resolved["output"]["dir"]),
-        raw=resolved,
-    )
+    return config
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def format_config(config: RunConfig) -> str:
-    """Emit the resolved configuration; parse(format(c)) reproduces c exactly."""
+def format_config(config: EnsembleConfig) -> str:
+    """Emit the resolved configuration, floats at 17 digits; parse(format(c)) reproduces c exactly."""
     buf = io.StringIO()
     for section, kv in config.raw.items():
         buf.write(f"[{section}]\n")
         for key, value in kv.items():
-            buf.write(f"{key} = {_format_value(value)}\n")
+            buf.write(f"{key} = {value:.17g}\n" if isinstance(value, float) else f"{key} = {value}\n")
         buf.write("\n")
     return buf.getvalue()

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .noise import path_generator
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
-from .spectral import TorusGrid, coeff_norm, gradient, laplacian, norms_l2_squared, to_spectral
+from .spectral import TorusGrid, coeff_norm, gradient, laplacian, norms_l2_squared
 
 __all__ = [
     "EnsembleConfig",
@@ -68,10 +68,12 @@ class EnsembleConfig:
     initial: InitialData
     paths: int
     horizon: float
-    snapshot_stride: int = 0
+    snapshot_stride: int = 0  # steps between the checkpoints of ``nsch run``, 0 for none
     betas: tuple[int, ...] = (1, 2)
     workers: int = 1
     keep_final_state: bool = False
+    outdir: str = "out"
+    raw: dict = field(default_factory=dict, compare=False, repr=False)  # as parsed; replace() keeps it as is
 
     def __post_init__(self):
         """The rules that tie the parts to the grid and the time step."""
@@ -111,19 +113,12 @@ class TrajectoryResult:
     chi_zero_fraction: float
     steps_done: int
     final_state: SchemeState | None = None
-    rho_c_snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 def _state_functionals(state: SchemeState, params: ApproxParams) -> dict[str, float]:
     grid, c = state.grid, state.c
     c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient(grid, c), laplacian(grid, c)])
     return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, params)}
-
-
-def _rho_c(state: SchemeState, params: ApproxParams) -> tuple[float, np.ndarray]:
-    """(t, coefficients of rho c): the dealiased product from the state's collocation values."""
-    col = collocation(state, params)
-    return state.t, to_spectral(col.grid, col.rho * col.c)
 
 
 def run_trajectory(
@@ -144,9 +139,6 @@ def run_trajectory(
     residuals = [0.0]
     stats0 = _state_functionals(state, params)
     sup = dict(stats0)
-    snaps: list[tuple[float, np.ndarray]] = []
-    if config.snapshot_stride > 0:
-        snaps.append(_rho_c(state, params))
 
     failure = None
     chi_min = 1.0
@@ -172,8 +164,6 @@ def run_trajectory(
             chi_zero += 1
         for k, v in _state_functionals(state, params).items():
             sup[k] = max(sup[k], v)
-        if config.snapshot_stride > 0 and done % config.snapshot_stride == 0:
-            snaps.append(_rho_c(state, params))
         if on_step is not None:
             on_step(done, state, gen, rep, row)
 
@@ -197,7 +187,6 @@ def run_trajectory(
         chi_zero_fraction=frac,
         steps_done=done,
         final_state=state if config.keep_final_state else None,
-        rho_c_snapshots=snaps,
     )
 
 

@@ -340,42 +340,6 @@ class TestCli:
         assert main(["verify", str(cfg), "--out", str(out)]) == 4
         assert "unreadable ledger: empty ledger file" in capsys.readouterr().err
 
-    def test_run_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
-        from nsch import ensemble
-
-        calls = []
-        rho_c = ensemble._rho_c
-        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST_RUN)
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert calls == [] and (out / "chk_00000010.nsch").exists()
-
-    def test_sweep_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
-        from nsch import ensemble
-
-        calls = []
-        rho_c = ensemble._rho_c
-        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(FAST_RUN)
-        out = tmp_path / "out"
-        assert main(["sweep", str(cfg), "--param", "m", "--values", "2,3", "--workers", "1", "--out", str(out)]) == 0
-        assert calls == [] and (out / "trend.csv").exists()
-
-    def test_ensemble_collects_no_rho_c_snapshots(self, tmp_path, monkeypatch):
-        from nsch import ensemble
-
-        calls = []
-        rho_c = ensemble._rho_c
-        monkeypatch.setattr(ensemble, "_rho_c", lambda *args: calls.append(args) or rho_c(*args))
-        cfg = tmp_path / "ens.cfg"
-        cfg.write_text(FAST_RUN)
-        out = tmp_path / "out"
-        assert main(["ensemble", str(cfg), "--workers", "1", "--out", str(out)]) in (0, 4)
-        assert calls == [] and (out / "report.json").exists()
-
     def test_pool_is_no_larger_than_the_paths(self, tmp_path, monkeypatch):
         # a pool forks all its workers at the first submit; a stand-in records the size and maps serially
         import concurrent.futures
@@ -436,6 +400,7 @@ class TestCli:
             "  - chk_00000010.nsch: not written by the run",
             "  - chk_00000020.nsch: not written by the run",
             "  - chk_copy.nsch: not written by the run",
+            "  - config.cfg: line 6 is 'eps = 0.01' in the file, 'eps = 0.5' in the configuration",
         ]
         assert "all checks passed" not in captured.out
 
@@ -682,6 +647,63 @@ class TestCli:
         assert captured.err == (
             "verify FAILED:\n  - chk_00000010.nsch: missing\n  - chk_00000015.nsch: not written by the run\n"
         )
+
+    def test_verify_replays_the_run_directory_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 0
+        given = capsys.readouterr().out
+        assert main(["verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == given
+
+    def test_verify_names_a_config_that_is_not_the_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        problems = [p for p in capsys.readouterr().err.splitlines() if p.startswith("  - ")]
+        line = format_config(parse_config(FAST_RUN)).split("\n").index("seed = 20260809") + 1
+        assert problems[-1] == (
+            f"  - config.cfg: line {line} is 'seed = 5' in the file, 'seed = 20260809' in the configuration"
+        )
+        assert problems[0].startswith("  - ledger row 0: kinetic = ")
+
+    def test_verify_names_a_deleted_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        (out / "config.cfg").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "replay: 21 ledger rows and 4 checkpoints reproduced" in captured.out
+        assert captured.err == "verify FAILED:\n  - config.cfg: missing\n"
+        assert main(["verify", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verify: no configuration given and none at {out / 'config.cfg'}\n"
+
+    def test_run_names_its_configuration_before_the_first_step(self, tmp_path, capsys, monkeypatch):
+        # a run killed in its first step still leaves the configuration it ran
+        from nsch import ensemble
+
+        def killed(state, params, gen):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ensemble, "step", killed)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(cfg), "--out", str(out)])
+        assert (out / "config.cfg").read_text() == format_config(parse_config(FAST_RUN))
+        assert not (out / "ledger.csv").exists()
 
     def test_verify_reproduces_the_failure_of_a_stopped_run(self, tmp_path, capsys, monkeypatch):
         # the same failing scheme for run and verify: the run exits 3, its directory verifies clean

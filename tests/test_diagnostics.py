@@ -349,7 +349,7 @@ class TestPoincare:
         # the benchmark's run-1d problem (1D/32, noise on, dt = 1e-5): ||mu||^2
         # of the initial state is 0.071 of the bound, so C/20 must fail it
         config = parse_config("[grid]\ndim = 1\nmodes = 32\n\n[scheme]\ndt = 1e-05\n\n[noise]\nseed = 1\n")
-        state = config.ensemble(paths=1).initial_state()
+        state = config.initial_state()
         mu = collocation(state, config.params).mu
         args = (config.grid, state.rho, mu, config.initial.mass, config.params.fspec.gamma)
         rep = poincare_check(*args)

@@ -4,6 +4,8 @@ The library types reject the values the configuration file rejects, with the
 same messages; ``parse_config`` only prefixes each with its ``[section]``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from nsch.config import parse_config
@@ -35,6 +37,11 @@ def ensemble(params_kw=None, initial_kw=None, **kw) -> EnsembleConfig:
     )
 
 
+def parsed(**kw):
+    """The default configuration as ``parse_config`` returns it, with ``kw`` replaced."""
+    return replace(parse_config(""), **kw)
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
 
@@ -49,8 +56,9 @@ def test_config_error_is_a_value_error():
         (ensemble, {"params_kw": {"m": 20}}, "m = 20 exceeds the grid truncation 16"),
         (ensemble, {"initial_kw": {"u_band": 17}}, "u_band = 17 exceeds the grid truncation 16"),
         (ensemble, {"snapshot_stride": -3}, "snapshot_stride must be a nonnegative integer, got -3"),
+        (parsed, {"paths": 0}, "paths must be a positive integer, got 0"),
     ],
-    ids=["cfl", "u_amp", "c_band", "alpha0", "m-over-kmax", "band-over-kmax", "snapshot_stride"],
+    ids=["cfl", "u_amp", "c_band", "alpha0", "m-over-kmax", "band-over-kmax", "snapshot_stride", "parsed-paths"],
 )
 def test_library_rejects_what_the_file_rejects(factory, kwargs, expected):
     assert violations(factory, **kwargs) == [expected]
