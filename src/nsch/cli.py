@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration rejected, 3 runtime scheme failure,
 4 audit failure.  Physics lives in the config file; only operational knobs
-(--seed, --workers, --out) are flags.  The worker count honors the
-NSCH_WORKERS environment variable unless the flag overrides it.
+(--seed, --workers, --out) are flags; the worker count is set by --workers
+alone (default 1) and checked by ``EnsembleConfig`` like every other count.
 
 Every command runs the ``EnsembleConfig`` that ``parse_config`` returns.  A run
 directory has one rule, ``_run_outputs``: ``run`` writes ``config.cfg`` first,
@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import atomic_open, checkpoint_bytes, checkpoint_diff, save_checkpoint
-from .config import format_config, parse_config
+from .config import _DEFAULTS, format_config, parse_config
 from .diagnostics import (
     audit_ledger_rows,
     initial_ledger_row,
@@ -62,20 +61,6 @@ def _load_config(args) -> tuple[EnsembleConfig, Path]:
 def _write(path: Path, text: str):
     with atomic_open(path) as fh:
         fh.write(text)
-
-
-def _workers(args) -> int:
-    """--workers, else NSCH_WORKERS, else 1; a count that is not a positive integer is rejected."""
-    source, value = "--workers", args.workers
-    if value is None:
-        source, value = "NSCH_WORKERS", os.environ.get("NSCH_WORKERS") or "1"
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError([f"{source} must be a positive integer, got {value!r}"])
-    return workers
 
 
 def _run_outputs(config: EnsembleConfig, on_row, on_file):
@@ -127,7 +112,7 @@ def cmd_run(args) -> int:
 
 def cmd_ensemble(args) -> int:
     config, outdir = _load_config(args)
-    config = replace(config, workers=_workers(args))
+    config = replace(config, workers=args.workers)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         report, _ = run_paths(config)
@@ -145,7 +130,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, outdir = _load_config(args)
+    if args.config is None:
+        outdir = Path(args.out or _DEFAULTS["output"]["dir"])  # the config is the directory's own, parsed below
+    else:
+        config, outdir = _load_config(args)
     cfg_path = outdir / "config.cfg"
     cfg_text = cfg_path.read_text() if cfg_path.exists() else None
     if args.config is None:
@@ -252,7 +240,7 @@ def cmd_sweep(args) -> int:
     if not values:
         print("sweep: empty --values", file=sys.stderr)
         return EXIT_CONFIG
-    config = replace(config, workers=_workers(args))
+    config = replace(config, workers=args.workers)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         cells = sweep(config, args.param, values)
@@ -295,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="run a Monte Carlo ensemble; writes report.json")
     common(p_ens)
-    p_ens.add_argument("--workers", type=int, default=None, help="worker processes (default NSCH_WORKERS or 1)")
+    p_ens.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_ens.set_defaults(func=cmd_ensemble)
 
     p_ver = sub.add_parser("verify", help="replay the run, compare its files byte for byte, audit them")
@@ -306,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sw)
     p_sw.add_argument("--param", required=True, choices=_SWEEPABLE)
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    p_sw.add_argument("--workers", type=int, default=None)
+    p_sw.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pc = sub.add_parser("print-config", help="echo the resolved configuration with defaults filled")

@@ -15,7 +15,8 @@ Grammar (all keys optional; defaults shown by ``print-config``):
     [output]      dir
 
 ``parse_config`` returns the ``EnsembleConfig`` it validates, which also
-carries ``[output] dir`` and the resolved values that ``format_config`` prints.
+carries ``[output] dir`` and the resolved values that ``format_config`` prints
+(``replace`` drops those, so a changed configuration never prints stale text).
 Parsing is all this module checks: numbers, unknown sections and keys, the
 string choices and the ``betas`` list.  Every rule on a value lives on the
 type that holds it (``TorusGrid``, ``ApproxParams``, ``FreeEnergySpec``,
@@ -156,8 +157,6 @@ def parse_config(text: str, seed: int | None = None) -> EnsembleConfig:
         problems.append(f"[free_energy] mixing must be tanh or zero, got {fe['mixing']!r}")
     fspec = _build(problems, "free_energy", FreeEnergySpec, a=fe["a"], gamma=fe["gamma"], mixing=mixing, well=well,
                    rho_floor=fe["rho_floor"])
-    if fspec is not None:
-        problems.extend(f"[free_energy] {p}" for p in fspec.validate())
 
     vs = resolved["viscosity"]
     visc = _build(problems, "viscosity", ViscositySpec, nu_shear=vs["shear"], nu_bulk=vs["bulk"])
@@ -173,8 +172,6 @@ def parse_config(text: str, seed: int | None = None) -> EnsembleConfig:
             problems.append(f"[noise] sigma must be sine or constant, got {nz['sigma']!r}")
         noise = _build(problems, "noise", geometric_noise, K=nz["modes"], alpha0=nz["alpha0"], family=family,
                        seed=nz["seed"])
-        if noise is not None:
-            problems.extend(f"[noise] {p}" for p in noise.validate_bounds())
     else:
         problems.append(f"[noise] kind must be geometric or off, got {nz['kind']!r}")
 
@@ -192,14 +189,20 @@ def parse_config(text: str, seed: int | None = None) -> EnsembleConfig:
         # the rules that tie the parts to the grid and the time step, each under its key's section
         config = _build(problems, None, EnsembleConfig, grid=grid, params=params, initial=initial,
                         horizon=r["horizon"], snapshot_stride=r["snapshot_stride"], paths=r["paths"], betas=betas,
-                        outdir=resolved["output"]["dir"], raw=resolved)
+                        outdir=resolved["output"]["dir"])
     if problems:
         raise ConfigError(problems)
+    object.__setattr__(config, "raw", resolved)
     return config
 
 
 def format_config(config: EnsembleConfig) -> str:
-    """Emit the resolved configuration, floats at 17 digits; parse(format(c)) reproduces c exactly."""
+    """Emit the resolved configuration, floats at 17 digits; parse(format(c)) reproduces c exactly.
+
+    A configuration built or replaced after parsing has no parsed form and is rejected.
+    """
+    if config.raw is None:
+        raise ValueError("format_config needs a configuration as parse_config returns it, not built or replaced")
     buf = io.StringIO()
     for section, kv in config.raw.items():
         buf.write(f"[{section}]\n")

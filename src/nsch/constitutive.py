@@ -199,6 +199,7 @@ class FreeEnergySpec:
             (self.gamma > 3, f"gamma must exceed 3, got {self.gamma}"),
             (self.rho_floor > 0, f"rho_floor must be positive, got {self.rho_floor}"),
         )
+        require(*((False, p) for p in self.validate()))  # once the scalars pass, the profile bounds
 
     def validate(self) -> list[str]:
         """Numeric checks of the structural hypotheses; returns violations."""

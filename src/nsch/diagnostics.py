@@ -116,10 +116,7 @@ def energy_ledger_step(
     noise = params.noise
 
     kin1, fre1, int1 = b.energies
-    art1 = b.artificial
     kin0, fre0, int0 = a.energies
-    art0 = a.artificial
-    d_total = (kin1 + fre1 + int1 + art1) - (kin0 + fre0 + int0 + art0)
 
     # every integrand of the row, integrated by one row sum over their stack
     rv = a.rho[0]
@@ -155,23 +152,24 @@ def energy_ledger_step(
         ito2 = 0.5 * ito[1] * dt
         stoch = _stochastic_transfer(a, inc, rv * a.mu_values[0])
 
-    residual = d_total + diss_visc + diss_mu + diss_eps + diss_art - rhs1 - rhs2 - ito1 - ito2 - stoch
-    return EnergyLedger(
-        kinetic=kin1,
-        free=fre1,
-        interface=int1,
-        artificial=art1,
-        dissipation_viscous=diss_visc,
-        dissipation_mu=diss_mu,
-        dissipation_eps=diss_eps,
-        dissipation_art=diss_art,
-        rhs_eps1=rhs1,
-        rhs_eps2=rhs2,
-        ito1=ito1,
-        ito2=ito2,
-        stochastic_increment=stoch,
-        residual=residual,
-    )
+    # the row's columns in order, the residual last
+    entries = (kin1, fre1, int1, b.artificial, diss_visc, diss_mu, diss_eps, diss_art, rhs1, rhs2, ito1, ito2, stoch)
+    return EnergyLedger(*entries, _balance_residual((kin0, fre0, int0, a.artificial), entries))
+
+
+def _balance_residual(before, entries) -> float:
+    """The residual of the energy balance over one step: the change of the total energy plus the
+    dissipations minus the transfers.
+
+    ``before`` holds the energies (kinetic, free, interface, artificial) before
+    the step; ``entries`` holds a ledger row's columns in order, a stored
+    residual after them is ignored.  The step that writes a row and the audit
+    that re-derives it both call this, so they round alike.
+    """
+    kin, fre, inter, art, visc, mu, eps, art_diss, rhs1, rhs2, ito1, ito2, stoch, *_ = entries
+    kin0, fre0, int0, art0 = before
+    d_total = (kin + fre + inter + art) - (kin0 + fre0 + int0 + art0)
+    return d_total + visc + mu + eps + art_diss - rhs1 - rhs2 - ito1 - ito2 - stoch
 
 
 def _stochastic_transfer(col: Collocation, inc: WienerIncrement, base: np.ndarray) -> float:
@@ -449,21 +447,7 @@ def audit_ledger_rows(rows: list[EnergyLedger], tol: float = 1e-9) -> list[str]:
         if i == 0:
             continue
         prev = rows[i - 1]
-        d_total = (row.kinetic + row.free + row.interface + row.artificial) - (
-            prev.kinetic + prev.free + prev.interface + prev.artificial
-        )
-        recomputed = (
-            d_total
-            + row.dissipation_viscous
-            + row.dissipation_mu
-            + row.dissipation_eps
-            + row.dissipation_art
-            - row.rhs_eps1
-            - row.rhs_eps2
-            - row.ito1
-            - row.ito2
-            - row.stochastic_increment
-        )
+        recomputed = _balance_residual((prev.kinetic, prev.free, prev.interface, prev.artificial), entries.values())
         if abs(recomputed - row.residual) > tol * _ledger_scale(row):
             problems.append(
                 f"step {i}: stored residual {row.residual:.6e} disagrees with recomputed {recomputed:.6e}"

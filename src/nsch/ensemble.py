@@ -73,10 +73,11 @@ class EnsembleConfig:
     workers: int = 1
     keep_final_state: bool = False
     outdir: str = "out"
-    raw: dict = field(default_factory=dict, compare=False, repr=False)  # as parsed; replace() keeps it as is
+    # the resolved values as parsed: parse_config sets them, the constructor and replace() do not
+    raw: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """The rules that tie the parts to the grid and the time step."""
+        """The rules that tie the parts to the grid and the time step, and those of the run's own counts."""
         kmax, dt, initial = self.grid.kmax, self.params.dt, self.initial
         bands = {"m": self.params.m, "n": self.params.n}
         bands.update((name, getattr(initial, name)) for name in ("rho_band", "u_band", "c_band"))
@@ -87,6 +88,7 @@ class EnsembleConfig:
             (self.horizon > 0, f"horizon must be positive, got {self.horizon}"),
             (self.horizon <= 0 or whole, f"horizon {self.horizon} is not an integral number of steps at dt = {dt}"),
             (self.paths >= 1, f"paths must be a positive integer, got {self.paths}"),
+            (self.workers >= 1, f"workers must be a positive integer, got {self.workers}"),
             (self.snapshot_stride >= 0, f"snapshot_stride must be a nonnegative integer, got {self.snapshot_stride}"),
             (len(self.betas) > 0 and min(self.betas) >= 1, f"betas must be positive integers, got {self.betas}"),
         )

@@ -91,7 +91,8 @@ class NoiseSpec:
     """Truncated noise family: K modes with weights alphas and profile family.
 
     ``tail_sq`` is the sum of the squared weights dropped by the truncation;
-    explicit finite families have zero tail by definition.
+    explicit finite families have zero tail by definition.  Specs compare and
+    hash their weights by value.
     """
 
     K: int
@@ -111,6 +112,15 @@ class NoiseSpec:
             (self.K == 0 or tail < _TAIL_LIMIT,
              f"noise truncation too aggressive: tail/total = {tail:.3e} >= {_TAIL_LIMIT}"),
         )
+
+    def _key(self) -> tuple:
+        return self.K, tuple(self.alphas.tolist()), self.family, self.seed, self.tail_sq
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def modes(self) -> range:
@@ -133,12 +143,14 @@ class NoiseSpec:
 
 
 def geometric_noise(K: int = 20, alpha0: float = 0.05, family=None, seed: int = 20260809) -> NoiseSpec:
-    """Weights alpha_k = alpha0 2^(-k), k = 1..K, with the exact geometric tail."""
+    """Weights alpha_k = alpha0 2^(-k), k = 1..K, with the exact geometric tail; sigma_k within W^{2,inf}."""
     require((K >= 1, f"K must be a positive integer, got {K}"), (alpha0 > 0, f"alpha0 must be positive, got {alpha0}"))
     k = np.arange(1, K + 1, dtype=float)
     alphas = alpha0 * 2.0**-k
     tail = alpha0**2 * 4.0 ** (-float(K)) / 3.0
-    return NoiseSpec(K=K, alphas=alphas, family=family or SineDiffusion(), seed=seed, tail_sq=tail)
+    spec = NoiseSpec(K=K, alphas=alphas, family=family or SineDiffusion(), seed=seed, tail_sq=tail)
+    require(*((False, p) for p in spec.validate_bounds()))
+    return spec
 
 
 def silent_noise(seed: int = 20260809) -> NoiseSpec:

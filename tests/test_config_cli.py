@@ -41,6 +41,22 @@ class TestParseConfig:
         echoed = format_config(config)
         again = parse_config(echoed)
         assert format_config(again) == echoed
+        assert again == config
+
+    def test_equal_texts_give_equal_configs(self):
+        config = parse_config(FAST_RUN)
+        same = parse_config(FAST_RUN)
+        assert same == config and hash(same) == hash(config)
+        assert hash(same.params) == hash(config.params)
+        for change in (("alpha0 = 0.2", "alpha0 = 0.3"), ("alpha0 = 0.2", "alpha0 = 0.2\nseed = 5")):
+            other = parse_config(FAST_RUN.replace(*change))
+            assert other != config and other.params.noise != config.params.noise
+
+    def test_format_rejects_a_replaced_config(self):
+        config = parse_config("")
+        with pytest.raises(ValueError, match="parse_config"):
+            format_config(replace(config, paths=3))
+        assert "paths = 64\n" in format_config(config)
 
     def test_gamma_bound_named(self):
         with pytest.raises(ConfigError) as err:
@@ -541,12 +557,14 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (out / "trend.csv").exists()
 
-    def test_workers_env(self, tmp_path, monkeypatch):
+    def test_workers_env_is_ignored(self, tmp_path, monkeypatch):
+        # the worker count is set by --workers alone; a variable that once set it is no input
         cfg = tmp_path / "ens.cfg"
         cfg.write_text(FAST_RUN.replace("paths = 8", "paths = 2"))
-        monkeypatch.setenv("NSCH_WORKERS", "2")
+        monkeypatch.setenv("NSCH_WORKERS", "abc")
         out = tmp_path / "out"
         assert main(["ensemble", str(cfg), "--out", str(out)]) in (0, 4)
+        assert json.loads((out / "report.json").read_text())["paths"] == 2
 
     @pytest.mark.parametrize("command", [["ensemble"], ["sweep", "--param", "eps", "--values", "1e-2"]])
     def test_nonpositive_workers_flag_rejected(self, tmp_path, capsys, command):
@@ -554,17 +572,7 @@ class TestCli:
         cfg.write_text(FAST_RUN)
         out = tmp_path / "out"
         assert main([command[0], str(cfg), "--out", str(out), "--workers", "0", *command[1:]]) == 2
-        assert "--workers must be a positive integer, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_workers_env_rejected(self, tmp_path, capsys, monkeypatch, value):
-        cfg = tmp_path / "ens.cfg"
-        cfg.write_text(FAST_RUN)
-        monkeypatch.setenv("NSCH_WORKERS", value)
-        out = tmp_path / "out"
-        assert main(["ensemble", str(cfg), "--out", str(out)]) == 2
-        assert f"NSCH_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == "configuration rejected:\n  - workers must be a positive integer, got 0\n"
         assert not out.exists()
 
     def test_nonfinite_run_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -658,6 +666,20 @@ class TestCli:
         given = capsys.readouterr().out
         assert main(["verify", "--out", str(out)]) == 0
         assert capsys.readouterr().out == given
+
+    def test_verify_parses_one_configuration(self, tmp_path, capsys, monkeypatch):
+        from nsch import cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        texts = []
+        monkeypatch.setattr(cli, "parse_config", lambda text, seed=None: texts.append(text) or parse_config(text, seed))
+        assert main(["verify", "--out", str(out)]) == 0
+        assert texts == [(out / "config.cfg").read_text()]
+        assert main(["verify", str(cfg), "--out", str(out)]) == 0
+        assert texts[1:] == [FAST_RUN]
 
     def test_verify_names_a_config_that_is_not_the_runs(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

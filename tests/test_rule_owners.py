@@ -9,9 +9,10 @@ from dataclasses import replace
 import pytest
 
 from nsch.config import parse_config
+from nsch.constitutive import FreeEnergySpec, QuadraticWell
 from nsch.ensemble import EnsembleConfig, sweep
 from nsch.errors import ConfigError
-from nsch.noise import geometric_noise
+from nsch.noise import ConstantDiffusion, geometric_noise
 from nsch.scheme import ApproxParams, InitialData
 from nsch.spectral import TorusGrid
 
@@ -57,11 +58,16 @@ def test_config_error_is_a_value_error():
         (ensemble, {"initial_kw": {"u_band": 17}}, "u_band = 17 exceeds the grid truncation 16"),
         (ensemble, {"snapshot_stride": -3}, "snapshot_stride must be a nonnegative integer, got -3"),
         (parsed, {"paths": 0}, "paths must be a positive integer, got 0"),
+        (FreeEnergySpec, {"well": QuadraticWell(lam=30)}, "well d2 exceeds bound 20.0 (max 30)"),
+        (geometric_noise, {"family": ConstantDiffusion(2.0)},
+         [f"sigma_{k} exceeds the W^(2,inf) bound 1 (sup 2)" for k in range(1, 21)]),
+        (parsed, {"workers": 0}, "workers must be a positive integer, got 0"),
     ],
-    ids=["cfl", "u_amp", "c_band", "alpha0", "m-over-kmax", "band-over-kmax", "snapshot_stride", "parsed-paths"],
+    ids=["cfl", "u_amp", "c_band", "alpha0", "m-over-kmax", "band-over-kmax", "snapshot_stride", "parsed-paths",
+         "well-bound", "sigma-bound", "parsed-workers"],
 )
 def test_library_rejects_what_the_file_rejects(factory, kwargs, expected):
-    assert violations(factory, **kwargs) == [expected]
+    assert violations(factory, **kwargs) == (expected if isinstance(expected, list) else [expected])
 
 
 def test_one_error_lists_every_violation_of_a_type():
