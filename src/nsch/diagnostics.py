@@ -271,7 +271,12 @@ class InequalityReport:
 
 
 def korn_constant(dim: int, visc: ViscositySpec) -> float:
-    """nu_shear (2 - 2/N) for N >= 2; in 1D the shear part is deviatoric-free, so nu_bulk (0: no stress at all)."""
+    """C of int S(grad u):grad u >= C ||grad u||^2, sharp for N = 1, 2 only.
+
+    On the torus int S:grad u = nu_shear (||grad u||^2 + (1 - 2/N) ||div u||^2) + nu_bulk ||div u||^2,
+    so the sharp C is nu_bulk in 1D (0: no stress at all) and nu_shear for N >= 2, which
+    nu_shear (2 - 2/N) equals only at N = 2: at N = 3 it would overstate C by 4/3.
+    """
     return visc.nu_shear * (2.0 - 2.0 / dim) + (visc.nu_bulk if dim == 1 else 0.0)
 
 

@@ -330,8 +330,7 @@ def _gram_tables(grid: TorusGrid, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     shape = grid.band_shape
     size = math.prod(shape)
-    # band axes run over -kmax..kmax except the last, the stored half 0..kmax
-    offset = np.array([grid.kmax] * (grid.dim - 1) + [0])
+    offset = np.array(grid.zero_index)
     axis = np.arange(-m, m + 1)
     full = np.stack(np.meshgrid(*(axis,) * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
 

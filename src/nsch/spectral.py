@@ -2,11 +2,15 @@
 
 A field is stored as the half-spectrum of its Fourier-series coefficients
 c_k (the coefficients of e^{i k.x}), restricted to the band |k_i| <= kmax.
-Conjugate symmetry c_{-k} = conj(c_k) is implied by the storage and enforced
-on the one stored line that carries both signs, so every field is real by
-construction.  All differential operators act exactly on coefficients;
-pointwise nonlinearities go through a padded collocation grid wide enough
-that quadratic products are alias-free after re-truncation.
+One layout rule holds for every N: each band axis but the last runs over
+-kmax..kmax, the last over the stored half 0..kmax, so ``band_shape`` is
+(2 kmax + 1,) * (N - 1) + (kmax + 1,).  The half implies c_{-k} = conj(c_k)
+except on the self-paired plane (last index 0), which holds both k and -k;
+there the symmetry is enforced exactly, so every field is real by
+construction.  A checkpoint block is a C-ordered ``band_shape`` array.
+All differential operators act exactly on coefficients; pointwise
+nonlinearities go through a padded collocation grid wide enough that
+quadratic products are alias-free after re-truncation.
 
 A field is its coefficient array, of shape (..., ncomp) + band_shape,
 everywhere in the package: every operator, transform, product and norm
@@ -100,13 +104,12 @@ class TorusGrid:
 
     @cached_property
     def band_shape(self) -> tuple[int, ...]:
-        k = self.kmax
-        return (k + 1,) if self.dim == 1 else (2 * k + 1, k + 1)
+        return (2 * self.kmax + 1,) * (self.dim - 1) + (self.kmax + 1,)
 
     @property
     def zero_index(self) -> tuple[int, ...]:
         """Position of the k = 0 coefficient in the band."""
-        return (0,) if self.dim == 1 else (self.kmax, 0)
+        return (self.kmax,) * (self.dim - 1) + (0,)
 
     @property
     def spacing(self) -> float:
@@ -129,11 +132,17 @@ class TorusGrid:
     def k_axes(self) -> tuple[np.ndarray, ...]:
         """Wavevector component arrays broadcast over the band shape."""
         k = self.kmax
-        if self.dim == 1:
-            return (np.arange(k + 1, dtype=float),)
-        kx = np.arange(-k, k + 1, dtype=float)[:, None]
-        ky = np.arange(0, k + 1, dtype=float)[None, :]
-        return (kx, ky)
+        full, half = np.arange(-k, k + 1, dtype=float), np.arange(0, k + 1, dtype=float)
+        return tuple(np.meshgrid(*[full] * (self.dim - 1), half, indexing="ij", sparse=True))
+
+    @cached_property
+    def _band_index(self) -> tuple:
+        """Index of the band in an rfftn-layout array, behind any leading axes: a view in 1D.
+
+        Wavenumber q sits at q mod points_per_dim on every full axis, at q on the halved last one.
+        """
+        wrap = np.arange(-self.kmax, self.kmax + 1) % self.points_per_dim
+        return (Ellipsis, *np.ix_(*[wrap] * (self.dim - 1)), slice(0, self.kmax + 1))
 
     @cached_property
     def _ik(self) -> np.ndarray:
@@ -149,69 +158,40 @@ class TorusGrid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        out = np.zeros(self.band_shape)
-        for ka in self.k_axes:
-            out = out + ka**2
-        return out
+        return sum(ka**2 for ka in self.k_axes)
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
-        """Multiplicity of each stored mode in the full two-sided spectrum."""
+        """Multiplicity of each stored mode in the full two-sided spectrum: 1 on the self-paired plane."""
         w = np.full(self.band_shape, 2.0)
-        if self.dim == 1:
-            w[0] = 1.0
-        else:
-            w[:, 0] = 1.0
+        w[..., 0] = 1.0
         return w
 
     @cached_property
     def _twist(self) -> np.ndarray:
         # the FFT references x = 0 while the grid starts at -pi; the basis
         # change multiplies mode k by (-1)^(sum |k_i|)
-        axes = self.k_axes
-        t = np.ones(self.band_shape)
-        for ka in axes:
-            t = t * np.where(np.abs(ka).astype(int) % 2 == 0, 1.0, -1.0)
-        return t
+        return np.where(sum(np.abs(ka) for ka in self.k_axes) % 2 == 0, 1.0, -1.0)
 
 
 def _symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Enforce exact conjugate symmetry on the self-paired stored line."""
-    if grid.dim == 1:
-        coeffs[..., 0] = coeffs[..., 0].real
-    else:
-        line = coeffs[..., :, 0]
-        coeffs[..., :, 0] = 0.5 * (line + line[..., ::-1].conj())
-        k = grid.kmax
-        coeffs[..., k, 0] = coeffs[..., k, 0].real
+    """Enforce exact conjugate symmetry on the self-paired plane: c_{-q} = conj(c_q) at last index 0."""
+    plane = coeffs[..., 0]
+    mirror = (Ellipsis,) + (slice(None, None, -1),) * (grid.dim - 1)  # q -> -q on every axis of the plane
+    coeffs[..., 0] = 0.5 * (plane + plane[mirror].conj())
     return coeffs
 
 
 def _scatter(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Place band coefficients into an rfftn-layout buffer, keeping any leading axes."""
-    npts = grid.points_per_dim
-    k = grid.kmax
-    tw = coeffs * grid._twist
-    if grid.dim == 1:
-        buf = np.zeros(coeffs.shape[:-1] + (npts // 2 + 1,), dtype=np.complex128)
-        buf[..., : k + 1] = tw
-    else:
-        buf = np.zeros(coeffs.shape[:-2] + (npts, npts // 2 + 1), dtype=np.complex128)
-        buf[..., : k + 1, : k + 1] = tw[..., k:, :]
-        buf[..., npts - k :, : k + 1] = tw[..., :k, :]
+    n = grid.points_per_dim
+    buf = np.zeros(coeffs.shape[: -grid.dim] + (n,) * (grid.dim - 1) + (n // 2 + 1,), dtype=np.complex128)
+    buf[grid._band_index] = coeffs * grid._twist
     return buf
 
 
 def _gather(grid: TorusGrid, buf: np.ndarray) -> np.ndarray:
-    npts = grid.points_per_dim
-    k = grid.kmax
-    if grid.dim == 1:
-        out = buf[..., : k + 1]
-    else:
-        out = np.empty(buf.shape[:-2] + (2 * k + 1, k + 1), dtype=np.complex128)
-        out[..., k:, :] = buf[..., : k + 1, : k + 1]
-        out[..., :k, :] = buf[..., npts - k :, : k + 1]
-    return out * grid._twist
+    return buf[grid._band_index] * grid._twist
 
 
 def to_physical(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles: convolution products, Ito convention."""
 
 import numpy as np
+import pytest
 
 from nsch.constitutive import chemical_potential
 from nsch.diagnostics import energy_ledger_step
@@ -69,14 +70,25 @@ class TestConvolutionOracle:
                 )
                 assert abs(p[0, i, ky] - conv) < 1e-13
 
-    def test_2d_conjugate_symmetry_exact(self, rng):
-        grid = TorusGrid(dim=2, modes_per_dim=16)
-        vals = rng.standard_normal(grid.pshape)
-        f = to_spectral(grid, vals)
-        k = grid.kmax
-        line = f[0, :, 0]
-        assert np.array_equal(line, np.conj(line[::-1]))
-        assert f[0, k, 0].imag == 0.0
+    @pytest.mark.parametrize(
+        "dim, modes, lead",
+        [(1, 32, ()), (2, 16, ()), (1, 32, (3,)), (2, 16, (3,))],
+        ids=["1d-32", "2d-16", "1d-32-paths", "2d-16-paths"],
+    )
+    def test_conjugate_symmetry_exact(self, rng, dim, modes, lead):
+        # the self-paired plane (last band index 0) stores both q and -q, so
+        # c_{-q} = conj(c_q) must hold there bit for bit, behind any leading axes;
+        # to_spectral starts from real values, random_band_limited from complex noise
+        grid = TorusGrid(dim=dim, modes_per_dim=modes)
+        fields = (
+            to_spectral(grid, rng.standard_normal(lead + (1,) + grid.pshape)),
+            random_band_limited(grid, rng, ncomp=3, band=grid.kmax, zero_mean=False),
+        )
+        for f in fields:
+            plane = f[..., 0]
+            assert np.array_equal(plane, np.flip(plane, axis=tuple(range(-(dim - 1), 0))).conj())
+            zero = f[(..., *grid.zero_index)]
+            assert np.array_equal(zero.imag, np.zeros(zero.shape))
 
 
 class TestItoConvention:
