@@ -28,8 +28,8 @@ import numpy as np
 
 from .constitutive import ViscositySpec, stress
 from .errors import PositivityError
-from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand
-from .scheme import ApproxParams, Collocation, SchemeState, collocation, mean_density
+from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand, noise_sum
+from .scheme import ApproxParams, SchemeState, collocation, mean_density
 from .spectral import (
     TorusGrid,
     divergence,
@@ -136,8 +136,9 @@ def energy_ledger_step(
         integrands += [
             ito_grad_integrand(noise, a.dsigma, a.grad_c_sq),
             ito_value_integrand(noise, a.sigma, rv, values.f_cc()),
+            rv * a.mu_values[0] * noise_sum(a.sigma, inc, noise),
         ]
-    visc, mu, eps, art, rhs_rr, rhs_rc, *ito = integrate_rows(grid, integrands)
+    visc, mu, eps, art, rhs_rr, rhs_rc, *noisy = integrate_rows(grid, integrands)
 
     diss_visc = visc * dt
     diss_mu = mu * dt
@@ -146,11 +147,9 @@ def energy_ledger_step(
     rhs1 = -params.eps * rhs_rr * dt
     rhs2 = -params.eps * rhs_rc * dt
 
-    ito1 = ito2 = stoch = 0.0
-    if noise.K > 0:
-        ito1 = 0.5 * ito[0] * dt
-        ito2 = 0.5 * ito[1] * dt
-        stoch = _stochastic_transfer(a, inc, rv * a.mu_values[0])
+    ito_grad, ito_value, stoch = noisy or (0.0, 0.0, 0.0)
+    ito1 = 0.5 * ito_grad * dt
+    ito2 = 0.5 * ito_value * dt
 
     # the row's columns in order, the residual last
     entries = (kin1, fre1, int1, b.artificial, diss_visc, diss_mu, diss_eps, diss_art, rhs1, rhs2, ito1, ito2, stoch)
@@ -170,18 +169,6 @@ def _balance_residual(before, entries) -> float:
     kin0, fre0, int0, art0 = before
     d_total = (kin + fre + inter + art) - (kin0 + fre0 + int0 + art0)
     return d_total + visc + mu + eps + art_diss - rhs1 - rhs2 - ito1 - ito2 - stoch
-
-
-def _stochastic_transfer(col: Collocation, inc: WienerIncrement, base: np.ndarray) -> float:
-    """sum_k alpha_k dbeta_k int base sigma_k(c), accumulated mode by mode."""
-    noise = col.params.noise
-    integrals = integrate_rows(col.grid, base * col.sigma)
-    # Python floats add in the same order and round the same as numpy scalars, at less cost
-    total = 0.0
-    for alpha, dbeta, value in zip(noise.alphas.tolist(), inc.dbeta.tolist(), integrals):
-        if dbeta != 0.0:
-            total += alpha * dbeta * value
-    return float(total)
 
 
 def mass(state: SchemeState) -> float:
@@ -253,9 +240,7 @@ def concentration_momentum_residual(
     grad_cphi = a.grad_c * phi_v + cv0 * gphi
     regularization = params.eps * integrate_values(grid, np.sum(a.grad_rho * grad_cphi, axis=0))
 
-    stoch = 0.0
-    if params.noise.K > 0:
-        stoch = _stochastic_transfer(a, inc, rv0 * phi_v)
+    stoch = integrate_values(grid, rv0 * phi_v * noise_sum(a.sigma, inc, params.noise))
     return float(d_pair - dt * (transport - diffusion - regularization) - stoch)
 
 
@@ -271,13 +256,9 @@ class InequalityReport:
 
 
 def korn_constant(dim: int, visc: ViscositySpec) -> float:
-    """C of int S(grad u):grad u >= C ||grad u||^2, sharp for N = 1, 2 only.
-
-    On the torus int S:grad u = nu_shear (||grad u||^2 + (1 - 2/N) ||div u||^2) + nu_bulk ||div u||^2,
-    so the sharp C is nu_bulk in 1D (0: no stress at all) and nu_shear for N >= 2, which
-    nu_shear (2 - 2/N) equals only at N = 2: at N = 3 it would overstate C by 4/3.
-    """
-    return visc.nu_shear * (2.0 - 2.0 / dim) + (visc.nu_bulk if dim == 1 else 0.0)
+    """The sharp C of int S(grad u):grad u >= C ||grad u||^2, from the torus identity
+    int S:grad u = nu_shear (||grad u||^2 + (1 - 2/N) ||div u||^2) + nu_bulk ||div u||^2."""
+    return visc.nu_bulk if dim == 1 else visc.nu_shear
 
 
 def korn_check(grid: TorusGrid, u: np.ndarray, visc: ViscositySpec) -> InequalityReport:
@@ -370,9 +351,7 @@ def holder_estimate(
 
 def v15_functional(state: SchemeState, params: ApproxParams) -> float:
     """int [rho |u|^2 + rho^gamma + rho c^2 + |grad c|^2], the sup-bound integrand."""
-    col = collocation(state, params)
-    rv = col.rho[0]
-    return integrate_values(col.grid, col.rho_u_sq + rv**params.fspec.gamma + rv * col.c[0] ** 2 + col.grad_c_sq)
+    return collocation(state, params).sup_functionals["v15"]
 
 
 def ledger_to_csv(rows: list[EnergyLedger]) -> str:

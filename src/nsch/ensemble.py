@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import energy_ledger_step, v15_functional
+from .diagnostics import energy_ledger_step
 from .errors import (
     ConfigError,
     CutoffSaturatedWarning,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .noise import path_generator
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
-from .spectral import TorusGrid, coeff_norm, gradient, laplacian, norms_l2_squared
+from .spectral import TorusGrid, coeff_norm
 
 __all__ = [
     "EnsembleConfig",
@@ -118,9 +118,8 @@ class TrajectoryResult:
 
 
 def _state_functionals(state: SchemeState, params: ApproxParams) -> dict[str, float]:
-    grid, c = state.grid, state.c
-    c_sq, grad_sq, lap_sq = norms_l2_squared(grid, [c, gradient(grid, c), laplacian(grid, c)])
-    return {"c_l2_sq": c_sq, "grad_c_l2_sq": grad_sq, "lap_c_l2_sq": lap_sq, "v15": v15_functional(state, params)}
+    """A copy of the sup functionals of the state's collocation record."""
+    return dict(collocation(state, params).sup_functionals)
 
 
 def run_trajectory(

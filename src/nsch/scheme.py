@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .spectral import (
     grad_tensor,
     gradient,
     integrate_rows,
-    integrate_values,
     laplacian,
     project,
     random_band_limited,
@@ -178,6 +178,10 @@ class Collocation:
     are computed with the record, in ``free_energy_values``; only f_cc,
     which the Ito terms of a noisy ledger row read, is computed on call.
 
+    ``energies``, ``artificial`` and the read-only mapping ``sup_functionals``
+    (c_l2_sq, grad_c_l2_sq, lap_c_l2_sq, v15) come from one row sum of seven
+    integrands; grad_c_l2_sq is the interface row itself.
+
     Raises PositivityError, at the state's time, if the density is not positive.
     """
 
@@ -236,11 +240,16 @@ class Collocation:
         self.rho_u_sq = _read_only(self.rho[0] * (self.u**2).sum(axis=0))
         self.grad_c_sq = _read_only((self.grad_c**2).sum(axis=0))
 
-        # kinetic, free and interface energy, and sqrt(eps)/(alpha-1) int rho^alpha
-        free = self.rho[0] * values.free_energy
-        kinetic, free, interface = integrate_rows(grid, [self.rho_u_sq, free, self.grad_c_sq])
+        # the energies and the sup functionals, from one row sum
+        rv, cv = self.rho[0], self.c[0]
+        v15 = self.rho_u_sq + rv**params.fspec.gamma + rv * cv**2 + self.grad_c_sq
+        rows = [self.rho_u_sq, rv * values.free_energy, self.grad_c_sq, rho_alpha, cv**2, self.lap_c[0] ** 2, v15]
+        kinetic, free, interface, art, c_sq, lap_sq, v15 = integrate_rows(grid, rows)
         self.energies = (0.5 * kinetic, free, 0.5 * interface)
-        self.artificial = float(math.sqrt(params.eps) / (params.alpha_exp - 1.0) * integrate_values(grid, rho_alpha))
+        self.artificial = math.sqrt(params.eps) / (params.alpha_exp - 1.0) * art
+        self.sup_functionals = MappingProxyType(
+            {"c_l2_sq": c_sq, "grad_c_l2_sq": interface, "lap_c_l2_sq": lap_sq, "v15": v15}
+        )
 
 
 def collocation(state: SchemeState, params: ApproxParams) -> Collocation:

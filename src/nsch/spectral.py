@@ -44,7 +44,6 @@ __all__ = [
     "pointwise",
     "coeff_inner",
     "coeff_norm",
-    "norms_l2_squared",
     "norm_sobolev",
     "integrate_values",
     "integrate_rows",
@@ -313,23 +312,6 @@ def coeff_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> float:
 def coeff_norm(grid: TorusGrid, a: np.ndarray) -> float:
     """L2 norm of a coefficient array on ``grid``, summed over components."""
     return float(np.sqrt(max(coeff_inner(grid, a, a), 0.0)))
-
-
-def norms_l2_squared(grid: TorusGrid, blocks: list[np.ndarray]) -> list[float]:
-    """coeff_norm(grid, b) ** 2 of each coefficient block b, rounded exactly as that.
-
-    The single-component blocks share one stacked Parseval row sum; a block
-    of several components keeps one pairwise sum over all of them, as in
-    coeff_norm, because a sum of its row sums would round differently.
-    """
-    stack = np.concatenate(blocks)
-    weighted = (grid.parseval_weights * (stack * stack.conj()).real).reshape(len(stack), -1)
-    row_sums = weighted.sum(axis=1).tolist()
-    sums, start = [], 0
-    for b in blocks:
-        sums.append(row_sums[start] if len(b) == 1 else float(weighted[start : start + len(b)].sum()))
-        start += len(b)
-    return [float(np.sqrt(max(grid.volume * s, 0.0))) ** 2 for s in sums]
 
 
 def norm_sobolev(grid: TorusGrid, a: np.ndarray, order: float) -> float:

@@ -1,12 +1,13 @@
 """Field-by-field recomputation of a ledger row and of the sup functionals.
 
-Each quantity gets its own transform and its own ``integrate_values`` or
-``coeff_norm``, with the free energy and its partials from a FreeEnergyValues
-of its own and the Ito terms from the one-field corrections.  The fused
-ledger and the stacked functionals must equal these values exactly, not
-just closely.  The momentum right-hand side is recomputed with each flux
-projected before it is differentiated, which the single projection of the
-scheme must equal exactly too.
+Each quantity gets its own transform and its own ``integrate_values``, with
+the free energy and its partials from a FreeEnergyValues of its own, the Ito
+terms from the one-field corrections and the stochastic transfer from a
+noise sum accumulated mode by mode.  The fused ledger and the record's
+functionals must equal these values exactly, not just closely.  The momentum
+right-hand side is recomputed with each flux projected before it is
+differentiated, which the single projection of the scheme must equal exactly
+too.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from nsch.diagnostics import EnergyLedger
 from nsch.noise import ito_grad_correction, ito_value_correction
 from nsch.scheme import collocation
 from nsch.spectral import (
-    coeff_norm,
     div_tensor,
     grad_tensor,
     gradient,
@@ -74,31 +74,36 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
     if noise.K > 0:
         ito1 = ito_grad_correction(grid, pre.c, noise) * dt
         ito2 = ito_value_correction(grid, pre.rho, pre.c, noise, fspec) * dt
-        base = rv * to_physical(grid, mu)[0]
-        for i, k in enumerate(noise.modes):
-            if inc.dbeta[i] != 0.0:
-                stoch += noise.alphas[i] * inc.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
+        stoch = integrate_values(grid, rv * to_physical(grid, mu)[0] * forcing_values(cv, inc, noise))
 
     residual = d_total + diss_visc + diss_mu + diss_eps + diss_art - rhs1 - rhs2 - ito1 - ito2 - stoch
     return EnergyLedger(
-        kin1, fre1, int1, art1, diss_visc, diss_mu, diss_eps, diss_art, rhs1, rhs2, ito1, ito2, float(stoch), residual
+        kin1, fre1, int1, art1, diss_visc, diss_mu, diss_eps, diss_art, rhs1, rhs2, ito1, ito2, stoch, residual
     )
 
 
+def forcing_values(cv, inc, noise) -> np.ndarray:
+    """Grid values of sum_k alpha_k dbeta_k sigma_k(c), accumulated mode by mode."""
+    forced = np.zeros(cv.shape)
+    for i, k in enumerate(noise.modes):
+        forced += noise.alphas[i] * inc.dbeta[i] * noise.family.value(k, cv)
+    return forced
+
+
 def reference_functionals(state, params) -> dict[str, float]:
-    """The sup functionals of ``state``: three norms of c and the v15 integral."""
+    """The sup functionals of ``state``: the squared L2 norms of c, grad c and Lap c, and the v15 integral."""
     grid = state.grid
     c = state.c
     rv = to_physical(grid, state.rho)[0]
     cv = to_physical(grid, c)[0]
     uv = to_physical(grid, state.u)
-    gc = to_physical(grid, gradient(grid, c))
+    grad_c_sq = np.sum(to_physical(grid, gradient(grid, c)) ** 2, axis=0)
     gamma = params.fspec.gamma
-    v15 = integrate_values(grid, rv * np.sum(uv**2, axis=0) + rv**gamma + rv * cv**2 + np.sum(gc**2, axis=0))
+    v15 = integrate_values(grid, rv * np.sum(uv**2, axis=0) + rv**gamma + rv * cv**2 + grad_c_sq)
     return {
-        "c_l2_sq": coeff_norm(grid, c) ** 2,
-        "grad_c_l2_sq": coeff_norm(grid, gradient(grid, c)) ** 2,
-        "lap_c_l2_sq": coeff_norm(grid, laplacian(grid, c)) ** 2,
+        "c_l2_sq": integrate_values(grid, cv**2),
+        "grad_c_l2_sq": integrate_values(grid, grad_c_sq),
+        "lap_c_l2_sq": integrate_values(grid, to_physical(grid, laplacian(grid, c))[0] ** 2),
         "v15": v15,
     }
 

@@ -1,13 +1,20 @@
 import functools
 import gc
 import pickle
+import sys
 import types
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from ledger_reference import reference_energies, reference_functionals, reference_ledger_row, reference_momentum_rhs
+from ledger_reference import (
+    forcing_values,
+    reference_energies,
+    reference_functionals,
+    reference_ledger_row,
+    reference_momentum_rhs,
+)
 
 from nsch import scheme, spectral
 from nsch.config import parse_config
@@ -53,6 +60,12 @@ DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 MAX_FFT_CALLS_PER_STEP = 6
 MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
+# row sums per step (calls to integrate_rows and integrate_values) over the
+# same step + ledger row + sup functionals on DEFAULT_NOISY: one for the new
+# state's record (energies and sup functionals) and one for the ledger row
+# (every transfer, the stochastic one included).  Lower it, never raise it.
+MAX_ROW_SUMS_PER_STEP = 2
+
 # free-energy profile evaluations (TanhMixing and DoubleWell value, d1, d2)
 # per step, over the same step + ledger row + sup functionals on
 # DEFAULT_NOISY.  Each state evaluates log rho and each profile once, for the
@@ -96,6 +109,25 @@ def test_fft_calls_per_step_bounded(fft_calls):
     assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
 
 
+def test_row_sums_per_step_bounded(monkeypatch):
+    # every binding site of the two integrals, in every nsch module
+    calls = {"row_sums": 0}
+    for module in [m for n, m in sys.modules.items() if n.startswith("nsch.")]:
+        for name in ("integrate_rows", "integrate_values"):
+            if hasattr(module, name):
+
+                def counted(*args, _original=getattr(module, name), **kwargs):
+                    calls["row_sums"] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    steps = 20
+    at_step = {}
+    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
+    per_step = (at_step[steps]["row_sums"] - at_step[1]["row_sums"]) / (steps - 1)
+    assert 0 < per_step <= MAX_ROW_SUMS_PER_STEP, per_step
+
+
 # the named blocks of each transform stack of a collocation record, in stack order
 RECORD_STACKS = {
     "linear": ("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress"),
@@ -105,7 +137,7 @@ RECORD_STACKS = {
 }
 # the record's other fields
 RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma", "dsigma",
-                 "rho_u_sq", "grad_c_sq", "energies", "artificial")
+                 "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals")
 # the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
 FREE_ENERGY_FIELDS = ("log_rho", "mixing", "mixing_d1", "well", "well_d1",
                       "free_energy", "pressure", "f_c", "rho_f_rho_rho", "rho_f_rho_c")
@@ -459,19 +491,53 @@ def test_mode_sums_equal_per_mode_loops(dim, rng):
     assert ito_value_correction(grid, rho, c, spec, fspec) == 0.5 * integrate_values(grid, rv * fcc * value_sq)
 
 
-def test_stochastic_transfer_equals_per_mode_loop():
-    config = default_config(1)
-    params = config.params
-    pre = config.initial.build(config.grid, params, path_generator(3, 0, stream=1))
+@pytest.mark.parametrize("name", ["noisy-1d-32", "noisy-2d-16"])
+def test_stochastic_transfer_integrates_the_noise_sum(name):
+    # int rho mu sum_k alpha_k dbeta_k sigma_k(c): exactly the integral of the
+    # noise sum accumulated mode by mode, and within rounding the sum of the
+    # K per-mode integrals alpha_k dbeta_k int rho mu sigma_k(c)
+    config = parse_config(ORACLE_CONFIGS[name])
+    params, grid, noise = config.params, config.grid, config.params.noise
+    pre = config.initial.build(grid, params, path_generator(3, 0, stream=1))
     post, rep = step(pre, params, path_generator(3, 0))
     row = energy_ledger_step(pre, post, rep.increment, params)
 
-    noise, grid = params.noise, config.grid
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]
-    mu = chemical_potential(grid, pre.rho, pre.c, params.fspec)
-    base = rv * to_physical(grid, mu)[0]
-    expected = 0.0
-    for i, k in enumerate(noise.modes):
-        expected += noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
-    assert row.stochastic_increment == expected
+    base = rv * to_physical(grid, chemical_potential(grid, pre.rho, pre.c, params.fspec))[0]
+    assert row.stochastic_increment == integrate_values(grid, base * forcing_values(cv, rep.increment, noise))
+    per_mode = sum(
+        noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
+        for i, k in enumerate(noise.modes)
+    )
+    assert row.stochastic_increment != 0.0
+    assert abs(row.stochastic_increment - per_mode) <= 1e-13 * abs(per_mode)
+
+
+@pytest.mark.parametrize("name", ["noisy-1d-32", "noisy-2d-16"])
+def test_sup_functionals_equal_coefficient_norms(name):
+    # the record integrates c^2, |grad c|^2 and (Lap c)^2 on the grid, which
+    # resolves their products: Parseval gives the same values within rounding
+    config = parse_config(ORACLE_CONFIGS[name])
+    grid, params = config.grid, config.params
+    state = config.initial_state()
+    for _ in range(2):
+        sup = collocation(state, params).sup_functionals
+        for key, coeffs in (("c_l2_sq", state.c), ("grad_c_l2_sq", gradient(grid, state.c)),
+                            ("lap_c_l2_sq", laplacian(grid, state.c))):
+            norm_sq = coeff_norm(grid, coeffs) ** 2
+            assert norm_sq > 0.0
+            assert abs(sup[key] - norm_sq) <= 1e-13 * norm_sq, (key, sup[key], norm_sq)
+        state, _ = step(state, params, path_generator(3, 0))
+
+
+def test_initial_stats_do_not_share_the_record():
+    config = default_config(1)
+    state = config.initial_state()
+    record = collocation(state, config.params).sup_functionals
+    with pytest.raises(TypeError):
+        record["v15"] = 0.0
+    result = run_trajectory(config, 0, initial_state=state)
+    assert result.initial_stats == dict(record)
+    result.initial_stats["v15"] = -1.0
+    assert record["v15"] != -1.0

@@ -16,6 +16,7 @@ from nsch.diagnostics import (
     holder_estimate,
     initial_ledger_row,
     korn_check,
+    korn_constant,
     ledger_from_csv,
     ledger_to_csv,
     mass,
@@ -30,6 +31,8 @@ from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from nsch.spectral import (
     TorusGrid,
+    coeff_norm,
+    divergence,
     integrate_values,
     norm_sobolev,
     random_band_limited,
@@ -302,6 +305,22 @@ class TestKorn:
         rep = korn_check(grid, u, ViscositySpec(nu_shear=1.0, nu_bulk=0.5))
         assert rep.passed
         assert abs(rep.constant - 0.5) < 1e-12
+
+    def test_constant_is_the_shear_viscosity_from_2d(self):
+        visc = ViscositySpec(nu_shear=0.9, nu_bulk=0.4)
+        assert korn_constant(1, visc) == visc.nu_bulk
+        assert korn_constant(2, visc) == visc.nu_shear
+        assert korn_constant(3, visc) == visc.nu_shear
+
+    def test_2d_margin_is_the_bulk_term(self, rng):
+        # int S:grad u = nu_shear ||grad u||^2 + nu_bulk ||div u||^2 in 2D
+        grid = TorusGrid(dim=2, modes_per_dim=16)
+        visc = ViscositySpec(nu_shear=1.0, nu_bulk=0.5)
+        u = random_band_limited(grid, rng, ncomp=2, band=5, amplitude=1.0)
+        rep = korn_check(grid, u, visc)
+        bulk = visc.nu_bulk * coeff_norm(grid, divergence(grid, u)) ** 2
+        assert rep.passed and bulk > 0.0
+        assert abs(rep.margin - bulk) <= 1e-12 * bulk
 
 
 class TestPoincare:
