@@ -28,14 +28,12 @@ import numpy as np
 
 from .constitutive import ViscositySpec, stress
 from .errors import PositivityError
-from .noise import WienerIncrement, ito_grad_integrand, ito_value_integrand, noise_sum
-from .scheme import ApproxParams, SchemeState, collocation, mean_density
+from .scheme import ApproxParams, SchemeState, StepReport, collocation, mean_density
 from .spectral import (
     TorusGrid,
     divergence,
     grad_tensor,
     gradient,
-    integrate_rows,
     integrate_values,
     laplacian,
     norm_sobolev,
@@ -97,63 +95,26 @@ def total_energy(state: SchemeState, params: ApproxParams) -> float:
 def initial_ledger_row(state: SchemeState, params: ApproxParams) -> EnergyLedger:
     """Row zero: initial energies, no transfers, zero residual."""
     col = collocation(state, params)
-    kin, fre, inter = col.energies
-    return EnergyLedger(kin, fre, inter, col.artificial, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return EnergyLedger(*col.energies, col.artificial, *[0.0] * 10)
 
 
-def energy_ledger_step(
-    pre: SchemeState, post: SchemeState, inc: WienerIncrement, params: ApproxParams
-) -> EnergyLedger:
-    """Evaluate every balance entry for one step; all transfers use the pre state.
+def energy_ledger_step(pre: SchemeState, post: SchemeState, rep: StepReport, params: ApproxParams) -> EnergyLedger:
+    """The balance entries of the step pre -> post that ``rep`` reports; all transfers use the pre state.
 
-    Both states' collocation records are shared with the step, so the pre
-    energies are the ones computed when the pre state was a post state.
+    A row is arithmetic on the two states' collocation records, which the step shares (so the pre energies
+    are the ones computed when the pre state was a post state), plus one integral: the stochastic transfer
+    int rho mu (sum_k alpha_k dbeta_k sigma_k(c)) over the step's noise values, 0.0 without noise.
     """
     a = collocation(pre, params)
     b = collocation(post, params)
-    grid = a.grid
-    dt = inc.dt
-    noise = params.noise
-
-    kin1, fre1, int1 = b.energies
-    kin0, fre0, int0 = a.energies
-
-    # every integrand of the row, integrated by one row sum over their stack
-    rv = a.rho[0]
-    gv = a.grad_u
-    grho = a.grad_rho
-    grho_sq = (grho**2).sum(axis=0)
-    values = a.free_energy_values
-    integrands = [
-        (a.visc_stress * gv).sum(axis=0),
-        (a.grad_mu**2).sum(axis=0),
-        rv * (gv**2).sum(axis=0),
-        rv ** (params.alpha_exp - 2.0) * grho_sq,
-        values.rho_f_rho_rho * grho_sq,
-        values.rho_f_rho_c * (grho * a.grad_c).sum(axis=0),
-    ]
-    if noise.K > 0:
-        integrands += [
-            ito_grad_integrand(noise, a.dsigma, a.grad_c_sq),
-            ito_value_integrand(noise, a.sigma, rv, values.f_cc()),
-            rv * a.mu_values[0] * noise_sum(a.sigma, inc, noise),
-        ]
-    visc, mu, eps, art, rhs_rr, rhs_rc, *noisy = integrate_rows(grid, integrands)
-
-    diss_visc = visc * dt
-    diss_mu = mu * dt
-    diss_eps = params.eps * eps * dt
-    diss_art = math.sqrt(params.eps) * params.eps * params.alpha_exp * art * dt
-    rhs1 = -params.eps * rhs_rr * dt
-    rhs2 = -params.eps * rhs_rc * dt
-
-    ito_grad, ito_value, stoch = noisy or (0.0, 0.0, 0.0)
-    ito1 = 0.5 * ito_grad * dt
-    ito2 = 0.5 * ito_value * dt
+    dt = rep.increment.dt
+    transfers = [rate * dt for rate in a.transfer_rates]
+    forced = rep.noise_values
+    stoch = 0.0 if forced is None else integrate_values(a.grid, a.rho[0] * a.mu_values[0] * forced)
 
     # the row's columns in order, the residual last
-    entries = (kin1, fre1, int1, b.artificial, diss_visc, diss_mu, diss_eps, diss_art, rhs1, rhs2, ito1, ito2, stoch)
-    return EnergyLedger(*entries, _balance_residual((kin0, fre0, int0, a.artificial), entries))
+    entries = (*b.energies, b.artificial, *transfers, stoch)
+    return EnergyLedger(*entries, _balance_residual((*a.energies, a.artificial), entries))
 
 
 def _balance_residual(before, entries) -> float:
@@ -207,7 +168,7 @@ def renormalized_residual(
 
 
 def concentration_momentum_residual(
-    pre: SchemeState, post: SchemeState, inc: WienerIncrement, params: ApproxParams, phi: np.ndarray
+    pre: SchemeState, post: SchemeState, rep: StepReport, params: ApproxParams, phi: np.ndarray
 ) -> float:
     """One-step residual of the mass-weighted concentration identity.
 
@@ -222,12 +183,13 @@ def concentration_momentum_residual(
     and c vanishes.  The concentration is evolved in its own form, not this
     one, so the residual measures the discrete consistency between the two
     formulations; it is O(dt^2) per step plus projection commutators.
-    ``phi`` is given by its coefficients.
+    ``rep`` is the step's report, whose noise values the stochastic term
+    integrates; ``phi`` is given by its coefficients.
     """
     grid = pre.grid
     if len(phi) != 1:
         raise ValueError("test function must be scalar")
-    dt = inc.dt
+    dt = rep.increment.dt
     phi_v = to_physical(grid, phi)[0]
     gphi = to_physical(grid, gradient(grid, phi))
     a = collocation(pre, params)
@@ -240,7 +202,8 @@ def concentration_momentum_residual(
     grad_cphi = a.grad_c * phi_v + cv0 * gphi
     regularization = params.eps * integrate_values(grid, np.sum(a.grad_rho * grad_cphi, axis=0))
 
-    stoch = integrate_values(grid, rv0 * phi_v * noise_sum(a.sigma, inc, params.noise))
+    forced = rep.noise_values
+    stoch = 0.0 if forced is None else integrate_values(grid, rv0 * phi_v * forced)
     return float(d_pair - dt * (transport - diffusion - regularization) - stoch)
 
 

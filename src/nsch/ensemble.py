@@ -2,7 +2,7 @@
 
 Each path owns a generator derived from (noise seed, path index), so the
 ensemble is reproducible for any worker count and any path ordering.  Failed
-paths (positivity loss, failed velocity recovery, stability aborts) are
+paths (positivity loss, failed velocity recovery, stability aborts, overflow) are
 recorded with their failure time and excluded from the survivor statistics;
 the survivor fraction is itself a first-class output.
 """
@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     CutoffSaturatedWarning,
     GramSolveError,
+    InstabilityError,
     NonFiniteError,
     PositivityError,
     SchemeError,
@@ -58,6 +59,7 @@ FAILURE_KINDS = {
     PositivityError: "positivity_loss",
     GramSolveError: "gram_failure",
     TimeStepError: "timestep",
+    InstabilityError: "instability",
 }
 
 
@@ -156,7 +158,7 @@ def run_trajectory(
                 "message": str(exc),
             }
             break
-        row = energy_ledger_step(state, new, rep.increment, params)
+        row = energy_ledger_step(state, new, rep, params)
         residuals.append(row.residual)
         state = new
         done = i + 1

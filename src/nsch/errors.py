@@ -37,6 +37,10 @@ class TimeStepError(SchemeError):
     """Configured dt violates the stability heuristic."""
 
 
+class InstabilityError(SchemeError):
+    """A step overflowed in floating point: its arithmetic ran away, whether or not its values stayed finite."""
+
+
 class CheckpointError(Exception):
     """Checkpoint file is malformed or inconsistent."""
 

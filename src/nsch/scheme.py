@@ -34,8 +34,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress
-from .errors import GramSolveError, NonFiniteError, PositivityError, TimeStepError, require
+from .errors import GramSolveError, InstabilityError, NonFiniteError, PositivityError, TimeStepError, require
 from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
+from .noise import ito_grad_integrand, ito_value_integrand
 from .spectral import (
     TorusGrid,
     _symmetrize,
@@ -128,10 +129,14 @@ class SchemeState:
 
 @dataclass(frozen=True)
 class StepReport:
+    """A step's facts besides its new state.  ``noise_values``, the read-only grid values of the noise sum
+    sum_k alpha_k dbeta_k sigma_k(c) at the pre state (None without noise), forced c; the ledger integrates them."""
+
     chi: float
     min_rho: float
     gram_iterations: int
     increment: WienerIncrement
+    noise_values: np.ndarray | None = field(repr=False)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -160,9 +165,9 @@ class Collocation:
     """Collocation values of one state under one parameter set.
 
     This is the one place a state becomes grid values: every field,
-    derivative, constitutive quantity, noise table and energy below is
-    computed when the record is built, in the order the step uses them, and
-    then shared by the step, the energy ledger and the sup functionals.
+    derivative, constitutive quantity, noise table and state integral below
+    is computed when the record is built, in the order the step uses them,
+    and then shared by the step, the energy ledger and the sup functionals.
     Values keep the component axis of ``to_physical`` and are read-only.  The
     record reads its state only while it is built and keeps no reference to
     it.  Obtain records through ``collocation``.
@@ -175,12 +180,17 @@ class Collocation:
     passes in as ``rho``, because the positivity guard of the velocity
     recovery of a new state needs it first.  The pointwise constitutive
     values (log rho, the free-energy profiles, f, p and the partials of f)
-    are computed with the record, in ``free_energy_values``; only f_cc,
-    which the Ito terms of a noisy ledger row read, is computed on call.
+    are computed with the record, in ``free_energy_values``; f_cc and the
+    table of sigma_k'(c) only for the Ito rates of a noisy record, which
+    keeps neither.
 
-    ``energies``, ``artificial`` and the read-only mapping ``sup_functionals``
-    (c_l2_sq, grad_c_l2_sq, lap_c_l2_sq, v15) come from one row sum of seven
-    integrands; grad_c_l2_sq is the interface row itself.
+    Every integral of the state comes from one row sum: ``energies``,
+    ``artificial``, the read-only mapping ``sup_functionals`` (c_l2_sq,
+    grad_c_l2_sq, lap_c_l2_sq, v15; grad_c_l2_sq is the interface row
+    itself) and ``transfer_rates``, the transfers per unit time of a ledger
+    row from this state, in column order: the viscous, mu, eps and
+    artificial dissipations, the two eps right-hand sides and the two Ito
+    corrections (0.0 without noise).
 
     Raises PositivityError, at the state's time, if the density is not positive.
     """
@@ -234,22 +244,34 @@ class Collocation:
         self.lap_mu_over_rho, self.momentum_flux = _stacked_spectra(grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
 
         self.sigma = sigma_table(params.noise, self.c[0])
-        self.dsigma = sigma_table(params.noise, self.c[0], deriv=True)
 
         # rho |u|^2, the kinetic energy integrand without its factor 1/2, and |grad c|^2
         self.rho_u_sq = _read_only(self.rho[0] * (self.u**2).sum(axis=0))
         self.grad_c_sq = _read_only((self.grad_c**2).sum(axis=0))
 
-        # the energies and the sup functionals, from one row sum
-        rv, cv = self.rho[0], self.c[0]
+        # every integral of the state, from one row sum: the energies, the sup
+        # functionals, then the integrands of the transfer rates
+        rv, cv, gv, grho = self.rho[0], self.c[0], self.grad_u, self.grad_rho
         v15 = self.rho_u_sq + rv**params.fspec.gamma + rv * cv**2 + self.grad_c_sq
-        rows = [self.rho_u_sq, rv * values.free_energy, self.grad_c_sq, rho_alpha, cv**2, self.lap_c[0] ** 2, v15]
-        kinetic, free, interface, art, c_sq, lap_sq, v15 = integrate_rows(grid, rows)
+        grho_sq = (grho**2).sum(axis=0)
+        rows = [self.rho_u_sq, rv * values.free_energy, self.grad_c_sq, rho_alpha, cv**2, self.lap_c[0] ** 2, v15,
+                (self.visc_stress * gv).sum(axis=0), (self.grad_mu**2).sum(axis=0), rv * (gv**2).sum(axis=0),
+                rv ** (params.alpha_exp - 2.0) * grho_sq, values.rho_f_rho_rho * grho_sq,
+                values.rho_f_rho_c * (grho * self.grad_c).sum(axis=0)]
+        if params.noise.K > 0:
+            rows += [ito_grad_integrand(params.noise, sigma_table(params.noise, cv, deriv=True), self.grad_c_sq),
+                     ito_value_integrand(params.noise, self.sigma, rv, values.f_cc())]
+        kinetic, free, interface, art, c_sq, lap_sq, v15, visc, mu, eps_diss, art_diss, rho_rho, rho_c, *ito = (
+            integrate_rows(grid, rows)
+        )
         self.energies = (0.5 * kinetic, free, 0.5 * interface)
         self.artificial = math.sqrt(params.eps) / (params.alpha_exp - 1.0) * art
         self.sup_functionals = MappingProxyType(
             {"c_l2_sq": c_sq, "grad_c_l2_sq": interface, "lap_c_l2_sq": lap_sq, "v15": v15}
         )
+        eps, (ito_grad, ito_value) = params.eps, ito or (0.0, 0.0)
+        self.transfer_rates = (visc, mu, eps * eps_diss, math.sqrt(eps) * eps * params.alpha_exp * art_diss,
+                               -eps * rho_rho, -eps * rho_c, 0.5 * ito_grad, 0.5 * ito_value)
 
 
 def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
@@ -311,13 +333,11 @@ def ch_drift(state: SchemeState, params: ApproxParams) -> np.ndarray:
     return project(col.grid, col.lap_mu_over_rho - col.u_r_grad_c, params.n)
 
 
-def ch_diffusion(state: SchemeState, inc: WienerIncrement, params: ApproxParams) -> np.ndarray:
-    """P_n of the stochastic forcing increment."""
-    grid = state.grid
-    if params.noise.K == 0:
+def ch_diffusion(grid: TorusGrid, noise_values: np.ndarray | None, n: int) -> np.ndarray:
+    """P_n of the stochastic forcing increment, from the grid values of its noise sum; zero for None."""
+    if noise_values is None:
         return np.zeros((1,) + grid.band_shape, dtype=np.complex128)
-    increment = noise_sum(collocation(state, params).sigma, inc, params.noise)
-    return project(grid, to_spectral(grid, increment), params.n)
+    return project(grid, to_spectral(grid, noise_values), n)
 
 
 # largest Gram system, (2m+1)^dim unknowns, solved directly; CG above it.  In
@@ -476,46 +496,55 @@ def _step_factors(grid: TorusGrid, dt: float, eps: float, rho_bar: float) -> tup
 
 
 def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> tuple[SchemeState, StepReport]:
-    """Advance one time step; raises on a non-finite state, positivity loss or stability violation."""
+    """Advance one time step; raises on a non-finite state, positivity loss, stability violation or overflow.
+
+    The step and the new state's record raise on floating-point overflow (no arithmetic changes), so a step
+    that overflows fails as an ``InstabilityError`` with numpy's message even where its values stay finite.
+    """
     grid = state.grid
     dt = params.dt
-    col = collocation(state, params)
-    check_timestep(state, params)
+    try:
+        with np.errstate(over="raise"):
+            col = collocation(state, params)
+            check_timestep(state, params)
 
-    inc = sample_increment(dt, rng, params.noise)
-    _, chi = col.cut
-    stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(grid, state.rho))
+            inc = sample_increment(dt, rng, params.noise)
+            noise_values = None if params.noise.K == 0 else _read_only(noise_sum(col.sigma, inc, params.noise))
+            _, chi = col.cut
+            stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(grid, state.rho))
 
-    # concentration: exact exponential factor for the mean-density bilaplacian,
-    # everything else explicit at the pre-step state
-    explicit = ch_drift(state, params) - stiff * state.c
-    c_new = propag * (state.c + dt * explicit + ch_diffusion(state, inc, params))
+            # concentration: exact exponential factor for the mean-density bilaplacian,
+            # everything else explicit at the pre-step state
+            explicit = ch_drift(state, params) - stiff * state.c
+            c_new = propag * (state.c + dt * explicit + ch_diffusion(grid, noise_values, params.n))
 
-    # density: implicit artificial diffusion, explicit transport -Div(rho [u]_R),
-    # whose zero mode is structurally zero
-    rho_new = fac * (state.rho + dt * -divergence(grid, col.rho_u_r))
+            # density: implicit artificial diffusion, explicit transport -Div(rho [u]_R),
+            # whose zero mode is structurally zero
+            rho_new = fac * (state.rho + dt * -divergence(grid, col.rho_u_r))
 
-    # momentum: implicit artificial diffusion, explicit remainder
-    w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)
-    w_new = fac * (state.w + dt * w_expl)
+            # momentum: implicit artificial diffusion, explicit remainder
+            w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)
+            w_new = fac * (state.w + dt * w_expl)
 
-    # NaN passes every ordered comparison, so it is caught before the positivity guards
-    bad = [name for name, a in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(a).all()]
-    if bad:
-        raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
+            # NaN passes every ordered comparison, so it is caught before the positivity guards
+            bad = [name for name, a in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(a).all()]
+            if bad:
+                raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
 
-    rho_vals = _read_only(to_physical(grid, rho_new))
-    min_rho = float(rho_vals.min())
-    if min_rho <= params.fspec.rho_floor:
-        raise PositivityError(min_rho, t=state.t + dt)
+            rho_vals = _read_only(to_physical(grid, rho_new))
+            min_rho = float(rho_vals.min())
+            if min_rho <= params.fspec.rho_floor:
+                raise PositivityError(min_rho, t=state.t + dt)
 
-    u_new, iters = recover_velocity(
-        grid, rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
-    )
+            u_new, iters = recover_velocity(
+                grid, rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
+            )
 
-    new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, u=u_new, c=c_new)
-    object.__setattr__(new_state, "_collocation", Collocation(new_state, params, rho=rho_vals))
-    return new_state, StepReport(chi=chi, min_rho=min_rho, gram_iterations=iters, increment=inc)
+            new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, u=u_new, c=c_new)
+            object.__setattr__(new_state, "_collocation", Collocation(new_state, params, rho=rho_vals))
+    except FloatingPointError as exc:
+        raise InstabilityError(f"{exc} at t={state.t + dt:.6g}") from None
+    return new_state, StepReport(chi, min_rho, iters, inc, noise_values)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from nsch.noise import (
     path_generator,
     sample_increment,
     sigma_table,
+    silent_noise,
 )
 from nsch.scheme import SchemeState, collocation, step
 from nsch.spectral import (
@@ -62,9 +63,16 @@ MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
 # row sums per step (calls to integrate_rows and integrate_values) over the
 # same step + ledger row + sup functionals on DEFAULT_NOISY: one for the new
-# state's record (energies and sup functionals) and one for the ledger row
-# (every transfer, the stochastic one included).  Lower it, never raise it.
+# state's record (energies, sup functionals and transfer rates) and one for
+# the ledger row's stochastic transfer, which a silent step does without.
+# Lower it, never raise it.
 MAX_ROW_SUMS_PER_STEP = 2
+
+# evaluations of the noise sum sum_k alpha_k dbeta_k sigma_k(c) per step, over
+# the same step + ledger row + sup functionals on DEFAULT_NOISY: the step
+# forms it once and hands its grid values to the ledger row.  Lower it, never
+# raise it.
+MAX_NOISE_SUMS_PER_STEP = 1
 
 # free-energy profile evaluations (TanhMixing and DoubleWell value, d1, d2)
 # per step, over the same step + ledger row + sup functionals on
@@ -100,32 +108,49 @@ def fresh(state: SchemeState) -> SchemeState:
     return SchemeState(t=state.t, grid=state.grid, rho=state.rho, w=state.w, u=state.u, c=state.c)
 
 
-def test_fft_calls_per_step_bounded(fft_calls):
-    steps = 20
+def calls_per_step(config: EnsembleConfig, calls: dict) -> dict:
+    """Each running count of ``calls`` per step of a trajectory of ``config``, from the end of step 1 to the last."""
     at_step = {}
-    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(fft_calls)))
-    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in fft_calls}
+    run_trajectory(config, 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
+    steps = config.steps
+    return {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in calls}
+
+
+def counted_at_every_binding_site(monkeypatch, names) -> dict:
+    """Running counts of the calls to each function in ``names``, at every binding site in every nsch module."""
+    calls = dict.fromkeys(names, 0)
+    for module in [m for n, m in sys.modules.items() if n.startswith("nsch.")]:
+        for name in names:
+            if hasattr(module, name):
+
+                def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_fft_calls_per_step_bounded(fft_calls):
+    per_step = calls_per_step(default_config(20), fft_calls)
     assert 0 < per_step["n"] <= MAX_FFT_CALLS_PER_STEP, per_step
     assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
 
 
 def test_row_sums_per_step_bounded(monkeypatch):
-    # every binding site of the two integrals, in every nsch module
-    calls = {"row_sums": 0}
-    for module in [m for n, m in sys.modules.items() if n.startswith("nsch.")]:
-        for name in ("integrate_rows", "integrate_values"):
-            if hasattr(module, name):
+    calls = counted_at_every_binding_site(monkeypatch, ("integrate_rows", "integrate_values"))
+    noisy = default_config(20)
+    silent = replace(noisy, params=replace(noisy.params, noise=silent_noise(7)))
+    for config, bound in ((noisy, MAX_ROW_SUMS_PER_STEP), (silent, MAX_ROW_SUMS_PER_STEP - 1)):
+        per_step = calls_per_step(config, calls)
+        row_sums = per_step["integrate_rows"] + per_step["integrate_values"]
+        assert 0 < row_sums <= bound, (config.params.noise.K, per_step)
 
-                def counted(*args, _original=getattr(module, name), **kwargs):
-                    calls["row_sums"] += 1
-                    return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counted)
-    steps = 20
-    at_step = {}
-    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
-    per_step = (at_step[steps]["row_sums"] - at_step[1]["row_sums"]) / (steps - 1)
-    assert 0 < per_step <= MAX_ROW_SUMS_PER_STEP, per_step
+def test_noise_sums_per_step_bounded(monkeypatch):
+    calls = counted_at_every_binding_site(monkeypatch, ("noise_sum",))
+    per_step = calls_per_step(default_config(20), calls)
+    assert 0 < per_step["noise_sum"] <= MAX_NOISE_SUMS_PER_STEP, per_step
 
 
 # the named blocks of each transform stack of a collocation record, in stack order
@@ -136,8 +161,8 @@ RECORD_STACKS = {
     "second_products": ("lap_mu_over_rho", "momentum_flux"),
 }
 # the record's other fields
-RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma", "dsigma",
-                 "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals")
+RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma",
+                 "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals", "transfer_rates")
 # the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
 FREE_ENERGY_FIELDS = ("log_rho", "mixing", "mixing_d1", "well", "well_d1",
                       "free_energy", "pressure", "f_c", "rho_f_rho_rho", "rho_f_rho_c")
@@ -153,9 +178,9 @@ def test_record_fields_are_plain_attributes():
 
     config = default_config(1)
     record = vars(collocation(config.initial_state(), config.params))
-    assert "state" not in record
-    for name in RECORD_FIELDS:
-        assert name in record, name
+    # exactly these fields: no reference to the state, no table of sigma_k'(c)
+    assert set(record) == set(RECORD_FIELDS).union(*RECORD_STACKS.values())
+    assert len(record["transfer_rates"]) == 8
     for stack, names in RECORD_STACKS.items():
         base = record[names[0]].base
         assert base is not None, stack
@@ -182,7 +207,7 @@ def test_free_energy_values_are_plain_attributes(monkeypatch):
     for name in FREE_ENERGY_FIELDS:
         assert name in values, name
 
-    # only the Ito terms of a noisy ledger row evaluate H'' and fc''
+    # only the Ito rate of a noisy record evaluates H'' and fc'', once each; a ledger row evaluates nothing
     calls = {"d2": 0}
     for profile in (TanhMixing, DoubleWell):
 
@@ -193,11 +218,14 @@ def test_free_energy_values_are_plain_attributes(monkeypatch):
         monkeypatch.setattr(profile, "d2", counted)
     quiet = parse_config("[noise]\nkind = off\n\n[run]\nhorizon = 1e-05\n")
     for params, d2_calls in ((quiet.params, 0), (config.params, 2)):
-        calls["d2"] = 0
         pre = config.initial.build(config.grid, params, path_generator(params.noise.seed, 0, stream=1))
+        calls["d2"] = 0
+        collocation(pre, params)
+        assert calls["d2"] == d2_calls, params.noise.K  # the pre state's record
         post, rep = step(pre, params, path_generator(params.noise.seed, 0))
-        energy_ledger_step(pre, post, rep.increment, params)
-        assert calls["d2"] == d2_calls, params.noise.K
+        assert calls["d2"] == 2 * d2_calls, params.noise.K  # and the post state's
+        energy_ledger_step(pre, post, rep, params)
+        assert calls["d2"] == 2 * d2_calls, params.noise.K
 
 
 def test_stepped_past_state_is_freed_by_reference_counts():
@@ -211,7 +239,7 @@ def test_stepped_past_state_is_freed_by_reference_counts():
     try:
         pre, _ = step(config.initial_state(), params, gen)
         post, rep = step(pre, params, gen)
-        energy_ledger_step(pre, post, rep.increment, params)
+        energy_ledger_step(pre, post, rep, params)
         _state_functionals(pre, params)
         ref = weakref.ref(pre)
         del pre
@@ -245,10 +273,7 @@ def test_profile_calls_per_step_bounded(monkeypatch):
                 return _method(self, c)
 
             monkeypatch.setattr(profile, name, counted)
-    steps = 20
-    at_step = {}
-    run_trajectory(default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(calls)))
-    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in calls}
+    per_step = calls_per_step(default_config(20), calls)
     assert 0 < per_step["profiles"] <= MAX_PROFILE_CALLS_PER_STEP
 
 
@@ -270,12 +295,7 @@ def numpy_wrapper_calls(monkeypatch):
 
 
 def test_numpy_wrapper_calls_per_step_bounded(numpy_wrapper_calls):
-    steps = 20
-    at_step = {}
-    run_trajectory(
-        default_config(steps), 0, on_step=lambda done, *_: at_step.setdefault(done, dict(numpy_wrapper_calls))
-    )
-    per_step = {key: (at_step[steps][key] - at_step[1][key]) / (steps - 1) for key in numpy_wrapper_calls}
+    per_step = calls_per_step(default_config(20), numpy_wrapper_calls)
     assert per_step["wrappers"] <= MAX_NUMPY_WRAPPER_CALLS_PER_STEP, per_step
     assert 0 < per_step["where"] <= MAX_WHERE_CALLS_PER_STEP, per_step
 
@@ -294,22 +314,22 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
     assert (config.params.noise.K == 0) == name.startswith("silent")
     ens = EnsembleConfig(grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon)
     params = config.params
-    chain, increments, rows = [ens.initial_state()], [], []
+    chain, reports, rows = [ens.initial_state()], [], []
 
     def keep(done, state, gen, rep, row):
         chain.append(state)
-        increments.append(rep.increment)
+        reports.append(rep)
         rows.append(row)
 
     result = run_trajectory(ens, 0, initial_state=chain[0], on_step=keep)
-    assert result.failure is None and len(increments) == steps
+    assert result.failure is None and len(reports) == steps
     assert result.residuals == [0.0] + [row.residual for row in rows]
 
     assert initial_ledger_row(chain[0], params) == EnergyLedger(*reference_energies(chain[0], params), *[0.0] * 10)
-    for i, inc in enumerate(increments):
-        expected = reference_ledger_row(chain[i], chain[i + 1], inc, params)
+    for i, rep in enumerate(reports):
+        expected = reference_ledger_row(chain[i], chain[i + 1], rep.increment, params)
         assert rows[i] == expected, f"step {i + 1}"
-        assert energy_ledger_step(chain[i], chain[i + 1], inc, params) == expected, f"step {i + 1}"
+        assert energy_ledger_step(chain[i], chain[i + 1], rep, params) == expected, f"step {i + 1}"
     for state in chain:
         assert _state_functionals(state, params) == reference_functionals(state, params), f"t = {state.t}"
     assert result.final_energy == sum(reference_energies(chain[-1], params)[:3])
@@ -339,8 +359,20 @@ def test_ledger_row_after_step_transforms_nothing(fft_calls):
     pre = config.initial_state()
     post, rep = step(pre, params, path_generator(config.params.noise.seed, 0))
     before = fft_calls["n"]
-    energy_ledger_step(pre, post, rep.increment, params)
+    energy_ledger_step(pre, post, rep, params)
     assert fft_calls["n"] - before == 0
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "silent"])
+def test_ledger_row_integrates_only_the_stochastic_transfer(monkeypatch, noisy):
+    # every other entry of the row is arithmetic on the two records
+    config = default_config(1)
+    params = config.params if noisy else replace(config.params, noise=silent_noise(7))
+    pre = config.initial_state()
+    post, rep = step(pre, params, path_generator(7, 0))
+    integrals = counted_at_every_binding_site(monkeypatch, ("integrate_rows", "integrate_values"))
+    energy_ledger_step(pre, post, rep, params)
+    assert integrals == {"integrate_rows": 0, "integrate_values": int(noisy)}
 
 
 def test_gram_iterations_bounded(monkeypatch):
@@ -386,11 +418,11 @@ def test_stacked_fields_equal_separate_transforms(dim):
 
 def test_warm_ledger_rows_equal_cold_recomputation():
     config = default_config(30)
-    states, increments, rows = [], [], []
+    states, reports, rows = [], [], []
 
     def keep(done, state, gen, rep, row):
         states.append(state)
-        increments.append(rep.increment)
+        reports.append(rep)
         rows.append(row)
 
     initial = config.initial_state()
@@ -400,8 +432,11 @@ def test_warm_ledger_rows_equal_cold_recomputation():
     params = config.params
     chain = [fresh(initial)] + [fresh(s) for s in states]
     assert initial_ledger_row(initial, params) == initial_ledger_row(fresh(initial), params)
-    for i, inc in enumerate(increments):
-        cold = energy_ledger_step(fresh(chain[i]), fresh(chain[i + 1]), inc, params)
+    for i, rep in enumerate(reports):
+        pre = fresh(chain[i])
+        # the noise values too come from the cold record of the pre state
+        cold_rep = replace(rep, noise_values=noise_sum(collocation(pre, params).sigma, rep.increment, params.noise))
+        cold = energy_ledger_step(pre, fresh(chain[i + 1]), cold_rep, params)
         assert rows[i] == cold, f"step {i + 1}"
 
 
@@ -416,10 +451,11 @@ def test_record_is_reused_per_params_and_read_only(rng):
     params = config.params
     rho_bar = scheme.mean_density(config.grid, state.rho)
     step_factors = scheme._step_factors(config.grid, params.dt, params.eps, rho_bar)
+    _, rep = step(state, params, rng)
     for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
-                   col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.dsigma, col.rho_u_sq,
+                   col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.rho_u_sq,
                    col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.momentum_flux,
-                   *step_factors):
+                   *step_factors, rep.noise_values):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[...] = 0.0
@@ -500,7 +536,7 @@ def test_stochastic_transfer_integrates_the_noise_sum(name):
     params, grid, noise = config.params, config.grid, config.params.noise
     pre = config.initial.build(grid, params, path_generator(3, 0, stream=1))
     post, rep = step(pre, params, path_generator(3, 0))
-    row = energy_ledger_step(pre, post, rep.increment, params)
+    row = energy_ledger_step(pre, post, rep, params)
 
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]

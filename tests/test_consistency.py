@@ -9,8 +9,8 @@ from coefficients import constant
 from nsch.config import parse_config
 from nsch.constitutive import FreeEnergySpec, ViscositySpec, ZeroFunction
 from nsch.diagnostics import concentration_momentum_residual
-from nsch.noise import ConstantDiffusion, NoiseSpec, geometric_noise, path_generator, silent_noise
-from nsch.scheme import ApproxParams, InitialData, SchemeState, ch_diffusion, step
+from nsch.noise import ConstantDiffusion, NoiseSpec, geometric_noise, noise_sum, path_generator, silent_noise
+from nsch.scheme import ApproxParams, InitialData, SchemeState, ch_diffusion, collocation, step
 from nsch.spectral import (
     TorusGrid,
     coeff_norm,
@@ -53,7 +53,7 @@ class TestConcentrationMomentumResidual:
             for _ in range(int(round(0.02 / dt))):
                 new, rep = step(state, params, gen)
                 for j, phi in enumerate(self.phi_set(grid)):
-                    acc[j] += concentration_momentum_residual(state, new, rep.increment, params, phi)
+                    acc[j] += concentration_momentum_residual(state, new, rep, params, phi)
                 state = new
             totals[dt] = np.abs(acc)
         ratios = totals[2e-4] / totals[1e-4]
@@ -75,7 +75,7 @@ class TestConcentrationMomentumResidual:
             acc = 0.0
             for _ in range(steps):
                 new, rep = step(state, params, gen)
-                acc += concentration_momentum_residual(state, new, rep.increment, params, phi)
+                acc += concentration_momentum_residual(state, new, rep, params, phi)
                 state = new
             totals[p] = acc
         se = np.std(totals, ddof=1) / np.sqrt(paths)
@@ -90,7 +90,7 @@ class TestConcentrationMomentumResidual:
         state = data.build(grid, params, path_generator(35, 0, 1))
         new, rep = step(state, params, path_generator(35, 0))
         phi = constant(grid, 1.0)
-        r = concentration_momentum_residual(state, new, rep.increment, params, phi)
+        r = concentration_momentum_residual(state, new, rep, params, phi)
         from nsch.spectral import gradient, integrate_values
 
         # int rho c, exact from the zero mode of the dealiased product
@@ -110,7 +110,7 @@ class TestConcentrationMomentumResidual:
         new, rep = step(state, params, path_generator(1, 0))
         with pytest.raises(ValueError):
             vector = np.zeros((2 if grid.dim == 2 else 3,) + grid.band_shape, dtype=complex)
-            concentration_momentum_residual(state, new, rep.increment, params, vector)
+            concentration_momentum_residual(state, new, rep, params, vector)
 
 
 class TestMomentumDecayOracles:
@@ -196,7 +196,7 @@ class TestStateInvariants:
         from nsch.noise import WienerIncrement
 
         inc = WienerIncrement(dt=params.dt, dbeta=np.array([0.83]))
-        d = ch_diffusion(state, inc, params)
+        d = ch_diffusion(grid, noise_sum(collocation(state, params).sigma, inc, spec), params.n)
         vals = to_physical(grid, d)[0]
         np.testing.assert_allclose(vals, 0.7 * 0.83, atol=1e-13)
 

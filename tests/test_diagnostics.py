@@ -62,7 +62,7 @@ def run_ledger(grid, params, steps, seed=20260809, state=None):
     gen = path_generator(seed, 0)
     for _ in range(steps):
         new, rep = step(state, params, gen)
-        rows.append(energy_ledger_step(state, new, rep.increment, params))
+        rows.append(energy_ledger_step(state, new, rep, params))
         state = new
     return rows, state
 
@@ -134,7 +134,7 @@ class TestEnergyLedger:
             c=constant(grid, 0.2),
         )
         new, rep = step(state, params, path_generator(0, 0))
-        row = energy_ledger_step(state, new, rep.increment, params)
+        row = energy_ledger_step(state, new, rep, params)
         for name in LEDGER_COLUMNS:
             if name in ("kinetic", "free", "interface", "artificial"):
                 continue

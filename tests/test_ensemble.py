@@ -1,10 +1,12 @@
 import json
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nsch.config import parse_config
 from nsch.diagnostics import EnergyLedger, initial_ledger_row
 from nsch.ensemble import (
     EnsembleConfig,
@@ -16,8 +18,8 @@ from nsch.ensemble import (
 )
 from nsch.errors import SchemeError
 from nsch.noise import geometric_noise, silent_noise
-from nsch.scheme import ApproxParams, InitialData, SchemeState
-from nsch.spectral import TorusGrid, coeff_norm
+from nsch.scheme import ApproxParams, InitialData, SchemeState, recover_velocity
+from nsch.spectral import TorusGrid, coeff_norm, project, to_physical, to_spectral
 
 
 def small_config(**kw):
@@ -53,6 +55,28 @@ class TestFailureRecords:
         assert result.failure is not None
         assert result.failure["kind"] == "nonfinite"
         assert result.failure["step"] == 0 and result.steps_done == 0
+
+    def test_near_vacuum_overflow_is_recorded_as_instability(self):
+        # from rho = 1 + (1 - 5e-9) cos x, u = 0.1 sin x and c = 0, one step of
+        # this configuration overflows cosh in the mixing profile while every
+        # value stays finite (max|c| reaches 2.4e4), so only the overflow
+        # check makes it a failure, and no RuntimeWarning is left behind
+        config = parse_config(
+            "[grid]\nmodes = 16\n\n[scheme]\nm = 2\nn = 5\n\n[free_energy]\nrho_floor = 1e-10\n\n"
+            "[run]\nhorizon = 1e-5\npaths = 1\n"
+        )
+        grid, params = config.grid, config.params
+        (x,) = grid.coords
+        rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
+        w = project(grid, to_spectral(grid, to_physical(grid, rho)[0] * 0.1 * np.sin(x)), params.m)
+        u, _ = recover_velocity(grid, rho, w, params.m, rho_floor=params.fspec.rho_floor)
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=np.zeros_like(rho))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_trajectory(config, 0, initial_state=state)
+        assert result.failure is not None and result.steps_done == 0
+        assert result.failure["kind"] == "instability"
+        assert result.failure["message"].startswith("overflow encountered in "), result.failure
 
 
 class TestRunPaths:

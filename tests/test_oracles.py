@@ -111,7 +111,7 @@ class TestItoConvention:
             acc_i = acc_m = 0.0
             for _ in range(steps):
                 new, rep = step(state, params, gen)
-                row = energy_ledger_step(state, new, rep.increment, params)
+                row = energy_ledger_step(state, new, rep, params)
                 rho_m = 0.5 * (state.rho + new.rho)
                 c_m = 0.5 * (state.c + new.c)
                 mu_m = chemical_potential(grid, rho_m, c_m, params.fspec)

@@ -4,13 +4,17 @@
 the sigma methods of three noise families with ``getattr`` when a traced
 run starts, and ``perfbench/child.py`` replaces four functions of
 ``nsch.cli`` and ``nsch.ensemble``.  A missing name fails the traced run
-only, so these tests check them directly.
+only, so these tests check them directly.  ``perfbench/run.py`` gets no
+timings, and exits 1, when the hooks that ``child.py`` wraps stop being
+called, so short runs of ``child.py`` itself check that every step is
+stamped and that ``report.json`` holds the keys ``run.py`` reads.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -93,3 +97,32 @@ def test_tracer_installs_on_the_loaded_package():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "installed"
+
+
+@pytest.mark.parametrize("command, paths", [("ensemble", 8), ("run", 1)])
+def test_child_stamps_every_step(tmp_path, command, paths):
+    # the 1D/32 noisy configuration of the benchmark's workloads, for 3 steps
+    steps = 3
+    config = tmp_path / "config.cfg"
+    config.write_text(
+        "[grid]\ndim = 1\nmodes = 32\n\n[scheme]\ndt = 1e-05\n\n[noise]\nkind = geometric\nmodes = 20\nseed = 1\n\n"
+        f"[run]\nhorizon = {steps * 1e-5!r}\nsnapshot_stride = 1\npaths = {paths}\n"
+    )
+    record, out = tmp_path / "record.json", tmp_path / "out"
+    argv = [sys.executable, str(PERFBENCH / "child.py"), str(record), "--", command, str(config), "--out", str(out)]
+    if command == "ensemble":
+        argv += ["--workers", "1"]
+    # run from the root of the checkout, as the benchmark does: child.py imports nsch from ./src
+    done = subprocess.run(argv, cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+    stamps = json.loads(record.read_text())
+    assert stamps["exit"] == 0
+    assert len(stamps["trajectories"]) == paths
+    for first, ends in stamps["trajectories"]:
+        assert first is not None and len(ends) == steps
+    if command == "ensemble":
+        assert stamps["ensemble_end"] is not None
+        report = json.loads((out / "report.json").read_text())
+        assert report["paths"] == paths and report["survivor_fraction"] == 1.0
+        assert report["martingale"]["passed"] is True

@@ -9,13 +9,14 @@ from nsch.checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ZeroFunction
 from nsch.diagnostics import mass
 from nsch.errors import CheckpointError, GramSolveError, NonFiniteError, PositivityError, TimeStepError
-from nsch.noise import geometric_noise, path_generator, silent_noise
+from nsch.noise import geometric_noise, noise_sum, path_generator, silent_noise
 from nsch.scheme import (
     ApproxParams,
     InitialData,
     SchemeState,
     ch_diffusion,
     ch_drift,
+    collocation,
     cutoff,
     momentum_rhs,
     recover_velocity,
@@ -239,10 +240,13 @@ class TestChDrift:
         from nsch.noise import sample_increment
 
         inc = sample_increment(params.dt, path_generator(0, 0), params.noise)
-        d = ch_diffusion(state, inc, params)
+        sigma = collocation(state, params).sigma
+        d = ch_diffusion(grid, noise_sum(sigma, inc, params.noise), params.n)
         assert np.array_equal(project(grid, d, params.n), d)
-        none = ch_diffusion(state, type(inc)(dt=params.dt, dbeta=np.zeros(20)), params)
-        assert coeff_norm(grid, none) == 0.0
+        still = type(inc)(dt=params.dt, dbeta=np.zeros(20))
+        for none in (ch_diffusion(grid, noise_sum(sigma, still, params.noise), params.n),
+                     ch_diffusion(grid, None, params.n)):
+            assert none.shape == d.shape and coeff_norm(grid, none) == 0.0
 
 
 class TestRecoverVelocity:
