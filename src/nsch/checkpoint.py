@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .scheme import SchemeState, recover_velocity
+from .scheme import SchemeState
 from .spectral import TorusGrid
 
 __all__ = ["CheckpointMeta", "atomic_open", "checkpoint_bytes", "checkpoint_diff", "save_checkpoint", "load_checkpoint"]
@@ -118,8 +118,12 @@ def _read_block(fh, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
 
 
-def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.random.Generator, CheckpointMeta]:
-    """Read a checkpoint; the velocity is recovered with the given density floor."""
+def load_checkpoint(path) -> tuple[SchemeState, np.random.Generator, CheckpointMeta]:
+    """Read a checkpoint: the state's blocks as stored, nothing transformed or solved.
+
+    The state's collocation record checks the density floor of its parameters and recovers the velocity,
+    deterministically, so a restart is bit-identical to the uninterrupted run.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -148,7 +152,7 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         rho = _read_block(fh, (1,) + band)
         w = _read_block(fh, (dim,) + band)
         c = _read_block(fh, (1,) + band)
-        # NaN passes every ordered comparison, so it is caught before the velocity recovery
+        # NaN passes every ordered comparison, so it is caught before any density guard
         for name, a in (("rho", rho), ("w", w), ("c", c)):
             if not np.isfinite(a).all():
                 raise CheckpointError(f"non-finite {name} coefficients")
@@ -164,9 +168,5 @@ def load_checkpoint(path, rho_floor: float = 1e-8) -> tuple[SchemeState, np.rand
         "uinteger": uinteger,
     }
     rng = np.random.Generator(bg)
-    # the velocity is not stored: it is the unique order-m solution of
-    # P_m(rho u) = w, and the recovery is deterministic, so a restart is
-    # bit-identical to the uninterrupted run
-    u, _ = recover_velocity(grid, rho, w, m, rho_floor=rho_floor)
-    state = SchemeState(t=t, grid=grid, rho=rho, w=w, u=u, c=c)
+    state = SchemeState(t=t, grid=grid, rho=rho, w=w, c=c)
     return state, rng, CheckpointMeta(dim, modes, m, n, noise_modes)

@@ -70,8 +70,8 @@ def _run_outputs(config: EnsembleConfig, on_row, on_file):
     """
     params = config.params
     state0 = config.initial_state()
+    on_row(0, initial_ledger_row(state0, params))  # first: the record's density guard precedes any file
     on_file("chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0))
-    on_row(0, initial_ledger_row(state0, params))
     last = [state0, None]
 
     def on_step(done, state, gen, rep, row):
@@ -182,15 +182,15 @@ def cmd_verify(args) -> int:
         if k0 != zero_modes[0]:
             notes[0] = f"mass drifted (zero mode {k0!r} != {zero_modes[0]!r})"
             found.append(notes[0])
+        col = collocation(state, params)
         if korn_constant(grid.dim, params.visc) == 0.0:
             notes.append("Korn not applicable (no viscous stress), Poincare checks run")
         else:
-            korn = korn_check(grid, state.u, params.visc)
+            korn = korn_check(grid, col.u_hat, params.visc)
             if not korn.passed:
                 found.append(f"Korn inequality violated (margin {korn.margin:.3e})")
             notes.append("inequality checks run")
-        mu = collocation(state, params).mu
-        for v_name, v in (("mu", mu),) + tuple((f"u{i}", state.u[i : i + 1]) for i in range(len(state.u))):
+        for v_name, v in (("mu", col.mu),) + tuple((f"u{i}", col.u_hat[i : i + 1]) for i in range(len(col.u_hat))):
             try:
                 rep = poincare_check(grid, state.rho, v, config.initial.mass, params.fspec.gamma)
             except ValueError as exc:

@@ -17,8 +17,8 @@ Grammar (all keys optional; defaults shown by ``print-config``):
 ``parse_config`` returns the ``EnsembleConfig`` it validates, which also
 carries ``[output] dir`` and the resolved values that ``format_config`` prints
 (``replace`` drops those, so a changed configuration never prints stale text).
-Parsing is all this module checks: numbers, unknown sections and keys, the
-string choices and the ``betas`` list.  Every rule on a value lives on the
+Parsing is all this module checks: finite numbers, unknown sections and keys,
+the string choices and the ``betas`` list.  Every rule on a value lives on the
 type that holds it (``TorusGrid``, ``ApproxParams``, ``FreeEnergySpec``,
 ``DoubleWell``, ``ViscositySpec``, ``geometric_noise``, ``InitialData``), and
 the rules that tie them to the grid and the time step on ``EnsembleConfig``;
@@ -88,10 +88,14 @@ def _coerce(section: str, key: str, text: str, problems: list[str]):
     if kind is str:
         return text.strip()
     try:
-        return int(text) if kind is int else float(text)
+        value = int(text) if kind is int else float(text)
     except ValueError:
         problems.append(f"[{section}] {key}: expected {'an integer' if kind is int else 'a number'}, got {text!r}")
         return None
+    if not math.isfinite(value):
+        problems.append(f"[{section}] {key}: expected a finite number, got {text!r}")
+        return None
+    return value
 
 
 def _build(problems: list[str], section: str | None, factory, **kwargs):

@@ -137,12 +137,10 @@ def mass(state: SchemeState) -> float:
     return state.grid.volume * mean_density(state.grid, state.rho)
 
 
-def renormalized_residual(
-    pre: SchemeState, post: SchemeState, params: ApproxParams, b, db, d2b
-) -> float:
+def renormalized_residual(pre: SchemeState, post: SchemeState, params: ApproxParams, b, db) -> float:
     """Scalar residual of the renormalized continuity identity over one step.
 
-    For b twice differentiable on (0, inf):
+    For b differentiable on (0, inf), with derivative db:
 
         int [b(rho_post) - b(rho_pre)]
         + dt int [b'(rho) rho - b(rho)] Div [u]_R

@@ -19,17 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .diagnostics import energy_ledger_step
-from .errors import (
-    ConfigError,
-    CutoffSaturatedWarning,
-    GramSolveError,
-    InstabilityError,
-    NonFiniteError,
-    PositivityError,
-    SchemeError,
-    TimeStepError,
-    require,
-)
+from .errors import ConfigError, CutoffSaturatedWarning, SchemeError, require
 from .noise import path_generator
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from .spectral import TorusGrid, coeff_norm
@@ -52,15 +42,6 @@ SUP_STATS = ("c_l2_sq", "grad_c_l2_sq", "lap_c_l2_sq", "v15")
 
 # a path warns when the velocity cut-off is fully engaged on more than this share of its steps
 CUTOFF_WARN_FRACTION = 0.5
-
-# scheme failures a trajectory records instead of raising, by report kind
-FAILURE_KINDS = {
-    NonFiniteError: "nonfinite",
-    PositivityError: "positivity_loss",
-    GramSolveError: "gram_failure",
-    TimeStepError: "timestep",
-    InstabilityError: "instability",
-}
 
 
 @dataclass(frozen=True)
@@ -150,9 +131,9 @@ def run_trajectory(
     for i in range(config.steps):
         try:
             new, rep = step(state, params, gen)
-        except tuple(FAILURE_KINDS) as exc:
+        except SchemeError as exc:  # recorded under the failure kind its class names
             failure = {
-                "kind": FAILURE_KINDS[type(exc)],
+                "kind": exc.kind,
                 "t": state.t,
                 "step": i,
                 "message": str(exc),
@@ -264,7 +245,7 @@ def _one_path(args) -> TrajectoryResult:
 
 
 def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryResult]]:
-    """Run the ensemble and aggregate; results are merged by path index."""
+    """Run the ensemble and aggregate; results come in path order, from the pool as from the serial loop."""
     state0 = config.initial_state()
     jobs = [(config, i, state0) for i in range(config.paths)]
     if config.workers > 1 and config.paths > 1:
@@ -275,7 +256,6 @@ def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryRe
             results = list(pool.map(_one_path, jobs, chunksize=1))
     else:
         results = [_one_path(j) for j in jobs]
-    results.sort(key=lambda r: r.path_index)
 
     survivors = [r for r in results if r.failure is None]
     if not survivors:
@@ -326,6 +306,7 @@ _SWEEPABLE = ("eps", "m", "n", "R", "dt")
 class SweepCell:
     parameter: str
     value: float
+    params: ApproxParams  # the cell's, whose record recovers the final velocity
     report: EnsembleReport
     final_state: SchemeState | None  # path 0's, None if path 0 failed
     accumulated_residual: float
@@ -364,6 +345,7 @@ def sweep(config: EnsembleConfig, parameter: str, values) -> list[SweepCell]:
             SweepCell(
                 parameter=parameter,
                 value=float(v),
+                params=cell_config.params,
                 report=report,
                 final_state=results[0].final_state if results[0].failure is None else None,
                 accumulated_residual=acc,
@@ -379,11 +361,12 @@ def sweep_trend_csv(cells: list[SweepCell]) -> str:
     cols = ["parameter", "value", "survivor_fraction", "mean_final_energy", "mean_final_artificial",
             "accumulated_residual", "final_state_l2_diff_prev"]
     writer.writerow(cols)
-    for prev, cell in zip([None] + cells, cells):
-        a, b = (None if prev is None else prev.final_state), cell.final_state
+    # path 0's final rho, u and c, the velocity from the state's record under its cell's parameters
+    finals = [None if (s := c.final_state) is None else (s.rho, collocation(s, c.params).u_hat, s.c) for c in cells]
+    for a, b, cell in zip([None] + finals, finals, cells):
         diff = ""
         if a is not None and b is not None:
-            d = sum(coeff_norm(a.grid, getattr(a, name) - getattr(b, name)) ** 2 for name in ("rho", "u", "c"))
+            d = sum(coeff_norm(cell.final_state.grid, fa - fb) ** 2 for fa, fb in zip(a, b))
             diff = f"{math.sqrt(d):.17g}"
         report = cell.report
         numbers = (cell.value, report.survivor_fraction, report.mean_final_energy, report.mean_final_artificial,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 
 class SchemeError(Exception):
-    """Base class for failures raised while advancing a trajectory."""
+    """Base class for failures raised while advancing a trajectory; each subclass names the ``kind`` recorded."""
+
+    kind: str
 
 
 class PositivityError(SchemeError):
@@ -13,6 +15,8 @@ class PositivityError(SchemeError):
     The mixing term log(rho) is structurally undefined at vacuum, so no
     evaluator regularizes it; loss of positivity is a scheme failure.
     """
+
+    kind = "positivity_loss"
 
     def __init__(self, min_rho: float, t: float | None = None):
         self.min_rho = min_rho
@@ -24,6 +28,8 @@ class PositivityError(SchemeError):
 class NonFiniteError(SchemeError):
     """A step produced NaN or infinite coefficients."""
 
+    kind = "nonfinite"
+
 
 class GramSolveError(SchemeError):
     """Velocity recovery from the projected momentum failed.
@@ -32,13 +38,19 @@ class GramSolveError(SchemeError):
     residual tolerance, or conjugate gradients did not converge.
     """
 
+    kind = "gram_failure"
+
 
 class TimeStepError(SchemeError):
     """Configured dt violates the stability heuristic."""
 
+    kind = "timestep"
+
 
 class InstabilityError(SchemeError):
     """A step overflowed in floating point: its arithmetic ran away, whether or not its values stayed finite."""
+
+    kind = "instability"
 
 
 class CheckpointError(Exception):

@@ -1,8 +1,10 @@
 """Assembly and time integration of the regularized approximate system.
 
 The state carries the density rho at the full grid band, the projected
-momentum w = P_m(rho u), the recovered velocity u in the order-m subspace and
-the concentration c in the order-n subspace.  One step advances, in order:
+momentum w = P_m(rho u) and the concentration c in the order-n subspace, the
+blocks a checkpoint stores; the velocity u in the order-m subspace is
+recovered from rho and w by the state's collocation record.  One step
+advances, in order:
 
   1. the concentration by Euler-Maruyama with an exact exponential factor for
      the constant-coefficient bilaplacian (mean-density proxy); every other
@@ -10,8 +12,8 @@ the concentration c in the order-n subspace.  One step advances, in order:
   2. the density with backward-Euler artificial diffusion and explicit
      transport by the cut-off velocity;
   3. the momentum with backward-Euler on its artificial diffusion and all
-     remaining terms explicit, followed by velocity recovery through the
-     density-weighted Gram system.
+     remaining terms explicit; the new state's record recovers its velocity
+     through the density-weighted Gram system.
 
 The zero mode of rho is never touched by any right-hand side, so the total
 mass is conserved in exact floating-point arithmetic.  All nonlinear terms
@@ -101,20 +103,20 @@ class ApproxParams:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """The state at time t: read-only coefficient arrays on ``grid``.
+    """The state at time t: read-only coefficient arrays on ``grid``, the blocks a checkpoint stores.
 
-    rho and c have one component, w and u have grid.dim.
+    rho and c have one component, w has grid.dim.  The velocity is not part
+    of the state: the state's collocation record recovers it from rho and w.
     """
 
     t: float
     grid: TorusGrid
     rho: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.rho, self.w, self.u, self.c):
+        for a in (self.rho, self.w, self.c):
             a.flags.writeable = False
 
     def __getstate__(self):
@@ -172,17 +174,19 @@ class Collocation:
     record reads its state only while it is built and keeps no reference to
     it.  Obtain records through ``collocation``.
 
-    Fields are transformed in stacks, one transform call per stack: the
-    fields linear in the state, the pre-step products (kept as coefficients,
-    mu among them), mu with its derivatives and the dealiased momentum, and
-    the products of those (coefficients).  Each named field is a read-only
-    view of its stack.  The density has its own transform, which a step
-    passes in as ``rho``, because the positivity guard of the velocity
-    recovery of a new state needs it first.  The pointwise constitutive
-    values (log rho, the free-energy profiles, f, p and the partials of f)
-    are computed with the record, in ``free_energy_values``; f_cc and the
-    table of sigma_k'(c) only for the Ito rates of a noisy record, which
-    keeps neither.
+    The record first transforms the density by itself, checks it against
+    ``params.fspec.rho_floor`` (NonFiniteError or PositivityError at the
+    state's time) and recovers the velocity coefficients ``u_hat`` from its
+    values and w, the one call of ``recover_velocity``; ``min_rho`` and
+    ``gram_iterations`` are the facts a step reports.  The other fields are
+    transformed in stacks, one transform call per stack: the fields linear in
+    the state, the pre-step products (kept as coefficients, mu among them),
+    mu with its derivatives and the dealiased momentum, and the products of
+    those (coefficients).  Each named field is a read-only view of its stack.
+    The pointwise constitutive values (log rho, the free-energy profiles, f,
+    p and the partials of f) are computed with the record, in
+    ``free_energy_values``; f_cc and the table of sigma_k'(c) only for the
+    Ito rates of a noisy record, which keeps neither.
 
     Every integral of the state comes from one row sum: ``energies``,
     ``artificial``, the read-only mapping ``sup_functionals`` (c_l2_sq,
@@ -191,19 +195,25 @@ class Collocation:
     row from this state, in column order: the viscous, mu, eps and
     artificial dissipations, the two eps right-hand sides and the two Ito
     corrections (0.0 without noise).
-
-    Raises PositivityError, at the state's time, if the density is not positive.
     """
 
-    def __init__(self, state: SchemeState, params: ApproxParams, rho: np.ndarray | None = None):
+    def __init__(self, state: SchemeState, params: ApproxParams):
         grid = self.grid = state.grid
         self.params = params
-        self.rho = _read_only(to_physical(grid, state.rho)) if rho is None else rho
+        self.rho = _read_only(to_physical(grid, state.rho))
+        self.min_rho = float(self.rho.min())
+        # NaN passes every ordered comparison, so it is named before the density floor is checked
+        if not math.isfinite(self.min_rho):
+            raise NonFiniteError(f"non-finite rho at t={state.t:.6g}")
+        if self.min_rho <= params.fspec.rho_floor:
+            raise PositivityError(self.min_rho, t=state.t)
+        u_hat, self.gram_iterations = recover_velocity(grid, state.rho, state.w, params.m, self.rho[0])
+        self.u_hat = _read_only(u_hat)
 
-        grad_u = grad_tensor(grid, state.u)
+        grad_u = grad_tensor(grid, self.u_hat)
         self.visc_stress_hat = _read_only(stress(grid, grad_u, params.visc))
         linear = [
-            state.u,
+            self.u_hat,
             state.c,
             gradient(grid, state.c),
             laplacian(grid, state.c),
@@ -216,9 +226,9 @@ class Collocation:
         )
 
         # coefficients of [u]_R and the cut-off factor chi
-        self.cut = cutoff(grid, state.u, params.R)
+        self.cut = cutoff(grid, self.u_hat, params.R)
         u_r, _ = self.cut
-        self.u_r = self.u if u_r is state.u else _read_only(to_physical(grid, u_r))
+        self.u_r = self.u if u_r is self.u_hat else _read_only(to_physical(grid, u_r))
 
         values = self.free_energy_values = FreeEnergyValues(self.rho[0], self.c[0], params.fspec, t=state.t)
         # rho^alpha, shared by the artificial pressure and the artificial energy
@@ -408,13 +418,7 @@ def _direct_gram_solve(
 
 
 def recover_velocity(
-    grid: TorusGrid,
-    rho: np.ndarray,
-    w: np.ndarray,
-    m: int,
-    rho_floor: float = 1e-8,
-    rtol: float = 1e-12,
-    rho_values: np.ndarray | None = None,
+    grid: TorusGrid, rho: np.ndarray, w: np.ndarray, m: int, rho_values: np.ndarray, rtol: float = 1e-12
 ) -> tuple[np.ndarray, int]:
     """Solve P_m(rho u) = w for u in the order-m space.
 
@@ -425,13 +429,11 @@ def recover_velocity(
     P_m(w / rho), which is exact for constant density; failure to converge
     signals near-vacuum density.  Either way the relative residual must fall
     to ``rtol``, else ``GramSolveError`` is raised.
-    ``rho_values`` are the grid values of rho when the caller has them.
+    ``rho_values`` are the grid values of rho, which the caller has checked
+    against the density floor (the collocation record, its one caller).
     Returns the velocity coefficients and the iteration count.
     """
-    vals = to_physical(grid, rho)[0] if rho_values is None else rho_values
-    min_rho = float(vals.min())
-    if min_rho <= rho_floor:
-        raise PositivityError(min_rho)
+    min_rho = float(rho_values.min())
 
     w = project(grid, w, m)
     wnorm = coeff_norm(grid, w)
@@ -443,10 +445,10 @@ def recover_velocity(
         return _direct_gram_solve(grid, rho, w, m, rtol, min_rho), 0
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return project(grid, to_spectral(grid, vals * to_physical(grid, v)), m)
+        return project(grid, to_spectral(grid, rho_values * to_physical(grid, v)), m)
 
     # conjugate gradients on coefficient arrays
-    x = project(grid, to_spectral(grid, to_physical(grid, w) / vals), m)
+    x = project(grid, to_spectral(grid, to_physical(grid, w) / rho_values), m)
     r = w - apply(x)
     p = r
     rs = coeff_inner(grid, r, r)
@@ -531,20 +533,12 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
             if bad:
                 raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
 
-            rho_vals = _read_only(to_physical(grid, rho_new))
-            min_rho = float(rho_vals.min())
-            if min_rho <= params.fspec.rho_floor:
-                raise PositivityError(min_rho, t=state.t + dt)
-
-            u_new, iters = recover_velocity(
-                grid, rho_new, w_new, params.m, rho_floor=params.fspec.rho_floor, rho_values=rho_vals[0]
-            )
-
-            new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, u=u_new, c=c_new)
-            object.__setattr__(new_state, "_collocation", Collocation(new_state, params, rho=rho_vals))
+            # the new state's record checks its density and recovers its velocity
+            new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, c=c_new)
+            new = collocation(new_state, params)
     except FloatingPointError as exc:
         raise InstabilityError(f"{exc} at t={state.t + dt:.6g}") from None
-    return new_state, StepReport(chi, min_rho, iters, inc, noise_values)
+    return new_state, StepReport(chi, new.min_rho, new.gram_iterations, inc, noise_values)
 
 
 @dataclass(frozen=True)
@@ -591,7 +585,6 @@ class InitialData:
             c[0][grid.zero_index] += self.c_mean
         c = project(grid, c, params.n)
 
-        # the dealiased product rho u0
+        # the dealiased product rho u0; the state's record recovers the velocity
         w = project(grid, to_spectral(grid, to_physical(grid, rho)[0] * to_physical(grid, u0)), params.m)
-        u, _ = recover_velocity(grid, rho, w, params.m, rho_floor=params.fspec.rho_floor)
-        return SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=c)
+        return SchemeState(t=0.0, grid=grid, rho=rho, w=w, c=c)

@@ -4,7 +4,8 @@ Each quantity gets its own transform and its own ``integrate_values``, with
 the free energy and its partials from a FreeEnergyValues of its own, the Ito
 terms from the one-field corrections and the stochastic transfer from a
 noise sum accumulated mode by mode.  The fused ledger and the record's
-functionals must equal these values exactly, not just closely.  The momentum
+functionals must equal these values exactly, not just closely.  The velocity
+is recovered from the state's (rho, w) by a Gram solve of its own.  The momentum
 right-hand side is recomputed with each flux projected before it is
 differentiated, which the single projection of the scheme must equal exactly
 too.
@@ -15,7 +16,7 @@ import numpy as np
 from nsch.constitutive import FreeEnergyValues, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger
 from nsch.noise import ito_grad_correction, ito_value_correction
-from nsch.scheme import collocation
+from nsch.scheme import collocation, recover_velocity
 from nsch.spectral import (
     div_tensor,
     grad_tensor,
@@ -27,12 +28,18 @@ from nsch.spectral import (
 )
 
 
+def reference_velocity(state, params) -> np.ndarray:
+    """Velocity coefficients of ``state``: P_m(rho u) = w solved from a transform of its own."""
+    u, _ = recover_velocity(state.grid, state.rho, state.w, params.m, to_physical(state.grid, state.rho)[0])
+    return u
+
+
 def reference_energies(state, params) -> tuple[float, float, float, float]:
     """Kinetic, free, interface and artificial energy of ``state``."""
     grid = state.grid
     rv = to_physical(grid, state.rho)[0]
     cv = to_physical(grid, state.c)[0]
-    uv = to_physical(grid, state.u)
+    uv = to_physical(grid, reference_velocity(state, params))
     kinetic = 0.5 * integrate_values(grid, rv * np.sum(uv**2, axis=0))
     free = integrate_values(grid, rv * FreeEnergyValues(rv, cv, params.fspec).free_energy)
     interface = 0.5 * integrate_values(grid, np.sum(to_physical(grid, gradient(grid, state.c)) ** 2, axis=0))
@@ -50,7 +57,7 @@ def reference_ledger_row(pre, post, inc, params) -> EnergyLedger:
 
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]
-    grad_u = grad_tensor(grid, pre.u)
+    grad_u = grad_tensor(grid, reference_velocity(pre, params))
     gv = to_physical(grid, grad_u)
     sv = to_physical(grid, stress(grid, grad_u, params.visc))
     mu = chemical_potential(grid, pre.rho, pre.c, fspec)
@@ -96,7 +103,7 @@ def reference_functionals(state, params) -> dict[str, float]:
     c = state.c
     rv = to_physical(grid, state.rho)[0]
     cv = to_physical(grid, c)[0]
-    uv = to_physical(grid, state.u)
+    uv = to_physical(grid, reference_velocity(state, params))
     grad_c_sq = np.sum(to_physical(grid, gradient(grid, c)) ** 2, axis=0)
     gamma = params.fspec.gamma
     v15 = integrate_values(grid, rv * np.sum(uv**2, axis=0) + rv**gamma + rv * cv**2 + grad_c_sq)

@@ -24,7 +24,7 @@ from nsch.constitutive import (
 from nsch.ensemble import EnsembleConfig, run_paths, run_trajectory, sweep, sweep_trend_csv
 from nsch.errors import CutoffSaturatedWarning
 from nsch.noise import geometric_noise, forcing, path_generator, sample_increment, silent_noise
-from nsch.scheme import ApproxParams, InitialData, SchemeState, step
+from nsch.scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from nsch.spectral import (
     TorusGrid,
     coeff_inner,
@@ -145,7 +145,6 @@ def test_criterion_04_linear_dispersion():
         grid=grid,
         rho=constant(grid, 1.0),
         w=constant(grid, 0.0),
-        u=constant(grid, 0.0),
         c=to_spectral(grid, c0),
     )
     gen = path_generator(404, 0)
@@ -252,12 +251,12 @@ def test_criterion_08_cutoff_transparency_and_saturation():
         for _ in range(50):
             state, rep = step(state, params, gen)
             chi_min = min(chi_min, rep.chi)
-        return state, chi_min
+        return state, chi_min, collocation(state, params).u_hat
 
-    a, chi_a = run(5.0)
-    b, chi_b = run(10.0)
+    a, chi_a, u_a = run(5.0)
+    b, chi_b, u_b = run(10.0)
     assert chi_a == 1.0 and chi_b == 1.0
-    for fa, fb in ((a.rho, b.rho), (a.w, b.w), (a.u, b.u), (a.c, b.c)):
+    for fa, fb in ((a.rho, b.rho), (a.w, b.w), (u_a, u_b), (a.c, b.c)):
         assert np.max(np.abs(fa - fb)) <= 1e-14
 
     loud = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=3.0, c_amp=0.2)
@@ -339,9 +338,10 @@ def test_criterion_10_galerkin_consistency_and_eps_sweep():
     )
     cells = sweep(config, "n", [16, 32])
     d = 0.0
+    u0, u1 = (collocation(cell.final_state, cell.params).u_hat for cell in cells)
     for a, b in (
         (cells[0].final_state.rho, cells[1].final_state.rho),
-        (cells[0].final_state.u, cells[1].final_state.u),
+        (u0, u1),
         (cells[0].final_state.c, cells[1].final_state.c),
     ):
         d += coeff_norm(grid, a - b) ** 2
@@ -398,7 +398,8 @@ def test_criterion_11_reproducibility_and_restart(tmp_path):
     resumed, gen2, _ = load_checkpoint(tmp_path / "mid.nsch")
     for _ in range(13):
         resumed, _ = step(resumed, params, gen2)
-    for fa, fb in ((state.rho, resumed.rho), (state.w, resumed.w), (state.u, resumed.u), (state.c, resumed.c)):
+    velocities = (collocation(state, params).u_hat, collocation(resumed, params).u_hat)
+    for fa, fb in ((state.rho, resumed.rho), (state.w, resumed.w), velocities, (state.c, resumed.c)):
         assert np.array_equal(fa, fb)
     assert state.t == resumed.t
     _report(11, "fixed seed gives bit-identical ledgers; checkpoint restart is bitwise equal")

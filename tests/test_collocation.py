@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import pickle
@@ -14,9 +15,10 @@ from ledger_reference import (
     reference_functionals,
     reference_ledger_row,
     reference_momentum_rhs,
+    reference_velocity,
 )
 
-from nsch import scheme, spectral
+from nsch import checkpoint, scheme, spectral
 from nsch.config import parse_config
 from nsch.constitutive import DoubleWell, FreeEnergySpec, FreeEnergyValues, TanhMixing, chemical_potential, stress
 from nsch.diagnostics import EnergyLedger, energy_ledger_step, initial_ledger_row
@@ -105,7 +107,7 @@ def default_config(steps: int) -> EnsembleConfig:
 
 def fresh(state: SchemeState) -> SchemeState:
     """The same state as a new object, without a collocation record."""
-    return SchemeState(t=state.t, grid=state.grid, rho=state.rho, w=state.w, u=state.u, c=state.c)
+    return SchemeState(t=state.t, grid=state.grid, rho=state.rho, w=state.w, c=state.c)
 
 
 def calls_per_step(config: EnsembleConfig, calls: dict) -> dict:
@@ -161,8 +163,9 @@ RECORD_STACKS = {
     "second_products": ("lap_mu_over_rho", "momentum_flux"),
 }
 # the record's other fields
-RECORD_FIELDS = ("grid", "params", "rho", "visc_stress_hat", "cut", "u_r", "free_energy_values", "sigma",
-                 "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals", "transfer_rates")
+RECORD_FIELDS = ("grid", "params", "rho", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "cut", "u_r",
+                 "free_energy_values", "sigma", "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals",
+                 "transfer_rates")
 # the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
 FREE_ENERGY_FIELDS = ("log_rho", "mixing", "mixing_d1", "well", "well_d1",
                       "free_energy", "pressure", "f_c", "rho_f_rho_rho", "rho_f_rho_c")
@@ -263,6 +266,53 @@ def test_record_of_a_state_at_the_floor_raises_at_its_time():
     assert (stepped.value.t, str(stepped.value)) == (built.value.t, str(built.value))
 
 
+def recover_velocity_callers(monkeypatch) -> list:
+    """The code object of the caller of every recover_velocity call, at every binding site in every nsch module."""
+    callers = []
+    for module in [m for n, m in sys.modules.items() if n.startswith("nsch.")]:
+        if hasattr(module, "recover_velocity"):
+
+            def traced(*args, _original=module.recover_velocity, **kwargs):
+                callers.append(sys._getframe(1).f_code)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "recover_velocity", traced)
+    return callers
+
+
+def test_state_holds_the_checkpoint_blocks_and_no_velocity():
+    assert [f.name for f in dataclasses.fields(SchemeState)] == ["t", "grid", "rho", "w", "c"]
+
+
+def test_step_recovers_the_velocity_once_in_the_new_record(monkeypatch):
+    config = default_config(1)
+    params = config.params
+    state = config.initial_state()
+    collocation(state, params)
+    callers = recover_velocity_callers(monkeypatch)
+    new, rep = step(state, params, path_generator(params.noise.seed, 0))
+    assert callers == [scheme.Collocation.__init__.__code__]
+    record = collocation(new, params)
+    assert (rep.min_rho, rep.gram_iterations) == (record.min_rho, record.gram_iterations)
+
+
+def test_load_checkpoint_transforms_and_solves_nothing(monkeypatch, fft_calls, tmp_path):
+    config = default_config(1)
+    params = config.params
+    gen = path_generator(params.noise.seed, 0)
+    state, _ = step(config.initial_state(), params, gen)
+    path = tmp_path / "chk.nsch"
+    checkpoint.save_checkpoint(path, state, gen, params.m, params.n, params.noise.K)
+    callers = recover_velocity_callers(monkeypatch)
+    before = fft_calls["n"]
+    loaded, _, _ = checkpoint.load_checkpoint(path)
+    assert fft_calls["n"] == before and callers == []
+    assert "_collocation" not in vars(loaded)
+    # the loaded state's record recovers the velocity the stepped state's record holds
+    assert np.array_equal(collocation(loaded, params).u_hat, collocation(state, params).u_hat)
+    assert callers == [scheme.Collocation.__init__.__code__]
+
+
 def test_profile_calls_per_step_bounded(monkeypatch):
     calls = {"profiles": 0}
     for profile in (TanhMixing, DoubleWell):
@@ -343,13 +393,24 @@ def test_momentum_rhs_equals_per_flux_projection(name):
     state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
     if name.startswith("cut-off"):
         # half the velocity norm: the cut-off factor lies strictly between 0 and 1
-        params = replace(params, R=0.5 * coeff_norm(config.grid, state.u))
+        params = replace(params, R=0.5 * coeff_norm(config.grid, collocation(state, params).u_hat))
     gen = path_generator(7, 0)
     for _ in range(3):
         expected = reference_momentum_rhs(state, params)
         assert np.array_equal(scheme.momentum_rhs(state, params), expected), f"t = {state.t}"
         state, rep = step(state, params, gen)
         assert (0.0 < rep.chi < 1.0) == name.startswith("cut-off")
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_record_velocity_is_the_recovery_of_its_state(name):
+    # bit for bit, on the direct (1D) and the CG (2D) side, for a built and a stepped state
+    config = parse_config(ORACLE_CONFIGS[name])
+    params = config.params
+    state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
+    stepped, _ = step(state, params, path_generator(7, 0))
+    for s in (state, stepped):
+        assert np.array_equal(collocation(s, params).u_hat, reference_velocity(s, params)), f"t = {s.t}"
 
 
 def test_ledger_row_after_step_transforms_nothing(fft_calls):
@@ -397,9 +458,9 @@ def test_stacked_fields_equal_separate_transforms(dim):
     state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
     col = collocation(state, params)
     grid = config.grid
-    grad_u = grad_tensor(grid, state.u)
+    grad_u = grad_tensor(grid, col.u_hat)
     separate = {
-        "u": state.u,
+        "u": col.u_hat,
         "c": state.c,
         "grad_c": gradient(grid, state.c),
         "lap_c": laplacian(grid, state.c),
@@ -452,7 +513,7 @@ def test_record_is_reused_per_params_and_read_only(rng):
     rho_bar = scheme.mean_density(config.grid, state.rho)
     step_factors = scheme._step_factors(config.grid, params.dt, params.eps, rho_bar)
     _, rep = step(state, params, rng)
-    for values in (col.rho, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
+    for values in (col.rho, col.u_hat, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
                    col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.rho_u_sq,
                    col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.momentum_flux,
                    *step_factors, rep.noise_values):
@@ -469,7 +530,7 @@ def test_stepped_state_is_read_only(monkeypatch, size_rule):
     config = default_config(1)
     state, _ = step(config.initial_state(), config.params, path_generator(config.params.noise.seed, 0))
     for copy in (state, pickle.loads(pickle.dumps(state))):
-        for name in ("rho", "w", "u", "c"):
+        for name in ("rho", "w", "c"):
             coeffs = getattr(copy, name)
             assert type(coeffs) is np.ndarray and coeffs.dtype == np.complex128, name
             assert not coeffs.flags.writeable, name

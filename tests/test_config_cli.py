@@ -127,6 +127,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "gamma must exceed 3" in err
 
+    @pytest.mark.parametrize("line", ["[scheme]\nR = inf", "[scheme]\ncfl = inf", "[initial]\nmass = inf"])
+    def test_non_finite_number_exits_2_naming_the_key(self, tmp_path, capsys, line):
+        # R = inf and cfl = inf once ran to exit 0, mass = inf failed step 0 as a Gram failure
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        named = line.replace("\n", " ").replace(" = inf", ": expected a finite number, got 'inf'")
+        assert capsys.readouterr().err == f"configuration rejected:\n  - {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_initial_density_at_the_floor_writes_no_checkpoint(self, tmp_path, capsys):
+        # the initial state's record checks the density floor before the first checkpoint is written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_RUN + "\n[free_energy]\nrho_floor = 0.99\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert "density positivity lost at t=0: min rho = 0.9" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.cfg"]
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2
 
@@ -584,7 +603,7 @@ class TestCli:
             state = build(self, grid, params, rng)
             coeffs = state.c.copy()
             coeffs[0, 1] = np.nan
-            return SchemeState(t=state.t, grid=grid, rho=state.rho, w=state.w, u=state.u, c=coeffs)
+            return SchemeState(t=state.t, grid=grid, rho=state.rho, w=state.w, c=coeffs)
 
         monkeypatch.setattr(InitialData, "build", poisoned)
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nsch import ensemble, errors
 from nsch.config import parse_config
 from nsch.diagnostics import EnergyLedger, initial_ledger_row
 from nsch.ensemble import (
@@ -18,7 +19,7 @@ from nsch.ensemble import (
 )
 from nsch.errors import SchemeError
 from nsch.noise import geometric_noise, silent_noise
-from nsch.scheme import ApproxParams, InitialData, SchemeState, recover_velocity
+from nsch.scheme import ApproxParams, InitialData, SchemeState
 from nsch.spectral import TorusGrid, coeff_norm, project, to_physical, to_spectral
 
 
@@ -45,12 +46,21 @@ def small_config(**kw):
 
 
 class TestFailureRecords:
+    def test_each_failure_class_names_its_kind(self):
+        # the one list of failure kinds is the scheme's error classes
+        classes = (errors.NonFiniteError, errors.PositivityError, errors.GramSolveError, errors.TimeStepError,
+                   errors.InstabilityError)
+        assert [cls.kind for cls in classes] == ["nonfinite", "positivity_loss", "gram_failure", "timestep",
+                                                 "instability"]
+        assert all(issubclass(cls, SchemeError) for cls in classes)
+        assert not hasattr(ensemble, "FAILURE_KINDS")
+
     def test_nonfinite_path_is_recorded_as_nonfinite(self):
         config = small_config(paths=1)
         good = config.initial_state()
         coeffs = good.c.copy()
         coeffs[0, 1] = np.nan
-        bad = SchemeState(t=good.t, grid=good.grid, rho=good.rho, w=good.w, u=good.u, c=coeffs)
+        bad = SchemeState(t=good.t, grid=good.grid, rho=good.rho, w=good.w, c=coeffs)
         result = run_trajectory(config, 0, initial_state=bad)
         assert result.failure is not None
         assert result.failure["kind"] == "nonfinite"
@@ -69,8 +79,7 @@ class TestFailureRecords:
         (x,) = grid.coords
         rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
         w = project(grid, to_spectral(grid, to_physical(grid, rho)[0] * 0.1 * np.sin(x)), params.m)
-        u, _ = recover_velocity(grid, rho, w, params.m, rho_floor=params.fspec.rho_floor)
-        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=np.zeros_like(rho))
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, c=np.zeros_like(rho))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = run_trajectory(config, 0, initial_state=state)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from nsch.config import parse_config
+from nsch.config import _DEFAULTS, parse_config
 from nsch.constitutive import FreeEnergySpec, QuadraticWell
 from nsch.ensemble import EnsembleConfig, sweep
 from nsch.errors import ConfigError
@@ -134,6 +134,18 @@ def test_parse_config_message_per_rule(text, expected):
     with pytest.raises(ConfigError) as err:
         parse_config(text + "\n")
     assert err.value.violations == expected
+
+
+# every key that holds a number other than an integer (the default mass, None, stands for (2 pi)^dim)
+FLOAT_KEYS = [(s, k) for s, kv in _DEFAULTS.items() for k, v in kv.items() if v is None or isinstance(v, float)]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_numbers_are_rejected_by_key(section, key, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = {text}\n")
+    assert err.value.violations == [f"[{section}] {key}: expected a finite number, got {text!r}"]
 
 
 def test_a_failed_part_leaves_the_rules_around_it_checked():

@@ -50,7 +50,7 @@ def grid16():
 
 def rest_state(grid, params, rho0=1.0, c0=0.0):
     zero = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
-    return SchemeState(t=0.0, grid=grid, rho=constant(grid, rho0), w=zero, u=zero.copy(), c=constant(grid, c0))
+    return SchemeState(t=0.0, grid=grid, rho=constant(grid, rho0), w=zero, c=constant(grid, c0))
 
 
 def generic_state(grid, params, rng, rho_amp=0.1, u_amp=0.1, c_amp=0.2):
@@ -108,7 +108,6 @@ class TestDensityUpdate:
             grid=grid,
             rho=rho,
             w=constant(grid, 0.0),
-            u=constant(grid, 0.0),
             c=constant(grid, 0.0),
         )
         new, _ = step(state, params, path_generator(0, 0))
@@ -123,7 +122,7 @@ class TestDensityUpdate:
         u = to_spectral(grid, np.stack([np.sin(ys), np.sin(xs)]))
         rho = constant(grid, 2.0)
         w = project(grid, multiply(grid, rho, u), params.m)
-        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=constant(grid, 0.0))
+        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, c=constant(grid, 0.0))
         new, _ = step(state, params, path_generator(0, 0))
         assert np.max(np.abs(new.rho - rho)) < 1e-12
 
@@ -148,21 +147,22 @@ class TestMomentumRhs:
         params = small_params(R=0.01)
         data = InitialData(mass=grid.volume, rho_amp=0.2, u_amp=2.0, c_amp=0.5)
         state = data.build(grid, params, path_generator(1, 0, 1))
-        assert coeff_norm(grid, state.u) > params.R + 1.0
+        u = collocation(state, params).u_hat
+        assert coeff_norm(grid, u) > params.R + 1.0
         rhs = momentum_rhs(state, params)
         # compare against the explicitly assembled chi = 0 form: only
         # transport, artificial diffusion and viscous stress survive
         from nsch.constitutive import stress
         from nsch.spectral import div_tensor, grad_tensor, laplacian, outer
 
-        u_r, chi = cutoff(grid, state.u, params.R)
+        u_r, chi = cutoff(grid, u, params.R)
         assert chi == 0.0
-        momentum = multiply(grid, state.rho, state.u)
+        momentum = multiply(grid, state.rho, u)
         transport = div_tensor(grid, project(grid, outer(grid, momentum, u_r), params.m))
         expect = (
             -transport
             + params.eps * laplacian(grid, state.w)
-            + div_tensor(grid, project(grid, stress(grid, grad_tensor(grid, state.u), params.visc), params.m))
+            + div_tensor(grid, project(grid, stress(grid, grad_tensor(grid, u), params.visc), params.m))
         )
         assert np.max(np.abs(rhs - expect)) < 1e-13
 
@@ -178,7 +178,6 @@ class TestMomentumRhs:
             grid=grid,
             rho=constant(grid, 1.0),
             w=constant(grid, 0.0),
-            u=constant(grid, 0.0),
             c=to_spectral(grid, np.sin(x)),
         )
         rhs = momentum_rhs(state, params)
@@ -206,7 +205,6 @@ class TestChDrift:
                 grid=grid,
                 rho=constant(grid, 1.0),
                 w=constant(grid, 0.0),
-                u=constant(grid, 0.0),
                 c=to_spectral(grid, np.cos(k * x)),
             )
             drift = ch_drift(state, params)
@@ -222,7 +220,7 @@ class TestChDrift:
         state = data.build(grid, params, rng)
         cc = state.c.copy()
         cc[0, 0] = 0.8
-        state = SchemeState(t=0.0, grid=grid, rho=state.rho, w=state.w, u=state.u, c=cc)
+        state = SchemeState(t=0.0, grid=grid, rho=state.rho, w=state.w, c=cc)
         drift = ch_drift(state, params)
         assert coeff_norm(grid, drift) < 1e-11
 
@@ -249,6 +247,11 @@ class TestChDrift:
             assert none.shape == d.shape and coeff_norm(grid, none) == 0.0
 
 
+def recover(grid, rho, w, m, **kw):
+    """recover_velocity with the density values from a transform of their own."""
+    return recover_velocity(grid, rho, w, m, to_physical(grid, rho)[0], **kw)
+
+
 class TestRecoverVelocity:
     def test_constant_density(self, rng):
         grid = grid16()
@@ -256,7 +259,7 @@ class TestRecoverVelocity:
         rho = constant(grid, r0)
         v = random_band_limited(grid, rng, ncomp=1, band=4, amplitude=1.0)
         w = project(grid, multiply(grid, rho, v), 4)
-        u, iters = recover_velocity(grid, rho, w, 4)
+        u, iters = recover(grid, rho, w, 4)
         assert np.max(np.abs(u - v)) < 1e-12
 
     def test_round_trip(self, rng, monkeypatch):
@@ -266,7 +269,7 @@ class TestRecoverVelocity:
         rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2))[0])
         v = random_band_limited(grid, rng, ncomp=2, band=4, amplitude=1.0)
         w = project(grid, multiply(grid, rho, v), 4)
-        u, iters = recover_velocity(grid, rho, w, 4)
+        u, iters = recover(grid, rho, w, 4)
         assert iters == 0
         residual = project(grid, multiply(grid, rho, u), 4) - w
         assert coeff_norm(grid, residual[:1]) <= 1e-14 * coeff_norm(grid, w)
@@ -282,12 +285,12 @@ class TestRecoverVelocity:
         grid = TorusGrid(dim=dim, modes_per_dim=modes)
         rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=3))[0])
         w = project(grid, multiply(grid, rho, random_band_limited(grid, rng, ncomp=dim, band=m)), m)
-        default_path, default_iters = recover_velocity(grid, rho, w, m, rtol=1e-14)
+        default_path, default_iters = recover(grid, rho, w, m, rtol=1e-14)
         assert (default_iters == 0) == ((2 * m + 1) ** dim <= scheme.DIRECT_GRAM_MAX_SIZE)
         monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 0)
-        cg, cg_iters = recover_velocity(grid, rho, w, m, rtol=1e-14)
+        cg, cg_iters = recover(grid, rho, w, m, rtol=1e-14)
         monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", (2 * m + 1) ** dim)
-        direct, direct_iters = recover_velocity(grid, rho, w, m, rtol=1e-14)
+        direct, direct_iters = recover(grid, rho, w, m, rtol=1e-14)
         assert cg_iters > 0 and direct_iters == 0
         assert coeff_norm(grid, direct - cg) <= 1e-12 * coeff_norm(grid, cg)
         assert np.array_equal(default_path, direct if default_iters == 0 else cg)
@@ -302,7 +305,7 @@ class TestRecoverVelocity:
         rho_values = to_physical(grid, rho)[0]
         before = fft_calls["n"]
         with pytest.raises(GramSolveError, match="non-finite momentum"):
-            recover_velocity(grid, rho, w, 4, rho_values=rho_values)
+            recover_velocity(grid, rho, w, 4, rho_values)
         assert fft_calls["n"] == before
 
     def test_failed_direct_solve_is_reported(self, rng):
@@ -310,18 +313,21 @@ class TestRecoverVelocity:
         rho = to_spectral(grid, 1.0 + 0.4 * to_physical(grid, random_band_limited(grid, rng, band=2))[0])
         w = random_band_limited(grid, rng, band=4)
         with pytest.raises(GramSolveError, match="relative residual .*min rho"):
-            recover_velocity(grid, rho, w, 4, rtol=0.0)
+            recover(grid, rho, w, 4, rtol=0.0)
         # density coefficients that disagree with the grid values the positivity guard saw
         for rho, message in ((constant(grid, 0.0), "Singular matrix"), (constant(grid, np.nan), "failed: .*")):
             with pytest.raises(GramSolveError, match=f"{message} .*min rho 1.000e\\+00"):
-                recover_velocity(grid, rho, w, 4, rho_values=np.ones(grid.pshape))
+                recover_velocity(grid, rho, w, 4, np.ones(grid.pshape))
 
-    def test_near_vacuum_guard(self, rng):
+    def test_near_vacuum_guard(self, rng, monkeypatch):
+        # the record checks the density before it recovers the velocity
         grid = grid16()
         rho = to_spectral(grid, np.full(grid.pshape, 1e-9))
         w = random_band_limited(grid, rng, ncomp=1, band=2, amplitude=1.0)
-        with pytest.raises(PositivityError):
-            recover_velocity(grid, rho, w, 2)
+        state = SchemeState(t=0.5, grid=grid, rho=rho, w=w, c=constant(grid, 0.0))
+        monkeypatch.setattr(scheme, "recover_velocity", None)
+        with pytest.raises(PositivityError, match="at t=0.5"):
+            collocation(state, small_params(m=2))
 
 
 class TestStep:
@@ -332,7 +338,7 @@ class TestStep:
         new, report = step(state, params, path_generator(0, 0))
         assert coeff_norm(grid, new.rho - state.rho) < 1e-12
         assert coeff_norm(grid, new.c - state.c) < 1e-12
-        assert coeff_norm(grid, new.u) < 1e-12
+        assert coeff_norm(grid, collocation(new, params).u_hat) < 1e-12
         assert report.chi == 1.0
 
     def test_semi_implicit_matches_scalar_oracle(self):
@@ -350,7 +356,6 @@ class TestStep:
             grid=grid,
             rho=constant(grid, 1.0),
             w=constant(grid, 0.0),
-            u=constant(grid, 0.0),
             c=to_spectral(grid, np.cos(k * x)),
         )
         new, _ = step(state, params, path_generator(0, 0))
@@ -378,7 +383,8 @@ class TestStep:
         gen = path_generator(4, 0)
         for _ in range(10):
             state, _ = step(state, params, gen)
-        assert np.array_equal(project(grid, state.u, params.m), state.u)
+        u = collocation(state, params).u_hat
+        assert np.array_equal(project(grid, u, params.m), u)
         assert np.array_equal(project(grid, state.c, params.n), state.c)
         assert np.array_equal(project(grid, state.w, params.m), state.w)
 
@@ -397,7 +403,7 @@ class TestStep:
         a, b = run(), run()
         assert np.array_equal(a.rho, b.rho)
         assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(collocation(a, params).u_hat, collocation(b, params).u_hat)
         assert np.array_equal(a.c, b.c)
 
     def test_cutoff_transparency(self, rng):
@@ -429,7 +435,6 @@ class TestStep:
             grid=grid,
             rho=rho,
             w=constant(grid, 0.0),
-            u=constant(grid, 0.0),
             c=constant(grid, 0.0),
         )
         with pytest.raises(PositivityError):
@@ -475,7 +480,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.rho, state.rho)
         assert np.array_equal(loaded.w, state.w)
         assert np.array_equal(loaded.c, state.c)
-        assert np.array_equal(loaded.u, state.u)
+        assert np.array_equal(collocation(loaded, params).u_hat, collocation(state, params).u_hat)
         assert gen2.bit_generator.state == gen.bit_generator.state
 
     def test_restart_equals_uninterrupted(self, rng, tmp_path):
@@ -497,11 +502,12 @@ class TestCheckpoint:
             resumed, _ = step(resumed, params, gen2)
         assert np.array_equal(resumed.rho, full.rho)
         assert np.array_equal(resumed.w, full.w)
-        assert np.array_equal(resumed.u, full.u)
+        assert np.array_equal(collocation(resumed, params).u_hat, collocation(full, params).u_hat)
         assert np.array_equal(resumed.c, full.c)
         assert resumed.t == full.t
 
     def test_load_uses_the_given_density_floor(self, tmp_path):
+        # the loaded state's record checks the floor of its parameters, at the state's time
         grid = grid16()
         params = small_params(m=2)
         (x,) = grid.mesh()
@@ -509,14 +515,16 @@ class TestCheckpoint:
         assert 1e-10 < np.min(to_physical(grid, rho)) < 1e-8
         u = to_spectral(grid, 0.1 * np.sin(x))
         w = project(grid, multiply(grid, rho, u), params.m)
-        state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, u=u, c=constant(grid, 0.0))
+        state = SchemeState(t=0.25, grid=grid, rho=rho, w=w, c=constant(grid, 0.0))
         path = tmp_path / "thin.nsch"
         save_checkpoint(path, state, path_generator(0, 0), params.m, params.n, 0)
-        with pytest.raises(PositivityError):
-            load_checkpoint(path)
-        loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
+        loaded, _, _ = load_checkpoint(path)
+        with pytest.raises(PositivityError, match="at t=0.25") as info:
+            collocation(loaded, params)
+        assert info.value.t == 0.25
+        thin = replace(params, fspec=replace(params.fspec, rho_floor=1e-10))
         assert np.array_equal(loaded.w, state.w)
-        assert coeff_norm(grid, loaded.u) > 0.0
+        assert coeff_norm(grid, collocation(loaded, thin).u_hat) > 0.0
 
     def test_zero_momentum_load_keeps_the_positivity_guard(self, tmp_path):
         grid = grid16()
@@ -524,19 +532,20 @@ class TestCheckpoint:
         (x,) = grid.mesh()
         rho = to_spectral(grid, 1.0 + (1.0 - 5e-9) * np.cos(x))
         state = SchemeState(
-            t=0.0,
+            t=0.25,
             grid=grid,
             rho=rho,
             w=constant(grid, 0.0),
-            u=constant(grid, 0.0),
             c=constant(grid, 0.0),
         )
         path = tmp_path / "thin_rest.nsch"
         save_checkpoint(path, state, path_generator(0, 0), params.m, params.n, 0)
-        with pytest.raises(PositivityError):
-            load_checkpoint(path)
-        loaded, _, _ = load_checkpoint(path, rho_floor=1e-10)
-        assert coeff_norm(grid, loaded.u) == 0.0
+        loaded, _, _ = load_checkpoint(path)
+        with pytest.raises(PositivityError, match="at t=0.25") as info:
+            collocation(loaded, params)
+        assert info.value.t == 0.25
+        thin = replace(params, fspec=replace(params.fspec, rho_floor=1e-10))
+        assert coeff_norm(grid, collocation(loaded, thin).u_hat) == 0.0
 
     def test_failed_write_keeps_the_previous_file(self, rng, tmp_path, monkeypatch):
         grid = grid16()
@@ -648,7 +657,7 @@ class TestInitialData:
         grid = grid16()
         params = small_params(m=4)
         state = InitialData(mass=grid.volume, rho_amp=0.2, u_amp=0.5, c_amp=0.2).build(grid, params, rng)
-        resid = project(grid, multiply(grid, state.rho, state.u), params.m) - state.w
+        resid = project(grid, multiply(grid, state.rho, collocation(state, params).u_hat), params.m) - state.w
         assert np.max(np.abs(resid)) <= 1e-10 * max(coeff_norm(grid, state.w), 1e-30)
 
     def test_validation(self):
