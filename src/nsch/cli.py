@@ -74,7 +74,7 @@ def _run_outputs(config: EnsembleConfig, on_row, on_file):
     on_file("chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0))
     last = [state0, None]
 
-    def on_step(done, state, gen, rep, row):
+    def on_step(done, state, gen, inc, row):
         last[:] = state, gen
         on_row(done, row)
         if config.snapshot_stride and done % config.snapshot_stride == 0:

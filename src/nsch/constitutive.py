@@ -15,11 +15,12 @@ regularize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PositivityError, require
+from .errors import NonFiniteError, PositivityError, require
 from .spectral import TorusGrid, laplacian, to_physical, to_spectral
 
 __all__ = [
@@ -239,15 +240,20 @@ class ViscositySpec:
 class FreeEnergyValues:
     """f, p and the partials of f at grid values of (rho, c), for one spec.
 
-    Positivity is checked on construction (``t`` names the state's time in
-    the error).  log(rho) and the profiles H, H', fc, fc' are evaluated once
-    and shared by every quantity; each quantity is the one place its formula
-    is written.  The second c-derivative f_cc is a method, so only its
-    callers (the Ito terms of a noisy run) evaluate H'' and fc''.
+    This is the density guard: construction names a non-finite density as
+    NonFiniteError and one at or below ``spec.rho_floor`` as PositivityError
+    (``t`` names the state's time in either), and keeps ``min_rho``.
+    log(rho) and the profiles H, H', fc, fc' are evaluated once and shared by
+    every quantity; each quantity is the one place its formula is written.
+    The second c-derivative f_cc is a method, so only its callers (the Ito
+    terms of a noisy run) evaluate H'' and fc''.
     """
 
     def __init__(self, rho: np.ndarray, c: np.ndarray, spec: FreeEnergySpec, t: float | None = None):
-        min_rho = float(rho.min())
+        min_rho = self.min_rho = float(rho.min())
+        # NaN passes every ordered comparison, so it is named before the density floor is checked
+        if not math.isfinite(min_rho):
+            raise NonFiniteError("non-finite rho" + ("" if t is None else f" at t={t:.6g}"))
         if min_rho <= spec.rho_floor:
             raise PositivityError(min_rho, t=t)
         self.rho = rho

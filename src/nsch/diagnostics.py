@@ -27,8 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .constitutive import ViscositySpec, stress
-from .errors import PositivityError
-from .scheme import ApproxParams, SchemeState, StepReport, collocation, mean_density
+from .scheme import ApproxParams, SchemeState, collocation, mean_density
 from .spectral import (
     TorusGrid,
     divergence,
@@ -98,19 +97,20 @@ def initial_ledger_row(state: SchemeState, params: ApproxParams) -> EnergyLedger
     return EnergyLedger(*col.energies, col.artificial, *[0.0] * 10)
 
 
-def energy_ledger_step(pre: SchemeState, post: SchemeState, rep: StepReport, params: ApproxParams) -> EnergyLedger:
-    """The balance entries of the step pre -> post that ``rep`` reports; all transfers use the pre state.
+def energy_ledger_step(
+    pre: SchemeState, post: SchemeState, noise_values: np.ndarray | None, params: ApproxParams
+) -> EnergyLedger:
+    """The balance entries of the step pre -> post under ``params``; all transfers use the pre state.
 
     A row is arithmetic on the two states' collocation records, which the step shares (so the pre energies
     are the ones computed when the pre state was a post state), plus one integral: the stochastic transfer
-    int rho mu (sum_k alpha_k dbeta_k sigma_k(c)) over the step's noise values, 0.0 without noise.
+    int rho mu (sum_k alpha_k dbeta_k sigma_k(c)) over the step's ``noise_values``, 0.0 for None.  dt is params.dt.
     """
     a = collocation(pre, params)
     b = collocation(post, params)
-    dt = rep.increment.dt
+    dt = params.dt
     transfers = [rate * dt for rate in a.transfer_rates]
-    forced = rep.noise_values
-    stoch = 0.0 if forced is None else integrate_values(a.grid, a.rho[0] * a.mu_values[0] * forced)
+    stoch = 0.0 if noise_values is None else integrate_values(a.grid, a.rho[0] * a.mu_values[0] * noise_values)
 
     # the row's columns in order, the residual last
     entries = (*b.energies, b.artificial, *transfers, stoch)
@@ -147,14 +147,13 @@ def renormalized_residual(pre: SchemeState, post: SchemeState, params: ApproxPar
         - eps dt int b'(rho) Lap rho       (evaluated at the pre state)
 
     The transport divergence integrates to zero on the torus.  b = identity
-    reduces to exact mass conservation; general b has an O(dt) defect.
+    reduces to exact mass conservation; general b has an O(dt) defect.  The
+    records of both states guard their densities.
     """
     grid = pre.grid
     a = collocation(pre, params)
     rv0 = a.rho[0]
     rv1 = collocation(post, params).rho[0]
-    if min(float(np.min(rv0)), float(np.min(rv1))) <= params.fspec.rho_floor:
-        raise PositivityError(min(float(np.min(rv0)), float(np.min(rv1))))
     dt = post.t - pre.t
     u_r, _ = a.cut
     div_u = to_physical(grid, divergence(grid, u_r))[0]
@@ -166,7 +165,7 @@ def renormalized_residual(pre: SchemeState, post: SchemeState, params: ApproxPar
 
 
 def concentration_momentum_residual(
-    pre: SchemeState, post: SchemeState, rep: StepReport, params: ApproxParams, phi: np.ndarray
+    pre: SchemeState, post: SchemeState, noise_values: np.ndarray | None, params: ApproxParams, phi: np.ndarray
 ) -> float:
     """One-step residual of the mass-weighted concentration identity.
 
@@ -181,13 +180,13 @@ def concentration_momentum_residual(
     and c vanishes.  The concentration is evolved in its own form, not this
     one, so the residual measures the discrete consistency between the two
     formulations; it is O(dt^2) per step plus projection commutators.
-    ``rep`` is the step's report, whose noise values the stochastic term
-    integrates; ``phi`` is given by its coefficients.
+    The stochastic term integrates the step's ``noise_values`` (None without
+    noise), dt is ``params.dt`` and ``phi`` is given by its coefficients.
     """
     grid = pre.grid
     if len(phi) != 1:
         raise ValueError("test function must be scalar")
-    dt = rep.increment.dt
+    dt = params.dt
     phi_v = to_physical(grid, phi)[0]
     gphi = to_physical(grid, gradient(grid, phi))
     a = collocation(pre, params)
@@ -200,8 +199,7 @@ def concentration_momentum_residual(
     grad_cphi = a.grad_c * phi_v + cv0 * gphi
     regularization = params.eps * integrate_values(grid, np.sum(a.grad_rho * grad_cphi, axis=0))
 
-    forced = rep.noise_values
-    stoch = 0.0 if forced is None else integrate_values(grid, rv0 * phi_v * forced)
+    stoch = 0.0 if noise_values is None else integrate_values(grid, rv0 * phi_v * noise_values)
     return float(d_pair - dt * (transport - diffusion - regularization) - stoch)
 
 

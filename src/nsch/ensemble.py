@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import energy_ledger_step
 from .errors import ConfigError, CutoffSaturatedWarning, SchemeError, require
-from .noise import path_generator
+from .noise import path_generator, sample_increment
 from .scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from .spectral import TorusGrid, coeff_norm
 
@@ -113,12 +113,14 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """One seeded path: ledger residuals, running sup functionals, failure record.
 
-    ``on_step(done, state, gen, rep, row)`` is called once after each step with
-    that step's ``EnergyLedger`` row; the trajectory keeps only its residual.
+    Each step's Wiener increment ``inc`` is drawn from the path's stream-0
+    generator ``gen`` before the step.  ``on_step(done, state, gen, inc, row)``
+    is called once after each step with its ``EnergyLedger`` row; the
+    trajectory keeps only its residual.
     """
     params = config.params
     state = config.initial_state() if initial_state is None else initial_state
-    gen = path_generator(config.params.noise.seed, path_index, stream=0)
+    gen = path_generator(params.noise.seed, path_index, stream=0)
 
     residuals = [0.0]
     stats0 = _state_functionals(state, params)
@@ -129,8 +131,9 @@ def run_trajectory(
     chi_zero = 0
     done = 0
     for i in range(config.steps):
+        inc = sample_increment(params.dt, gen, params.noise)
         try:
-            new, rep = step(state, params, gen)
+            new, noise_values = step(state, params, inc)
         except SchemeError as exc:  # recorded under the failure kind its class names
             failure = {
                 "kind": exc.kind,
@@ -139,17 +142,18 @@ def run_trajectory(
                 "message": str(exc),
             }
             break
-        row = energy_ledger_step(state, new, rep, params)
+        row = energy_ledger_step(state, new, noise_values, params)
+        _, chi = collocation(state, params).cut
         residuals.append(row.residual)
         state = new
         done = i + 1
-        chi_min = min(chi_min, rep.chi)
-        if rep.chi == 0.0:
+        chi_min = min(chi_min, chi)
+        if chi == 0.0:
             chi_zero += 1
         for k, v in _state_functionals(state, params).items():
             sup[k] = max(sup[k], v)
         if on_step is not None:
-            on_step(done, state, gen, rep, row)
+            on_step(done, state, gen, inc, row)
 
     frac = chi_zero / max(done, 1)
     final = collocation(state, params)

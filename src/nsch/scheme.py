@@ -36,8 +36,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .constitutive import FreeEnergySpec, FreeEnergyValues, ViscositySpec, korteweg_values, stress
-from .errors import GramSolveError, InstabilityError, NonFiniteError, PositivityError, TimeStepError, require
-from .noise import NoiseSpec, WienerIncrement, noise_sum, sample_increment, sigma_table, silent_noise
+from .errors import GramSolveError, InstabilityError, NonFiniteError, TimeStepError, require
+from .noise import NoiseSpec, WienerIncrement, noise_sum, sigma_table, silent_noise
 from .noise import ito_grad_integrand, ito_value_integrand
 from .spectral import (
     TorusGrid,
@@ -59,7 +59,6 @@ from .spectral import (
 __all__ = [
     "ApproxParams",
     "SchemeState",
-    "StepReport",
     "Collocation",
     "collocation",
     "smoothstep",
@@ -129,18 +128,6 @@ class SchemeState:
         self.__post_init__()
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """A step's facts besides its new state.  ``noise_values``, the read-only grid values of the noise sum
-    sum_k alpha_k dbeta_k sigma_k(c) at the pre state (None without noise), forced c; the ledger integrates them."""
-
-    chi: float
-    min_rho: float
-    gram_iterations: int
-    increment: WienerIncrement
-    noise_values: np.ndarray | None = field(repr=False)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -174,19 +161,20 @@ class Collocation:
     record reads its state only while it is built and keeps no reference to
     it.  Obtain records through ``collocation``.
 
-    The record first transforms the density by itself, checks it against
-    ``params.fspec.rho_floor`` (NonFiniteError or PositivityError at the
-    state's time) and recovers the velocity coefficients ``u_hat`` from its
-    values and w, the one call of ``recover_velocity``; ``min_rho`` and
-    ``gram_iterations`` are the facts a step reports.  The other fields are
-    transformed in stacks, one transform call per stack: the fields linear in
-    the state, the pre-step products (kept as coefficients, mu among them),
-    mu with its derivatives and the dealiased momentum, and the products of
-    those (coefficients).  Each named field is a read-only view of its stack.
-    The pointwise constitutive values (log rho, the free-energy profiles, f,
-    p and the partials of f) are computed with the record, in
-    ``free_energy_values``; f_cc and the table of sigma_k'(c) only for the
-    Ito rates of a noisy record, which keeps neither.
+    The record first transforms rho and c in one stack and builds their
+    pointwise constitutive values (log rho, the free-energy profiles, f, p
+    and the partials of f), ``free_energy_values``, whose density guard
+    names a non-finite density (NonFiniteError) or one at or below
+    ``params.fspec.rho_floor`` (PositivityError), both at the state's time,
+    and keeps ``min_rho``.  Only then does it recover the velocity
+    coefficients ``u_hat`` from the density values and w, the one call of
+    ``recover_velocity``, which counts ``gram_iterations``.  The remaining
+    fields are transformed in stacks, one transform call per stack: the
+    other fields linear in the state, the pre-step products (kept as
+    coefficients, mu among them), mu with its derivatives and the dealiased
+    momentum, and the products of those (coefficients).  Each named field is
+    a read-only view of its stack.  f_cc and the table of sigma_k'(c) are
+    computed only for the Ito rates of a noisy record, which keeps neither.
 
     Every integral of the state comes from one row sum: ``energies``,
     ``artificial``, the read-only mapping ``sup_functionals`` (c_l2_sq,
@@ -200,13 +188,9 @@ class Collocation:
     def __init__(self, state: SchemeState, params: ApproxParams):
         grid = self.grid = state.grid
         self.params = params
-        self.rho = _read_only(to_physical(grid, state.rho))
-        self.min_rho = float(self.rho.min())
-        # NaN passes every ordered comparison, so it is named before the density floor is checked
-        if not math.isfinite(self.min_rho):
-            raise NonFiniteError(f"non-finite rho at t={state.t:.6g}")
-        if self.min_rho <= params.fspec.rho_floor:
-            raise PositivityError(self.min_rho, t=state.t)
+        self.rho, self.c = _stacked_values(grid, [state.rho, state.c])
+        values = self.free_energy_values = FreeEnergyValues(self.rho[0], self.c[0], params.fspec, t=state.t)
+        self.min_rho = values.min_rho
         u_hat, self.gram_iterations = recover_velocity(grid, state.rho, state.w, params.m, self.rho[0])
         self.u_hat = _read_only(u_hat)
 
@@ -214,23 +198,19 @@ class Collocation:
         self.visc_stress_hat = _read_only(stress(grid, grad_u, params.visc))
         linear = [
             self.u_hat,
-            state.c,
             gradient(grid, state.c),
             laplacian(grid, state.c),
             gradient(grid, state.rho),
             grad_u,
             self.visc_stress_hat,
         ]
-        self.u, self.c, self.grad_c, self.lap_c, self.grad_rho, self.grad_u, self.visc_stress = _stacked_values(
-            grid, linear
-        )
+        self.u, self.grad_c, self.lap_c, self.grad_rho, self.grad_u, self.visc_stress = _stacked_values(grid, linear)
 
         # coefficients of [u]_R and the cut-off factor chi
         self.cut = cutoff(grid, self.u_hat, params.R)
         u_r, _ = self.cut
         self.u_r = self.u if u_r is self.u_hat else _read_only(to_physical(grid, u_r))
 
-        values = self.free_energy_values = FreeEnergyValues(self.rho[0], self.c[0], params.fspec, t=state.t)
         # rho^alpha, shared by the artificial pressure and the artificial energy
         rho_alpha = self.rho[0] ** params.alpha_exp
         products = [
@@ -392,7 +372,7 @@ def _two_sided(a: np.ndarray) -> np.ndarray:
 
 
 def _direct_gram_solve(
-    grid: TorusGrid, rho: np.ndarray, w: np.ndarray, m: int, rtol: float, min_rho: float
+    grid: TorusGrid, rho: np.ndarray, w: np.ndarray, m: int, rtol: float, rho_values: np.ndarray
 ) -> np.ndarray:
     """Solve P_m(rho u) = w directly in coefficient space; nothing is transformed.
 
@@ -407,11 +387,13 @@ def _direct_gram_solve(
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
-        raise GramSolveError(f"velocity recovery failed: {exc} (min rho {min_rho:.3e})") from None
+        raise GramSolveError(f"velocity recovery failed: {exc} (min rho {rho_values.min():.3e})") from None
     r = matrix @ x - rhs
     residual = math.sqrt(np.vdot(r, r).real / np.vdot(rhs, rhs).real)
     if not residual <= rtol:
-        raise GramSolveError(f"velocity recovery failed: relative residual {residual:.3e} (min rho {min_rho:.3e})")
+        raise GramSolveError(
+            f"velocity recovery failed: relative residual {residual:.3e} (min rho {rho_values.min():.3e})"
+        )
     coeffs = np.zeros((ncomp, math.prod(grid.band_shape)), dtype=np.complex128)
     coeffs[:, band] = x[rows].T
     return _symmetrize(grid, coeffs.reshape((ncomp,) + grid.band_shape))
@@ -431,18 +413,16 @@ def recover_velocity(
     to ``rtol``, else ``GramSolveError`` is raised.
     ``rho_values`` are the grid values of rho, which the caller has checked
     against the density floor (the collocation record, its one caller).
-    Returns the velocity coefficients and the iteration count.
+    Returns the velocity coefficients and the iteration count; only a failure reduces the density (its minimum).
     """
-    min_rho = float(rho_values.min())
-
     w = project(grid, w, m)
     wnorm = coeff_norm(grid, w)
     if wnorm == 0.0:
         return np.zeros(w.shape, dtype=np.complex128), 0
     if not math.isfinite(wnorm):
-        raise GramSolveError(f"velocity recovery failed: non-finite momentum (min rho {min_rho:.3e})")
+        raise GramSolveError(f"velocity recovery failed: non-finite momentum (min rho {rho_values.min():.3e})")
     if (2 * m + 1) ** grid.dim <= DIRECT_GRAM_MAX_SIZE:
-        return _direct_gram_solve(grid, rho, w, m, rtol, min_rho), 0
+        return _direct_gram_solve(grid, rho, w, m, rtol, rho_values), 0
 
     def apply(v: np.ndarray) -> np.ndarray:
         return project(grid, to_spectral(grid, rho_values * to_physical(grid, v)), m)
@@ -464,7 +444,7 @@ def recover_velocity(
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise GramSolveError(
-        f"velocity recovery stalled after {CG_MAX_ITERATIONS} iterations (residual {np.sqrt(rs) / wnorm:.3e}, min rho {min_rho:.3e})"
+        f"velocity recovery stalled after {CG_MAX_ITERATIONS} iterations (residual {np.sqrt(rs) / wnorm:.3e}, min rho {rho_values.min():.3e})"
     )
 
 
@@ -497,22 +477,25 @@ def _step_factors(grid: TorusGrid, dt: float, eps: float, rho_bar: float) -> tup
     return _read_only(stiff), _read_only(np.exp(dt * stiff)), _read_only(1.0 / (1.0 + eps * dt * grid.k_squared))
 
 
-def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> tuple[SchemeState, StepReport]:
-    """Advance one time step; raises on a non-finite state, positivity loss, stability violation or overflow.
+def step(state: SchemeState, params: ApproxParams, inc: WienerIncrement) -> tuple[SchemeState, np.ndarray | None]:
+    """Advance one time step by the Wiener increment ``inc`` over ``params.dt`` (another dt is a ValueError).
 
-    The step and the new state's record raise on floating-point overflow (no arithmetic changes), so a step
-    that overflows fails as an ``InstabilityError`` with numpy's message even where its values stay finite.
+    Returns the new state and the read-only grid values of the noise sum sum_k alpha_k dbeta_k sigma_k(c) at
+    the pre state that forced c, for the ledger (None without noise).  The cut-off factor is the pre record's
+    ``cut``; min rho and the Gram iterations are the new record's.  A non-finite state, positivity loss, a
+    stability violation or overflow raise their ``SchemeError``: the step and the new state's record raise
+    on floating-point overflow (no arithmetic changes), so an overflow fails as an ``InstabilityError``.
     """
     grid = state.grid
     dt = params.dt
+    if inc.dt != dt:
+        raise ValueError(f"the increment is over dt = {inc.dt!r}, the step over dt = {dt!r}")
     try:
         with np.errstate(over="raise"):
             col = collocation(state, params)
             check_timestep(state, params)
 
-            inc = sample_increment(dt, rng, params.noise)
             noise_values = None if params.noise.K == 0 else _read_only(noise_sum(col.sigma, inc, params.noise))
-            _, chi = col.cut
             stiff, propag, fac = _step_factors(grid, dt, params.eps, mean_density(grid, state.rho))
 
             # concentration: exact exponential factor for the mean-density bilaplacian,
@@ -528,17 +511,17 @@ def step(state: SchemeState, params: ApproxParams, rng: np.random.Generator) -> 
             w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)
             w_new = fac * (state.w + dt * w_expl)
 
-            # NaN passes every ordered comparison, so it is caught before the positivity guards
+            # NaN passes every ordered comparison, so it is caught before the record's density guard
             bad = [name for name, a in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(a).all()]
             if bad:
                 raise NonFiniteError(f"non-finite {', '.join(bad)} at t={state.t + dt:.6g}")
 
             # the new state's record checks its density and recovers its velocity
             new_state = SchemeState(t=state.t + dt, grid=grid, rho=rho_new, w=w_new, c=c_new)
-            new = collocation(new_state, params)
+            collocation(new_state, params)
     except FloatingPointError as exc:
         raise InstabilityError(f"{exc} at t={state.t + dt:.6g}") from None
-    return new_state, StepReport(chi, new.min_rho, new.gram_iterations, inc, noise_values)
+    return new_state, noise_values
 
 
 @dataclass(frozen=True)

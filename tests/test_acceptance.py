@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from coefficients import constant
+from increments import draw
 
 from nsch.checkpoint import load_checkpoint, save_checkpoint
 from nsch.config import default_config
@@ -84,7 +85,7 @@ def test_criterion_02_mass_conservation():
     assert k0 == 1.0
     gen = path_generator(202, 0)
     for _ in range(10_000):
-        state, _ = step(state, params, gen)
+        state, _ = step(state, params, draw(params, gen))
         assert state.rho[0, 0] == k0
     mass_err = abs(grid.volume * state.rho[0, 0].real - 2 * np.pi)
     assert mass_err == 0.0
@@ -149,7 +150,7 @@ def test_criterion_04_linear_dispersion():
     )
     gen = path_generator(404, 0)
     for _ in range(int(round(t_final / dt))):
-        state, _ = step(state, params, gen)
+        state, _ = step(state, params, draw(params, gen))
     worst = 0.0
     for k in (1, 2, 3):
         got = float(state.c[0, k].real)
@@ -249,8 +250,9 @@ def test_criterion_08_cutoff_transparency_and_saturation():
         gen = path_generator(808, 0)
         chi_min = 1.0
         for _ in range(50):
-            state, rep = step(state, params, gen)
-            chi_min = min(chi_min, rep.chi)
+            new, _ = step(state, params, draw(params, gen))
+            chi_min = min(chi_min, collocation(state, params).cut[1])
+            state = new
         return state, chi_min, collocation(state, params).u_hat
 
     a, chi_a, u_a = run(5.0)
@@ -267,8 +269,9 @@ def test_criterion_08_cutoff_transparency_and_saturation():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffSaturatedWarning)
         for _ in range(20):
-            state, rep = step(state, params, gen)
-            chi_min = min(chi_min, rep.chi)
+            new, _ = step(state, params, draw(params, gen))
+            chi_min = min(chi_min, collocation(state, params).cut[1])
+            state = new
     assert chi_min < 1.0
     _report(8, f"R vs 2R trajectories identical; large data reaches chi = {chi_min:.3f} < 1")
 
@@ -392,12 +395,12 @@ def test_criterion_11_reproducibility_and_restart(tmp_path):
     state = data.build(grid, params, path_generator(params.noise.seed, 0, 1))
     gen = path_generator(params.noise.seed, 0)
     for i in range(25):
-        state, _ = step(state, params, gen)
+        state, _ = step(state, params, draw(params, gen))
         if i == 11:
             save_checkpoint(tmp_path / "mid.nsch", state, gen, params.m, params.n, params.noise.K)
     resumed, gen2, _ = load_checkpoint(tmp_path / "mid.nsch")
     for _ in range(13):
-        resumed, _ = step(resumed, params, gen2)
+        resumed, _ = step(resumed, params, draw(params, gen2))
     velocities = (collocation(state, params).u_hat, collocation(resumed, params).u_hat)
     for fa, fb in ((state.rho, resumed.rho), (state.w, resumed.w), velocities, (state.c, resumed.c)):
         assert np.array_equal(fa, fb)

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from increments import draw
 from ledger_reference import (
     forcing_values,
     reference_energies,
@@ -157,13 +158,14 @@ def test_noise_sums_per_step_bounded(monkeypatch):
 
 # the named blocks of each transform stack of a collocation record, in stack order
 RECORD_STACKS = {
-    "linear": ("u", "c", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress"),
+    "values": ("rho", "c"),
+    "linear": ("u", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress"),
     "products": ("mu", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r"),
     "resampled": ("mu_values", "grad_mu", "lap_mu", "momentum_values"),
     "second_products": ("lap_mu_over_rho", "momentum_flux"),
 }
 # the record's other fields
-RECORD_FIELDS = ("grid", "params", "rho", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "cut", "u_r",
+RECORD_FIELDS = ("grid", "params", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "cut", "u_r",
                  "free_energy_values", "sigma", "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals",
                  "transfer_rates")
 # the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
@@ -225,9 +227,9 @@ def test_free_energy_values_are_plain_attributes(monkeypatch):
         calls["d2"] = 0
         collocation(pre, params)
         assert calls["d2"] == d2_calls, params.noise.K  # the pre state's record
-        post, rep = step(pre, params, path_generator(params.noise.seed, 0))
+        post, noise_values = step(pre, params, draw(params, path_generator(params.noise.seed, 0)))
         assert calls["d2"] == 2 * d2_calls, params.noise.K  # and the post state's
-        energy_ledger_step(pre, post, rep, params)
+        energy_ledger_step(pre, post, noise_values, params)
         assert calls["d2"] == 2 * d2_calls, params.noise.K
 
 
@@ -240,9 +242,9 @@ def test_stepped_past_state_is_freed_by_reference_counts():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pre, _ = step(config.initial_state(), params, gen)
-        post, rep = step(pre, params, gen)
-        energy_ledger_step(pre, post, rep, params)
+        pre, _ = step(config.initial_state(), params, draw(params, gen))
+        post, noise_values = step(pre, params, draw(params, gen))
+        energy_ledger_step(pre, post, noise_values, params)
         _state_functionals(pre, params)
         ref = weakref.ref(pre)
         del pre
@@ -262,7 +264,7 @@ def test_record_of_a_state_at_the_floor_raises_at_its_time():
     assert built.value.t == 0.125 and built.value.min_rho == floor
     assert "_collocation" not in vars(state)
     with pytest.raises(PositivityError) as stepped:
-        step(state, params, path_generator(config.params.noise.seed, 0))
+        step(state, params, draw(params, path_generator(config.params.noise.seed, 0)))
     assert (stepped.value.t, str(stepped.value)) == (built.value.t, str(built.value))
 
 
@@ -290,17 +292,19 @@ def test_step_recovers_the_velocity_once_in_the_new_record(monkeypatch):
     state = config.initial_state()
     collocation(state, params)
     callers = recover_velocity_callers(monkeypatch)
-    new, rep = step(state, params, path_generator(params.noise.seed, 0))
+    new, _ = step(state, params, draw(params, path_generator(params.noise.seed, 0)))
     assert callers == [scheme.Collocation.__init__.__code__]
+    # the step's facts are the new record's: min rho from its density guard, the iterations of its one solve
     record = collocation(new, params)
-    assert (rep.min_rho, rep.gram_iterations) == (record.min_rho, record.gram_iterations)
+    assert record.min_rho == record.free_energy_values.min_rho == float(record.rho.min())
+    assert record.gram_iterations == scheme.recover_velocity(config.grid, new.rho, new.w, params.m, record.rho[0])[1]
 
 
 def test_load_checkpoint_transforms_and_solves_nothing(monkeypatch, fft_calls, tmp_path):
     config = default_config(1)
     params = config.params
     gen = path_generator(params.noise.seed, 0)
-    state, _ = step(config.initial_state(), params, gen)
+    state, _ = step(config.initial_state(), params, draw(params, gen))
     path = tmp_path / "chk.nsch"
     checkpoint.save_checkpoint(path, state, gen, params.m, params.n, params.noise.K)
     callers = recover_velocity_callers(monkeypatch)
@@ -364,22 +368,24 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
     assert (config.params.noise.K == 0) == name.startswith("silent")
     ens = EnsembleConfig(grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon)
     params = config.params
-    chain, reports, rows = [ens.initial_state()], [], []
+    chain, increments, rows = [ens.initial_state()], [], []
 
-    def keep(done, state, gen, rep, row):
+    def keep(done, state, gen, inc, row):
         chain.append(state)
-        reports.append(rep)
+        increments.append(inc)
         rows.append(row)
 
     result = run_trajectory(ens, 0, initial_state=chain[0], on_step=keep)
-    assert result.failure is None and len(reports) == steps
+    assert result.failure is None and len(increments) == steps
     assert result.residuals == [0.0] + [row.residual for row in rows]
 
     assert initial_ledger_row(chain[0], params) == EnergyLedger(*reference_energies(chain[0], params), *[0.0] * 10)
-    for i, rep in enumerate(reports):
-        expected = reference_ledger_row(chain[i], chain[i + 1], rep.increment, params)
+    for i, inc in enumerate(increments):
+        expected = reference_ledger_row(chain[i], chain[i + 1], inc, params)
         assert rows[i] == expected, f"step {i + 1}"
-        assert energy_ledger_step(chain[i], chain[i + 1], rep, params) == expected, f"step {i + 1}"
+        again, noise_values = step(chain[i], params, inc)  # the step is a function of (state, params, inc)
+        assert all(np.array_equal(getattr(again, f), getattr(chain[i + 1], f)) for f in ("rho", "w", "c"))
+        assert energy_ledger_step(chain[i], chain[i + 1], noise_values, params) == expected, f"step {i + 1}"
     for state in chain:
         assert _state_functionals(state, params) == reference_functionals(state, params), f"t = {state.t}"
     assert result.final_energy == sum(reference_energies(chain[-1], params)[:3])
@@ -398,8 +404,8 @@ def test_momentum_rhs_equals_per_flux_projection(name):
     for _ in range(3):
         expected = reference_momentum_rhs(state, params)
         assert np.array_equal(scheme.momentum_rhs(state, params), expected), f"t = {state.t}"
-        state, rep = step(state, params, gen)
-        assert (0.0 < rep.chi < 1.0) == name.startswith("cut-off")
+        assert (0.0 < collocation(state, params).cut[1] < 1.0) == name.startswith("cut-off")
+        state, _ = step(state, params, draw(params, gen))
 
 
 @pytest.mark.parametrize("name", ORACLE_CONFIGS)
@@ -408,7 +414,7 @@ def test_record_velocity_is_the_recovery_of_its_state(name):
     config = parse_config(ORACLE_CONFIGS[name])
     params = config.params
     state = config.initial.build(config.grid, params, path_generator(7, 0, stream=1))
-    stepped, _ = step(state, params, path_generator(7, 0))
+    stepped, _ = step(state, params, draw(params, path_generator(7, 0)))
     for s in (state, stepped):
         assert np.array_equal(collocation(s, params).u_hat, reference_velocity(s, params)), f"t = {s.t}"
 
@@ -418,9 +424,9 @@ def test_ledger_row_after_step_transforms_nothing(fft_calls):
     config = default_config(1)
     params = config.params
     pre = config.initial_state()
-    post, rep = step(pre, params, path_generator(config.params.noise.seed, 0))
+    post, noise_values = step(pre, params, draw(params, path_generator(config.params.noise.seed, 0)))
     before = fft_calls["n"]
-    energy_ledger_step(pre, post, rep, params)
+    energy_ledger_step(pre, post, noise_values, params)
     assert fft_calls["n"] - before == 0
 
 
@@ -430,25 +436,27 @@ def test_ledger_row_integrates_only_the_stochastic_transfer(monkeypatch, noisy):
     config = default_config(1)
     params = config.params if noisy else replace(config.params, noise=silent_noise(7))
     pre = config.initial_state()
-    post, rep = step(pre, params, path_generator(7, 0))
+    post, noise_values = step(pre, params, draw(params, path_generator(7, 0)))
     integrals = counted_at_every_binding_site(monkeypatch, ("integrate_rows", "integrate_values"))
-    energy_ledger_step(pre, post, rep, params)
+    energy_ledger_step(pre, post, noise_values, params)
     assert integrals == {"integrate_rows": 0, "integrate_values": int(noisy)}
 
 
 def test_gram_iterations_bounded(monkeypatch):
     # bound the CG path on the default 1D system too, which is small enough for the direct solve
     monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", 0)
-    iterations = []
-    run_trajectory(
-        default_config(20), 0, on_step=lambda done, state, gen, rep, row: iterations.append(rep.gram_iterations)
-    )
+    config, iterations = default_config(20), []
+
+    def keep(done, state, gen, inc, row):
+        iterations.append(collocation(state, config.params).gram_iterations)
+
+    run_trajectory(config, 0, on_step=keep)
     assert len(iterations) == 20 and max(iterations) <= MAX_GRAM_ITERATIONS
 
     config = parse_config("[grid]\ndim = 2\nmodes = 16\n\n[noise]\nseed = 7\n")
     state = config.initial.build(config.grid, config.params, path_generator(7, 0, stream=1))
-    _, rep = step(state, config.params, path_generator(7, 0))
-    assert rep.gram_iterations <= MAX_GRAM_ITERATIONS
+    new, _ = step(state, config.params, draw(config.params, path_generator(7, 0)))
+    assert collocation(new, config.params).gram_iterations <= MAX_GRAM_ITERATIONS
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -479,11 +487,11 @@ def test_stacked_fields_equal_separate_transforms(dim):
 
 def test_warm_ledger_rows_equal_cold_recomputation():
     config = default_config(30)
-    states, reports, rows = [], [], []
+    states, increments, rows = [], [], []
 
-    def keep(done, state, gen, rep, row):
+    def keep(done, state, gen, inc, row):
         states.append(state)
-        reports.append(rep)
+        increments.append(inc)
         rows.append(row)
 
     initial = config.initial_state()
@@ -493,11 +501,11 @@ def test_warm_ledger_rows_equal_cold_recomputation():
     params = config.params
     chain = [fresh(initial)] + [fresh(s) for s in states]
     assert initial_ledger_row(initial, params) == initial_ledger_row(fresh(initial), params)
-    for i, rep in enumerate(reports):
+    for i, inc in enumerate(increments):
         pre = fresh(chain[i])
         # the noise values too come from the cold record of the pre state
-        cold_rep = replace(rep, noise_values=noise_sum(collocation(pre, params).sigma, rep.increment, params.noise))
-        cold = energy_ledger_step(pre, fresh(chain[i + 1]), cold_rep, params)
+        noise_values = noise_sum(collocation(pre, params).sigma, inc, params.noise)
+        cold = energy_ledger_step(pre, fresh(chain[i + 1]), noise_values, params)
         assert rows[i] == cold, f"step {i + 1}"
 
 
@@ -512,11 +520,11 @@ def test_record_is_reused_per_params_and_read_only(rng):
     params = config.params
     rho_bar = scheme.mean_density(config.grid, state.rho)
     step_factors = scheme._step_factors(config.grid, params.dt, params.eps, rho_bar)
-    _, rep = step(state, params, rng)
+    _, noise_values = step(state, params, draw(params, rng))
     for values in (col.rho, col.u_hat, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
                    col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.rho_u_sq,
                    col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.momentum_flux,
-                   *step_factors, rep.noise_values):
+                   *step_factors, noise_values):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[...] = 0.0
@@ -528,7 +536,8 @@ def test_stepped_state_is_read_only(monkeypatch, size_rule):
     # writeable, also once pickled back from a pool worker
     monkeypatch.setattr(scheme, "DIRECT_GRAM_MAX_SIZE", size_rule)
     config = default_config(1)
-    state, _ = step(config.initial_state(), config.params, path_generator(config.params.noise.seed, 0))
+    params = config.params
+    state, _ = step(config.initial_state(), params, draw(params, path_generator(params.noise.seed, 0)))
     for copy in (state, pickle.loads(pickle.dumps(state))):
         for name in ("rho", "w", "c"):
             coeffs = getattr(copy, name)
@@ -596,15 +605,16 @@ def test_stochastic_transfer_integrates_the_noise_sum(name):
     config = parse_config(ORACLE_CONFIGS[name])
     params, grid, noise = config.params, config.grid, config.params.noise
     pre = config.initial.build(grid, params, path_generator(3, 0, stream=1))
-    post, rep = step(pre, params, path_generator(3, 0))
-    row = energy_ledger_step(pre, post, rep, params)
+    inc = draw(params, path_generator(3, 0))
+    post, noise_values = step(pre, params, inc)
+    row = energy_ledger_step(pre, post, noise_values, params)
 
     rv = to_physical(grid, pre.rho)[0]
     cv = to_physical(grid, pre.c)[0]
     base = rv * to_physical(grid, chemical_potential(grid, pre.rho, pre.c, params.fspec))[0]
-    assert row.stochastic_increment == integrate_values(grid, base * forcing_values(cv, rep.increment, noise))
+    assert row.stochastic_increment == integrate_values(grid, base * forcing_values(cv, inc, noise))
     per_mode = sum(
-        noise.alphas[i] * rep.increment.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
+        noise.alphas[i] * inc.dbeta[i] * integrate_values(grid, base * noise.family.value(k, cv))
         for i, k in enumerate(noise.modes)
     )
     assert row.stochastic_increment != 0.0
@@ -625,7 +635,7 @@ def test_sup_functionals_equal_coefficient_norms(name):
             norm_sq = coeff_norm(grid, coeffs) ** 2
             assert norm_sq > 0.0
             assert abs(sup[key] - norm_sq) <= 1e-13 * norm_sq, (key, sup[key], norm_sq)
-        state, _ = step(state, params, path_generator(3, 0))
+        state, _ = step(state, params, draw(params, path_generator(3, 0)))
 
 
 def test_initial_stats_do_not_share_the_record():

@@ -271,13 +271,13 @@ class TestCli:
 
         step = ensemble.step
 
-        def leaky(state, params, gen):
-            new, rep = step(state, params, gen)
+        def leaky(state, params, inc):
+            new, noise_values = step(state, params, inc)
             if new.t > 9.5e-4 and state.t < 9.5e-4:
                 coeffs = new.rho.copy()
                 coeffs[0, 0] *= 1.001
                 new = replace(new, rho=coeffs)
-            return new, rep
+            return new, noise_values
 
         monkeypatch.setattr(ensemble, "step", leaky)
         cfg = tmp_path / "run.cfg"
@@ -753,10 +753,10 @@ class TestCli:
 
         step = ensemble.step
 
-        def failing(state, params, gen):
+        def failing(state, params, inc):
             if state.t > 4.5e-4:
                 raise TimeStepError("stopped for the test")
-            return step(state, params, gen)
+            return step(state, params, inc)
 
         monkeypatch.setattr(ensemble, "step", failing)
         cfg = tmp_path / "run.cfg"

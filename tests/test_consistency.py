@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from coefficients import constant
+from increments import draw
 
 from nsch.config import parse_config
 from nsch.constitutive import FreeEnergySpec, ViscositySpec, ZeroFunction
@@ -51,9 +52,9 @@ class TestConcentrationMomentumResidual:
             gen = path_generator(31, 0)
             acc = np.zeros(len(self.phi_set(grid)))
             for _ in range(int(round(0.02 / dt))):
-                new, rep = step(state, params, gen)
+                new, noise_values = step(state, params, draw(params, gen))
                 for j, phi in enumerate(self.phi_set(grid)):
-                    acc[j] += concentration_momentum_residual(state, new, rep, params, phi)
+                    acc[j] += concentration_momentum_residual(state, new, noise_values, params, phi)
                 state = new
             totals[dt] = np.abs(acc)
         ratios = totals[2e-4] / totals[1e-4]
@@ -74,8 +75,8 @@ class TestConcentrationMomentumResidual:
             gen = path_generator(33, p)
             acc = 0.0
             for _ in range(steps):
-                new, rep = step(state, params, gen)
-                acc += concentration_momentum_residual(state, new, rep, params, phi)
+                new, noise_values = step(state, params, draw(params, gen))
+                acc += concentration_momentum_residual(state, new, noise_values, params, phi)
                 state = new
             totals[p] = acc
         se = np.std(totals, ddof=1) / np.sqrt(paths)
@@ -88,9 +89,9 @@ class TestConcentrationMomentumResidual:
         params = params_1d()
         data = InitialData(mass=grid.volume, rho_amp=0.15, u_amp=0.1, c_amp=0.3)
         state = data.build(grid, params, path_generator(35, 0, 1))
-        new, rep = step(state, params, path_generator(35, 0))
+        new, noise_values = step(state, params, draw(params, path_generator(35, 0)))
         phi = constant(grid, 1.0)
-        r = concentration_momentum_residual(state, new, rep, params, phi)
+        r = concentration_momentum_residual(state, new, noise_values, params, phi)
         from nsch.spectral import gradient, integrate_values
 
         # int rho c, exact from the zero mode of the dealiased product
@@ -107,10 +108,10 @@ class TestConcentrationMomentumResidual:
         params = params_1d()
         data = InitialData(mass=grid.volume, rho_amp=0.1, u_amp=0.1, c_amp=0.2)
         state = data.build(grid, params, path_generator(1, 0, 1))
-        new, rep = step(state, params, path_generator(1, 0))
+        new, noise_values = step(state, params, draw(params, path_generator(1, 0)))
         with pytest.raises(ValueError):
             vector = np.zeros((2 if grid.dim == 2 else 3,) + grid.band_shape, dtype=complex)
-            concentration_momentum_residual(state, new, rep, params, vector)
+            concentration_momentum_residual(state, new, noise_values, params, vector)
 
 
 class TestMomentumDecayOracles:
@@ -139,7 +140,7 @@ class TestMomentumDecayOracles:
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w0, c=constant(grid, 0.0))
         gen = path_generator(0, 0)
         for _ in range(int(round(t_final / dt))):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
 
         k = 1
         p_prime = fspec.a * fspec.gamma * (fspec.gamma - 1.0) + np.sqrt(eps) * params.alpha_exp
@@ -168,7 +169,7 @@ class TestMomentumDecayOracles:
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w0, c=constant(grid, 0.0))
         gen = path_generator(0, 0)
         for _ in range(int(round(t_final / dt))):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         got = coeff_norm(grid, collocation(state, params).u_hat) / coeff_norm(grid, u0)
         expect = np.exp(-(eps + nu_s) * t_final)
         assert abs(got - expect) / expect < 1e-3
@@ -182,7 +183,7 @@ class TestStateInvariants:
         state = data.build(grid, params, path_generator(44, 0, 1))
         gen = path_generator(44, 0)
         for _ in range(30):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
             resid = project(grid, multiply(grid, state.rho, collocation(state, params).u_hat), params.m) - state.w
             assert np.max(np.abs(resid)) <= 1e-10 * max(coeff_norm(grid, state.w), 1e-30)
 

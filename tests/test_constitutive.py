@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from coefficients import constant
 
 from nsch.constitutive import (
     DoubleWell,
@@ -13,7 +14,7 @@ from nsch.constitutive import (
     korteweg_values,
     stress,
 )
-from nsch.errors import PositivityError
+from nsch.errors import NonFiniteError, PositivityError
 from nsch.spectral import (
     TorusGrid,
     coeff_norm,
@@ -158,6 +159,22 @@ class TestFreeEnergy:
         spec = FreeEnergySpec()
         with pytest.raises(PositivityError):
             FreeEnergyValues(np.array([1e-9]), np.array([0.0]), spec)
+        assert FreeEnergyValues(np.array([2.0, 0.5]), np.array([0.0, 0.0]), spec).min_rho == 0.5
+
+    def test_nonfinite_rho_is_named_before_the_floor(self):
+        # NaN passes every ordered comparison, so the density guard names it first
+        spec = FreeEnergySpec()
+        with pytest.raises(NonFiniteError, match="^non-finite rho at t=0.25$"):
+            FreeEnergyValues(np.array([1.0, np.nan]), np.array([0.0, 0.0]), spec, t=0.25)
+        with pytest.raises(NonFiniteError, match="^non-finite rho$"):
+            FreeEnergyValues(np.array([1.0, -np.inf]), np.array([0.0, 0.0]), spec)
+
+    def test_chemical_potential_of_a_nan_density_raises(self):
+        grid = TorusGrid(dim=1, modes_per_dim=16)
+        rho = constant(grid, 1.0)
+        rho[0, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite rho"):
+            chemical_potential(grid, rho, constant(grid, 0.1), FreeEnergySpec())
 
 
 class TestPressure:

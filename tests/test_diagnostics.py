@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from coefficients import constant
+from increments import draw
 
 from nsch import diagnostics
 from nsch.config import parse_config
@@ -27,6 +28,7 @@ from nsch.diagnostics import (
     v15_functional,
     worst_relative_residual,
 )
+from nsch.errors import PositivityError
 from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState, collocation, step
 from nsch.spectral import (
@@ -61,8 +63,8 @@ def run_ledger(grid, params, steps, seed=20260809, state=None):
     rows = [initial_ledger_row(state, params)]
     gen = path_generator(seed, 0)
     for _ in range(steps):
-        new, rep = step(state, params, gen)
-        rows.append(energy_ledger_step(state, new, rep, params))
+        new, noise_values = step(state, params, draw(params, gen))
+        rows.append(energy_ledger_step(state, new, noise_values, params))
         state = new
     return rows, state
 
@@ -129,8 +131,8 @@ class TestEnergyLedger:
             w=constant(grid, 0.0),
             c=constant(grid, 0.2),
         )
-        new, rep = step(state, params, path_generator(0, 0))
-        row = energy_ledger_step(state, new, rep, params)
+        new, noise_values = step(state, params, draw(params, path_generator(0, 0)))
+        row = energy_ledger_step(state, new, noise_values, params)
         for name in LEDGER_COLUMNS:
             if name in ("kinetic", "free", "interface", "artificial"):
                 continue
@@ -192,7 +194,7 @@ class TestMass:
         m0 = mass(state)
         gen = path_generator(5, 0)
         for _ in range(200):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         assert mass(state) == m0
 
 
@@ -201,7 +203,7 @@ class TestRenormalizedResidual:
         grid = TorusGrid(dim=1, modes_per_dim=32)
         params = params_1d()
         state = smooth_state(grid, params)
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         r = renormalized_residual(state, new, params, lambda r: r, lambda r: np.ones_like(r))
         assert abs(r) < 1e-10
 
@@ -214,12 +216,23 @@ class TestRenormalizedResidual:
             gen = path_generator(0, 0)
             total = 0.0
             for _ in range(int(round(0.01 / dt))):
-                new, _ = step(state, params, gen)
+                new, _ = step(state, params, draw(params, gen))
                 total += renormalized_residual(state, new, params, lambda r: r**2, lambda r: 2 * r)
                 state = new
             res[dt] = abs(total)
         ratio = res[2e-4] / res[1e-4]
         assert 1.6 < ratio < 2.4
+
+    def test_post_state_below_the_floor_raises_at_its_time(self):
+        # the post state's record guards its density
+        grid = TorusGrid(dim=1, modes_per_dim=32)
+        params = params_1d()
+        state = smooth_state(grid, params)
+        (x,) = grid.mesh()
+        post = replace(state, t=params.dt, rho=to_spectral(grid, 1.0 + 0.999999999 * np.cos(x)))
+        with pytest.raises(PositivityError) as err:
+            renormalized_residual(state, post, params, lambda r: r, lambda r: np.ones_like(r))
+        assert err.value.t == params.dt
 
     def test_entropy_identity_per_step(self):
         # with b = rho log rho, the diffusion transfer identity
@@ -228,7 +241,7 @@ class TestRenormalizedResidual:
         grid = TorusGrid(dim=1, modes_per_dim=32)
         params = params_1d(dt=1e-4)
         state = smooth_state(grid, params)
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         from nsch.scheme import cutoff
         from nsch.spectral import divergence, gradient
 
@@ -479,6 +492,6 @@ class TestMomentAudit:
         worst = v0
         gen = path_generator(2, 0)
         for _ in range(100):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
             worst = max(worst, v15_functional(state, params))
         assert worst <= 10.0 * v0

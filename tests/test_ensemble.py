@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from increments import draw
 
 from nsch import ensemble, errors
 from nsch.config import parse_config
@@ -18,7 +19,7 @@ from nsch.ensemble import (
     sweep_trend_csv,
 )
 from nsch.errors import SchemeError
-from nsch.noise import geometric_noise, silent_noise
+from nsch.noise import geometric_noise, path_generator, silent_noise
 from nsch.scheme import ApproxParams, InitialData, SchemeState
 from nsch.spectral import TorusGrid, coeff_norm, project, to_physical, to_spectral
 
@@ -165,6 +166,22 @@ class TestWhatAPathKeeps:
         assert [args[0] for args in calls] == list(range(1, config.steps + 1))
         assert all(len(args) == 5 and type(args[4]) is EnergyLedger for args in calls)
 
+    def test_trajectory_draws_each_increment_from_its_path_stream(self):
+        # the loop owns the Brownian path: one draw per step from stream 0 of the path, the increment on_step sees
+        config = small_config(paths=3, horizon=1e-3)
+        seen = []
+
+        def keep(done, state, gen, inc, row):
+            seen.append((inc, gen.bit_generator.state))
+
+        run_trajectory(config, 2, on_step=keep)
+        own = path_generator(config.params.noise.seed, 2, stream=0)
+        assert len(seen) == config.steps
+        for inc, position in seen:
+            expected = draw(config.params, own)
+            assert inc.dt == config.params.dt and np.array_equal(inc.dbeta, expected.dbeta)
+            assert position == own.bit_generator.state
+
     def test_residuals_are_the_residual_column_of_the_rows(self):
         config = small_config(paths=8, horizon=1e-3)
         state0 = config.initial_state()
@@ -280,13 +297,14 @@ class TestSweep:
         from nsch.noise import path_generator
 
         config = small_config(paths=2, horizon=1e-3)
-        path0 = path_generator(config.params.noise.seed, 0, stream=0).bit_generator.state["state"]["inc"]
+        gen0 = path_generator(config.params.noise.seed, 0, stream=0)
+        path0 = {draw(config.params, gen0).dbeta.tobytes() for _ in range(config.steps)}
         step = ensemble.step
 
-        def failing(state, params, gen):
-            if params.eps == 1e-3 and state.t > 5e-4 and gen.bit_generator.state["state"]["inc"] == path0:
+        def failing(state, params, inc):
+            if params.eps == 1e-3 and state.t > 5e-4 and inc.dbeta.tobytes() in path0:
                 raise TimeStepError("path 0 stopped for the test")
-            return step(state, params, gen)
+            return step(state, params, inc)
 
         monkeypatch.setattr(ensemble, "step", failing)
         cells = sweep(config, "eps", [1e-2, 1e-3, 5e-3])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from increments import draw
 
 from nsch.constitutive import chemical_potential
 from nsch.diagnostics import energy_ledger_step
@@ -110,15 +111,16 @@ class TestItoConvention:
             gen = path_generator(55, p)
             acc_i = acc_m = 0.0
             for _ in range(steps):
-                new, rep = step(state, params, gen)
-                row = energy_ledger_step(state, new, rep, params)
+                inc = draw(params, gen)
+                new, noise_values = step(state, params, inc)
+                row = energy_ledger_step(state, new, noise_values, params)
                 rho_m = 0.5 * (state.rho + new.rho)
                 c_m = 0.5 * (state.c + new.c)
                 mu_m = chemical_potential(grid, rho_m, c_m, params.fspec)
                 rv, cv, muv = (to_physical(grid, f)[0] for f in (rho_m, c_m, mu_m))
                 stoch_mid = sum(
                     noise.alphas[i]
-                    * rep.increment.dbeta[i]
+                    * inc.dbeta[i]
                     * integrate_values(grid, rv * muv * noise.family.value(k, cv))
                     for i, k in enumerate(noise.modes)
                 )

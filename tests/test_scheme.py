@@ -1,15 +1,17 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from coefficients import constant
+from increments import draw
 
 from nsch import checkpoint, scheme
 from nsch.checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from nsch.constitutive import FreeEnergySpec, QuadraticWell, ZeroFunction
 from nsch.diagnostics import mass
 from nsch.errors import CheckpointError, GramSolveError, NonFiniteError, PositivityError, TimeStepError
-from nsch.noise import geometric_noise, noise_sum, path_generator, silent_noise
+from nsch.noise import WienerIncrement, geometric_noise, noise_sum, path_generator, sample_increment, silent_noise
 from nsch.scheme import (
     ApproxParams,
     InitialData,
@@ -110,7 +112,7 @@ class TestDensityUpdate:
             w=constant(grid, 0.0),
             c=constant(grid, 0.0),
         )
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         expected = rho / (1.0 + params.eps * params.dt * grid.k_squared)
         np.testing.assert_allclose(new.rho, expected, rtol=1e-15, atol=0.0)
 
@@ -123,14 +125,14 @@ class TestDensityUpdate:
         rho = constant(grid, 2.0)
         w = project(grid, multiply(grid, rho, u), params.m)
         state = SchemeState(t=0.0, grid=grid, rho=rho, w=w, c=constant(grid, 0.0))
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         assert np.max(np.abs(new.rho - rho)) < 1e-12
 
     def test_zero_mode_exactly_zero(self, rng):
         grid = grid16()
         params = small_params()
         state = generic_state(grid, params, rng)
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         assert new.rho[0][grid.zero_index] == state.rho[0][grid.zero_index]
 
 
@@ -235,8 +237,6 @@ class TestChDrift:
         grid = grid16()
         params = small_params(n=3, noise=geometric_noise(K=20, alpha0=0.3))
         state = generic_state(grid, params, rng)
-        from nsch.noise import sample_increment
-
         inc = sample_increment(params.dt, path_generator(0, 0), params.noise)
         sigma = collocation(state, params).sigma
         d = ch_diffusion(grid, noise_sum(sigma, inc, params.noise), params.n)
@@ -331,15 +331,41 @@ class TestRecoverVelocity:
 
 
 class TestStep:
+    def test_step_is_a_function_of_state_params_and_increment(self):
+        # the run loop draws the increments: the step draws no random numbers and reports nothing beside its
+        # noise values
+        assert list(inspect.signature(step).parameters) == ["state", "params", "inc"]
+        assert not hasattr(scheme, "sample_increment") and not hasattr(scheme, "StepReport")
+
+    def test_zero_increment_takes_the_silent_step(self, rng):
+        grid = grid16()
+        noisy = small_params(noise=geometric_noise(K=20, alpha0=0.3), dt=5e-5)
+        silent = replace(noisy, noise=silent_noise())
+        state = generic_state(grid, noisy, rng)
+        forced, noise_values = step(state, noisy, WienerIncrement(dt=noisy.dt, dbeta=np.zeros(20)))
+        assert collocation(state, noisy).sigma.any() and noise_values.shape == grid.pshape
+        assert not noise_values.any()
+        quiet, none = step(state, silent, sample_increment(silent.dt, path_generator(0, 0), silent.noise))
+        assert none is None
+        for name in ("rho", "w", "c"):
+            assert np.array_equal(getattr(forced, name), getattr(quiet, name)), name
+
+    def test_increment_over_another_dt_is_refused(self, rng):
+        params = small_params(noise=geometric_noise(K=20, alpha0=0.2), dt=5e-5)
+        state = generic_state(grid16(), params, rng)
+        inc = sample_increment(1e-4, path_generator(0, 0), params.noise)
+        with pytest.raises(ValueError, match=r"dt = 0\.0001, the step over dt = 5e-05"):
+            step(state, params, inc)
+
     def test_equilibrium_fixed_point(self):
         grid = grid16()
         params = small_params()
         state = rest_state(grid, params, rho0=1.2, c0=0.3)
-        new, report = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         assert coeff_norm(grid, new.rho - state.rho) < 1e-12
         assert coeff_norm(grid, new.c - state.c) < 1e-12
         assert coeff_norm(grid, collocation(new, params).u_hat) < 1e-12
-        assert report.chi == 1.0
+        assert collocation(state, params).cut[1] == 1.0
 
     def test_semi_implicit_matches_scalar_oracle(self):
         # frozen rho = 1, u = 0, linear free energy: one step of mode k is
@@ -358,7 +384,7 @@ class TestStep:
             w=constant(grid, 0.0),
             c=to_spectral(grid, np.cos(k * x)),
         )
-        new, _ = step(state, params, path_generator(0, 0))
+        new, _ = step(state, params, draw(params, path_generator(0, 0)))
         got = float(new.c[0, k].real) / float(state.c[0, k].real)
         scheme_factor = np.exp(-(k**4) * dt) * (1.0 - lam * k**2 * dt)
         exact = np.exp(-(lam * k**2 + k**4) * dt)
@@ -372,7 +398,7 @@ class TestStep:
         k0 = state.rho[0, 0]
         gen = path_generator(3, 0)
         for _ in range(50):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         assert state.rho[0, 0] == k0
         assert mass(state) == grid.volume * k0.real
 
@@ -382,7 +408,7 @@ class TestStep:
         state = generic_state(grid, params, rng)
         gen = path_generator(4, 0)
         for _ in range(10):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         u = collocation(state, params).u_hat
         assert np.array_equal(project(grid, u, params.m), u)
         assert np.array_equal(project(grid, state.c, params.n), state.c)
@@ -397,7 +423,7 @@ class TestStep:
             state = data.build(grid, params, path_generator(7, 0, 1))
             gen = path_generator(7, 0)
             for _ in range(25):
-                state, _ = step(state, params, gen)
+                state, _ = step(state, params, draw(params, gen))
             return state
 
         a, b = run(), run()
@@ -416,8 +442,9 @@ class TestStep:
             state = data.build(grid, params, path_generator(9, 0, 1))
             gen = path_generator(9, 0)
             for _ in range(20):
-                state, rep = step(state, params, gen)
-                assert rep.chi == 1.0
+                new, _ = step(state, params, draw(params, gen))
+                assert collocation(state, params).cut[1] == 1.0
+                state = new
             return state
 
         a, b = run(5.0), run(10.0)
@@ -441,14 +468,14 @@ class TestStep:
             # drive the minimum below the floor within a few steps
             gen = path_generator(0, 0)
             for _ in range(5):
-                state, _ = step(state, params, gen)
+                state, _ = step(state, params, draw(params, gen))
 
     def test_timestep_guard(self, rng):
         grid = grid16()
         params = small_params(dt=1.0)
         state = generic_state(grid, params, rng)
         with pytest.raises(TimeStepError):
-            step(state, params, path_generator(0, 0))
+            step(state, params, draw(params, path_generator(0, 0)))
 
     @pytest.mark.parametrize("field", ["rho", "c"])
     def test_nonfinite_state_is_reported_as_such(self, rng, field):
@@ -461,7 +488,7 @@ class TestStep:
         coeffs[0, 1] = np.nan
         state = replace(state, **{field: coeffs})
         with pytest.raises(NonFiniteError, match="non-finite"):
-            step(state, params, path_generator(0, 0))
+            step(state, params, draw(params, path_generator(0, 0)))
 
 
 class TestCheckpoint:
@@ -471,7 +498,7 @@ class TestCheckpoint:
         state = generic_state(grid, params, rng)
         gen = path_generator(11, 0)
         for _ in range(7):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         path = tmp_path / "state.nsch"
         save_checkpoint(path, state, gen, params.m, params.n, params.noise.K)
         loaded, gen2, meta = load_checkpoint(path)
@@ -492,14 +519,14 @@ class TestCheckpoint:
         gen = path_generator(13, 0)
         mid = None
         for i in range(20):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
             if i == 9:
                 save_checkpoint(tmp_path / "mid.nsch", state, gen, params.m, params.n, params.noise.K)
         full = state
 
         resumed, gen2, _ = load_checkpoint(tmp_path / "mid.nsch")
         for _ in range(10):
-            resumed, _ = step(resumed, params, gen2)
+            resumed, _ = step(resumed, params, draw(params, gen2))
         assert np.array_equal(resumed.rho, full.rho)
         assert np.array_equal(resumed.w, full.w)
         assert np.array_equal(collocation(resumed, params).u_hat, collocation(full, params).u_hat)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from increments import draw
 
 from nsch.diagnostics import holder_estimate
 from nsch.ensemble import EnsembleConfig, run_trajectory
@@ -28,7 +29,7 @@ class TestTwoDimensional:
         k0 = state.rho[0, grid.kmax, 0]
         gen = path_generator(42, 0)
         for _ in range(50):
-            state, _ = step(state, params, gen)
+            state, _ = step(state, params, draw(params, gen))
         assert state.rho[0, grid.kmax, 0] == k0
         u = collocation(state, params).u_hat
         assert np.array_equal(project(grid, u, params.m), u)
@@ -69,7 +70,7 @@ class TestTrajectoryAudits:
             for p in range(8):
                 snaps = [rho_c(config.initial_state())]
 
-                def on_step(done, state, gen, rep, row):
+                def on_step(done, state, gen, inc, row):
                     if done % stride == 0:
                         snaps.append(rho_c(state))
 
