@@ -168,11 +168,17 @@ class Collocation:
     coefficients ``u_hat`` from the density values and w, the one call of
     ``recover_velocity``, which counts ``gram_iterations``.  The remaining
     fields are transformed in stacks, one transform call per stack: the
-    other fields linear in the state, the pre-step products (kept as
-    coefficients, mu among them), mu with its derivatives and the dealiased
-    momentum, and the products of those (coefficients).  Each named field is
-    a read-only view of its stack.  f_cc and the table of sigma_k'(c) are
-    computed only for the Ito rates of a noisy record, which keeps neither.
+    other fields linear in the state, the products mu, rho u and rho [u]_R
+    (kept as coefficients), mu with its derivatives and the dealiased
+    momentum, and the two explicit tendencies (coefficients), each summed on
+    the grid before its transform: the concentration's ``drift``
+    (1/rho) Lap mu - [u]_R . grad c and the momentum's ``explicit_stress``
+    T = -(rho u) x [u]_R - chi (K + p_art I), flattened as i*N+j, with K the
+    Korteweg stress and p_art the pressure plus sqrt(eps) rho^alpha.  The
+    viscous stress stays on coefficients (``visc_stress_hat``), where it is
+    exact.  Each named field is a read-only view of its stack.  f_cc and the
+    table of sigma_k'(c) are computed only for the Ito rates of a noisy
+    record, which keeps neither.
 
     Every integral of the state comes from one row sum: ``energies``,
     ``artificial``, the read-only mapping ``sup_functionals`` (c_l2_sq,
@@ -213,25 +219,19 @@ class Collocation:
         self.grad_c_sq = _read_only((self.grad_c**2).sum(axis=0))
         # rho^alpha, shared by the artificial pressure and the artificial energy
         rho_alpha = self.rho[0] ** params.alpha_exp
-        products = [
-            values.chemical_potential(self.lap_c[0])[None],
-            self.rho * self.u,
-            (values.pressure + math.sqrt(params.eps) * rho_alpha)[None],
-            korteweg_values(self.grad_c, self.grad_c_sq),
-            (self.u_r * self.grad_c).sum(axis=0)[None],
-            self.rho * self.u_r,
-        ]
-        self.mu, self.momentum, self.art_pressure, self.korteweg, self.u_r_grad_c, self.rho_u_r = _stacked_spectra(
-            grid, products
-        )
+        products = [values.chemical_potential(self.lap_c[0])[None], self.rho * self.u, self.rho * self.u_r]
+        self.mu, self.momentum, self.rho_u_r = _stacked_spectra(grid, products)
 
         resampled = [self.mu, gradient(grid, self.mu), laplacian(grid, self.mu), self.momentum]
         self.mu_values, self.grad_mu, self.lap_mu, self.momentum_values = _stacked_values(grid, resampled)
 
-        mv = self.momentum_values
-        # flux component i*N+j is mv_i u_r_j
-        flux = (mv[:, None] * self.u_r[None]).reshape((len(mv) ** 2,) + mv.shape[1:])
-        self.lap_mu_over_rho, self.momentum_flux = _stacked_spectra(grid, [(self.lap_mu[0] / self.rho[0])[None], flux])
+        # the explicit tendencies, summed on the grid: the drift and the stress T, component i*N+j
+        mv, (_, chi) = self.momentum_values, self.cut
+        drift = self.lap_mu[0] / self.rho[0] - (self.u_r * self.grad_c).sum(axis=0)
+        capillary = korteweg_values(self.grad_c, self.grad_c_sq)
+        capillary[:: grid.dim + 1] += values.pressure + math.sqrt(params.eps) * rho_alpha
+        flux = (mv[:, None] * self.u_r[None]).reshape(capillary.shape)
+        self.drift, self.explicit_stress = _stacked_spectra(grid, [drift[None], -flux - chi * capillary])
 
         self.sigma = sigma_table(params.noise, self.c[0])
 
@@ -299,27 +299,20 @@ def cutoff(grid: TorusGrid, u: np.ndarray, R: float) -> tuple[np.ndarray, float]
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> np.ndarray:
-    """Right-hand side of the projected momentum equation, in the order-m space."""
+    """Explicit right-hand side P_m Div(T + S) of the projected momentum equation, in the order-m space.
+
+    T is the record's ``explicit_stress`` and S the viscous stress, added on
+    coefficients; the artificial diffusion eps Lap w is the step's implicit part.
+    """
     col = collocation(state, params)
-    grid = col.grid
-    _, chi = col.cut
-
-    # derivatives act mode by mode, so one projection of the sum gives, inside
-    # the band, the values of projecting each flux before differentiating it
-    transport = divergence(grid, col.momentum_flux)
-    press = gradient(grid, col.art_pressure)
-    visc = divergence(grid, col.visc_stress_hat)
-    capillary = divergence(grid, col.korteweg)
-    eps_diff = laplacian(grid, state.w)
-
-    coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
-    return project(grid, coeffs, params.m)
+    # derivatives act mode by mode, so one projection of the divergence gives, inside
+    # the band, the values of projecting each stress before differentiating it
+    return project(col.grid, divergence(col.grid, col.explicit_stress + col.visc_stress_hat), params.m)
 
 
 def ch_drift(state: SchemeState, params: ApproxParams) -> np.ndarray:
-    """P_n[(1/rho) Lap mu - [u]_R . grad c]."""
-    col = collocation(state, params)
-    return project(col.grid, col.lap_mu_over_rho - col.u_r_grad_c, params.n)
+    """P_n[(1/rho) Lap mu - [u]_R . grad c], the projection of the record's ``drift``."""
+    return project(state.grid, collocation(state, params).drift, params.n)
 
 
 def ch_diffusion(grid: TorusGrid, noise_values: np.ndarray | None, n: int) -> np.ndarray:
@@ -507,8 +500,7 @@ def step(state: SchemeState, params: ApproxParams, inc: WienerIncrement) -> tupl
             rho_new = fac * (state.rho + dt * -divergence(grid, col.rho_u_r))
 
             # momentum: implicit artificial diffusion, explicit remainder
-            w_expl = momentum_rhs(state, params) - params.eps * laplacian(grid, state.w)
-            w_new = fac * (state.w + dt * w_expl)
+            w_new = fac * (state.w + dt * momentum_rhs(state, params))
 
             # NaN passes every ordered comparison, so it is caught before the record's density guard
             bad = [name for name, a in (("rho", rho_new), ("w", w_new), ("c", c_new)) if not np.isfinite(a).all()]

@@ -227,6 +227,8 @@ def _check_components(grid: TorusGrid, coeffs: np.ndarray, ncomp: int, what: str
 
 def gradient(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Gradient d a_i / dx_j of a field of k components: k*N components, flattened as i*N+j."""
+    if coeffs.shape[-grid.dim - 1] == 1:
+        return grid._ik * coeffs  # one component broadcasts against the N rows of ik, with no reshape
     lead = coeffs.shape[: -grid.dim - 1]
     rows = coeffs.reshape(lead + (-1, 1) + grid.band_shape)
     return (grid._ik * rows).reshape(lead + (-1,) + grid.band_shape)

@@ -25,14 +25,17 @@ def grid2d():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Running counts of numpy.fft.rfftn and irfftn calls ("n") and of those that omit ``s`` or ``axes``."""
-    calls = {"n": 0, "shapeless": 0}
+    """Running counts of numpy.fft.rfftn and irfftn calls ("n"), of those that omit ``s`` or ``axes``, and of the
+    rows the forward calls transform ("forward_rows", the size of the axes in front of the transform axes)."""
+    calls = {"n": 0, "shapeless": 0, "forward_rows": 0}
     for name in ("rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
-        def counted(a, s=None, axes=None, *args, _original=original, **kwargs):
+        def counted(a, s=None, axes=None, *args, _original=original, _forward=name == "rfftn", **kwargs):
             calls["n"] += 1
             calls["shapeless"] += s is None or axes is None
+            if _forward:
+                calls["forward_rows"] += math.prod(np.shape(a)[: -len(axes)]) if axes else 1
             return _original(a, s, axes, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

@@ -6,14 +6,14 @@ terms from the one-field corrections and the stochastic transfer from a
 noise sum accumulated mode by mode.  The fused ledger and the record's
 functionals must equal these values exactly, not just closely.  The velocity
 is recovered from the state's (rho, w) by a Gram solve of its own.  The momentum
-right-hand side is recomputed with each flux projected before it is
-differentiated, which the single projection of the scheme must equal exactly
-too.
+right-hand side is recomputed with each flux transformed on its own and
+projected before it is differentiated; the scheme sums the fluxes on the
+grid and transforms them once, so the two agree to rounding.
 """
 
 import numpy as np
 
-from nsch.constitutive import FreeEnergyValues, chemical_potential, stress
+from nsch.constitutive import FreeEnergyValues, chemical_potential, korteweg_values, stress
 from nsch.diagnostics import EnergyLedger
 from nsch.noise import ito_grad_correction, ito_value_correction
 from nsch.scheme import collocation, recover_velocity
@@ -24,6 +24,7 @@ from nsch.spectral import (
     laplacian,
     project,
     to_physical,
+    to_spectral,
 )
 
 
@@ -115,14 +116,22 @@ def reference_functionals(state, params) -> dict[str, float]:
 
 
 def reference_momentum_rhs(state, params) -> np.ndarray:
-    """The projected momentum right-hand side, each flux projected to order m before its derivative."""
+    """The explicit projected momentum right-hand side, flux by flux.
+
+    The momentum flux, the artificial pressure and the Korteweg stress are
+    formed from the record's grid values and each transformed on its own,
+    then every flux is projected to order m before its derivative.
+    """
     col = collocation(state, params)
     grid, m = col.grid, params.m
     _, chi = col.cut
-    transport = divergence(grid, project(grid, col.momentum_flux, m))
-    press = gradient(grid, project(grid, col.art_pressure, m))
+    mv, n = col.momentum_values, grid.dim
+    flux = to_spectral(grid, (mv[:, None] * col.u_r[None]).reshape((n * n,) + grid.pshape))
+    pressure = col.free_energy_values.pressure + np.sqrt(params.eps) * col.rho[0] ** params.alpha_exp
+    art_pressure = to_spectral(grid, pressure)
+    korteweg = to_spectral(grid, korteweg_values(col.grad_c, np.sum(col.grad_c**2, axis=0)))
+    transport = divergence(grid, project(grid, flux, m))
+    press = gradient(grid, project(grid, art_pressure, m))
     visc = divergence(grid, project(grid, col.visc_stress_hat, m))
-    capillary = divergence(grid, project(grid, col.korteweg, m))
-    eps_diff = laplacian(grid, state.w)
-    coeffs = -transport - chi * press + params.eps * eps_diff + visc - chi * capillary
-    return project(grid, coeffs, m)
+    capillary = divergence(grid, project(grid, korteweg, m))
+    return project(grid, -transport - chi * press + visc - chi * capillary, m)

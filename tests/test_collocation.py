@@ -63,6 +63,13 @@ DEFAULT_NOISY = "[noise]\nseed = 7\n\n[run]\nhorizon = {horizon!r}\n"
 MAX_FFT_CALLS_PER_STEP = 6
 MAX_SHAPELESS_FFT_CALLS_PER_STEP = 0
 
+# rows of the forward transforms (numpy.fft.rfftn) per step, over the same
+# step + ledger row + sup functionals on DEFAULT_NOISY: the new state's
+# record sends mu, rho u and rho [u]_R in one stack and the two explicit
+# tendencies, the drift of c and the momentum stress, each summed on the grid,
+# in another; the noise sum takes one row.  Lower it, never raise it.
+MAX_FORWARD_ROWS_PER_STEP = 6
+
 # row sums per step (calls to integrate_rows and integrate_values) over the
 # same step + ledger row + sup functionals on DEFAULT_NOISY: one for the new
 # state's record (energies, sup functionals and transfer rates) and one for
@@ -139,6 +146,11 @@ def test_fft_calls_per_step_bounded(fft_calls):
     assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
 
 
+def test_forward_rows_per_step_bounded(fft_calls):
+    per_step = calls_per_step(default_config(20), fft_calls)
+    assert 0 < per_step["forward_rows"] <= MAX_FORWARD_ROWS_PER_STEP, per_step
+
+
 def test_row_sums_per_step_bounded(monkeypatch):
     calls = counted_at_every_binding_site(monkeypatch, ("integrate_rows", "integrate_values"))
     noisy = default_config(20)
@@ -159,9 +171,9 @@ def test_noise_sums_per_step_bounded(monkeypatch):
 RECORD_STACKS = {
     "values": ("rho", "c"),
     "linear": ("u", "grad_c", "lap_c", "grad_rho", "grad_u", "visc_stress"),
-    "products": ("mu", "momentum", "art_pressure", "korteweg", "u_r_grad_c", "rho_u_r"),
+    "products": ("mu", "momentum", "rho_u_r"),
     "resampled": ("mu_values", "grad_mu", "lap_mu", "momentum_values"),
-    "second_products": ("lap_mu_over_rho", "momentum_flux"),
+    "tendencies": ("drift", "explicit_stress"),
 }
 # the record's other fields
 RECORD_FIELDS = ("grid", "params", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "cut", "u_r",
@@ -391,6 +403,11 @@ def test_ledger_rows_and_functionals_equal_field_by_field_values(name):
     assert result.final_artificial == reference_energies(chain[-1], params)[3]
 
 
+# relative bound, against max |reference|, on the momentum right-hand side: the
+# errors are 1.3e-15 to 7.0e-15 on the three configurations below
+MOMENTUM_RHS_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("name", ["noisy-1d-32", "noisy-2d-16", "cut-off-1d-32"])
 def test_momentum_rhs_equals_per_flux_projection(name):
     config = parse_config(ORACLE_CONFIGS[name.replace("cut-off", "noisy")])
@@ -401,8 +418,11 @@ def test_momentum_rhs_equals_per_flux_projection(name):
         params = replace(params, R=0.5 * coeff_norm(config.grid, collocation(state, params).u_hat))
     gen = path_generator(7, 0)
     for _ in range(3):
+        # the scheme sums the stresses on the grid before their one transform, the
+        # reference transforms each flux on its own: they agree to rounding
         expected = reference_momentum_rhs(state, params)
-        assert np.array_equal(scheme.momentum_rhs(state, params), expected), f"t = {state.t}"
+        error = np.max(np.abs(scheme.momentum_rhs(state, params) - expected))
+        assert error <= MOMENTUM_RHS_RTOL * np.max(np.abs(expected)), f"t = {state.t}"
         assert (0.0 < collocation(state, params).cut[1] < 1.0) == name.startswith("cut-off")
         state, _ = step(state, params, draw(params, gen))
 
@@ -522,7 +542,7 @@ def test_record_is_reused_per_params_and_read_only(rng):
     _, noise_values = step(state, params, draw(params, rng))
     for values in (col.rho, col.u_hat, col.u, col.c, col.grad_c, col.lap_c, col.grad_rho, col.grad_u, col.visc_stress,
                    col.u_r, col.mu_values, col.grad_mu, col.lap_mu, col.sigma, col.rho_u_sq,
-                   col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.momentum_flux,
+                   col.grad_c_sq, col.visc_stress_hat, col.momentum, col.rho_u_r, col.drift, col.explicit_stress,
                    *step_factors, noise_values):
         assert not values.flags.writeable
         with pytest.raises(ValueError):

@@ -153,19 +153,15 @@ class TestMomentumRhs:
         assert coeff_norm(grid, u) > params.R + 1.0
         rhs = momentum_rhs(state, params)
         # compare against the explicitly assembled chi = 0 form: only
-        # transport, artificial diffusion and viscous stress survive
+        # transport and viscous stress survive
         from nsch.constitutive import stress
-        from nsch.spectral import divergence, gradient, laplacian, outer
+        from nsch.spectral import divergence, gradient, outer
 
         u_r, chi = cutoff(grid, u, params.R)
         assert chi == 0.0
         momentum = multiply(grid, state.rho, u)
         transport = divergence(grid, project(grid, outer(grid, momentum, u_r), params.m))
-        expect = (
-            -transport
-            + params.eps * laplacian(grid, state.w)
-            + divergence(grid, project(grid, stress(grid, gradient(grid, u), params.visc), params.m))
-        )
+        expect = -transport + divergence(grid, project(grid, stress(grid, gradient(grid, u), params.visc), params.m))
         assert np.max(np.abs(rhs - expect)) < 1e-13
 
     def test_capillary_term_hand_value(self):
