@@ -70,7 +70,7 @@ def _run_outputs(config: EnsembleConfig, on_row, on_file):
     """
     params = config.params
     state0 = config.initial_state()
-    on_row(0, initial_ledger_row(state0, params))  # first: the record's density guard precedes any file
+    on_row(0, initial_ledger_row(state0, params))  # first: the record's density and overflow guards precede any file
     on_file("chk_00000000.nsch", state0, path_generator(params.noise.seed, 0, stream=0))
     last = [state0, None]
 
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemeError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {exc.kind}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

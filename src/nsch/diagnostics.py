@@ -154,8 +154,7 @@ def renormalized_residual(pre: SchemeState, post: SchemeState, params: ApproxPar
     rv0 = a.rho[0]
     rv1 = collocation(post, params).rho[0]
     dt = post.t - pre.t
-    u_r, _ = a.cut
-    div_u = to_physical(grid, divergence(grid, u_r))[0]
+    div_u = to_physical(grid, divergence(grid, a.chi * a.u_hat))[0]
     lap_rho = to_physical(grid, laplacian(grid, pre.rho))[0]
     d_b = integrate_values(grid, b(rv1) - b(rv0))
     defect = integrate_values(grid, (db(rv0) * rv0 - b(rv0)) * div_u)

@@ -90,7 +90,6 @@ class TrajectoryResult:
     path_index: int
     residuals: list[float]  # ledger residual per row, row 0 (always 0.0) included
     sup_stats: dict[str, float]
-    initial_stats: dict[str, float]
     final_energy: float
     final_artificial: float
     failure: dict | None
@@ -123,8 +122,7 @@ def run_trajectory(
     gen = path_generator(params.noise.seed, path_index, stream=0)
 
     residuals = [0.0]
-    stats0 = _state_functionals(state, params)
-    sup = dict(stats0)
+    sup = _state_functionals(state, params)
 
     failure = None
     chi_min = 1.0
@@ -143,7 +141,7 @@ def run_trajectory(
             }
             break
         row = energy_ledger_step(state, new, noise_values, params)
-        _, chi = collocation(state, params).cut
+        chi = collocation(state, params).chi
         residuals.append(row.residual)
         state = new
         done = i + 1
@@ -167,7 +165,6 @@ def run_trajectory(
         path_index=path_index,
         residuals=residuals,
         sup_stats=sup,
-        initial_stats=stats0,
         final_energy=float(sum(final.energies)) if failure is None else float("nan"),
         final_artificial=final.artificial if failure is None else float("nan"),
         failure=failure,
@@ -251,6 +248,8 @@ def _one_path(args) -> TrajectoryResult:
 def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryResult]]:
     """Run the ensemble and aggregate; results come in path order, from the pool as from the serial loop."""
     state0 = config.initial_state()
+    # the bases of the bound ratios; the serial loop reuses this record, the pool's workers build their own
+    init0 = collocation(state0, config.params).sup_functionals
     jobs = [(config, i, state0) for i in range(config.paths)]
     if config.workers > 1 and config.paths > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only by the runs that use it
@@ -276,7 +275,6 @@ def run_paths(config: EnsembleConfig) -> tuple[EnsembleReport, list[TrajectoryRe
         vals = np.array([r.sup_stats[name] for r in survivors])
         stats[f"sup_{name}"] = _moment_summary(vals, config.betas)
 
-    init0 = survivors[0].initial_stats
     bound_ratios = {}
     for name in SUP_STATS:
         base = max(init0[name], 1e-30)

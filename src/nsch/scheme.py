@@ -60,7 +60,6 @@ __all__ = [
     "Collocation",
     "collocation",
     "smoothstep",
-    "cutoff",
     "momentum_rhs",
     "ch_drift",
     "ch_diffusion",
@@ -166,12 +165,14 @@ class Collocation:
     ``params.fspec.rho_floor`` (PositivityError), both at the state's time,
     and keeps ``min_rho``.  Only then does it recover the velocity
     coefficients ``u_hat`` from the density values and w, the one call of
-    ``recover_velocity``, which counts ``gram_iterations``.  The remaining
-    fields are transformed in stacks, one transform call per stack: the
-    other fields linear in the state, the products mu, rho u and rho [u]_R
-    (kept as coefficients), mu with its derivatives and the dealiased
-    momentum, and the two explicit tendencies (coefficients), each summed on
-    the grid before its transform: the concentration's ``drift``
+    ``recover_velocity``, which counts ``gram_iterations``.  The cut-off
+    factor ``chi`` = smoothstep(||u|| - R) is one scalar, so the cut-off
+    velocity [u]_R is ``u_r`` = chi u on the grid, with no transform of its
+    own.  The remaining fields are transformed in stacks, one transform call
+    per stack: the other fields linear in the state, the products mu, rho u
+    and rho [u]_R (kept as coefficients), mu with its derivatives and the
+    dealiased momentum, and the two explicit tendencies (coefficients), each
+    summed on the grid before its transform: the concentration's ``drift``
     (1/rho) Lap mu - [u]_R . grad c and the momentum's ``explicit_stress``
     T = -(rho u) x [u]_R - chi (K + p_art I), flattened as i*N+j, with K the
     Korteweg stress and p_art the pressure plus sqrt(eps) rho^alpha.  The
@@ -210,10 +211,9 @@ class Collocation:
         ]
         self.u, self.grad_c, self.lap_c, self.grad_rho, self.grad_u, self.visc_stress = _stacked_values(grid, linear)
 
-        # coefficients of [u]_R and the cut-off factor chi
-        self.cut = cutoff(grid, self.u_hat, params.R)
-        u_r, _ = self.cut
-        self.u_r = self.u if u_r is self.u_hat else _read_only(to_physical(grid, u_r))
+        # the cut-off factor chi and [u]_R = chi u on the grid
+        self.chi = smoothstep(coeff_norm(grid, self.u_hat) - params.R)
+        self.u_r = _read_only(self.chi * self.u)
 
         # |grad c|^2, shared by the capillary stress and the interface energy
         self.grad_c_sq = _read_only((self.grad_c**2).sum(axis=0))
@@ -226,12 +226,11 @@ class Collocation:
         self.mu_values, self.grad_mu, self.lap_mu, self.momentum_values = _stacked_values(grid, resampled)
 
         # the explicit tendencies, summed on the grid: the drift and the stress T, component i*N+j
-        mv, (_, chi) = self.momentum_values, self.cut
         drift = self.lap_mu[0] / self.rho[0] - (self.u_r * self.grad_c).sum(axis=0)
         capillary = korteweg_values(self.grad_c, self.grad_c_sq)
         capillary[:: grid.dim + 1] += values.pressure + math.sqrt(params.eps) * rho_alpha
-        flux = (mv[:, None] * self.u_r[None]).reshape(capillary.shape)
-        self.drift, self.explicit_stress = _stacked_spectra(grid, [drift[None], -flux - chi * capillary])
+        flux = (self.momentum_values[:, None] * self.u_r[None]).reshape(capillary.shape)
+        self.drift, self.explicit_stress = _stacked_spectra(grid, [drift[None], -flux - self.chi * capillary])
 
         self.sigma = sigma_table(params.noise, self.c[0])
 
@@ -267,11 +266,17 @@ def collocation(state: SchemeState, params: ApproxParams) -> Collocation:
     """The collocation record of ``state`` under ``params``.
 
     A record is kept on the state and reused while ``params`` is the object
-    it was built with.
+    it was built with.  It is built under ``np.errstate(over="raise")``, so
+    a state whose values overflow fails as an ``InstabilityError`` at its
+    time (no arithmetic changes), before anything reads its record.
     """
     record = state.__dict__.get("_collocation")
     if record is None or record.params is not params:
-        record = Collocation(state, params)
+        try:
+            with np.errstate(over="raise"):
+                record = Collocation(state, params)
+        except FloatingPointError as exc:
+            raise InstabilityError(f"{exc} at t={state.t:.6g}") from None
         object.__setattr__(state, "_collocation", record)
     return record
 
@@ -288,14 +293,6 @@ def smoothstep(r: float) -> float:
     if r >= 1.0:
         return 0.0
     return 1.0 - r**3 * (10.0 - 15.0 * r + 6.0 * r**2)
-
-
-def cutoff(grid: TorusGrid, u: np.ndarray, R: float) -> tuple[np.ndarray, float]:
-    """[u]_R = chi(||u|| - R) u with the smoothstep profile; ``u`` itself when chi = 1."""
-    chi = smoothstep(coeff_norm(grid, u) - R)
-    if chi == 1.0:
-        return u, 1.0
-    return chi * u, chi
 
 
 def momentum_rhs(state: SchemeState, params: ApproxParams) -> np.ndarray:
@@ -474,9 +471,10 @@ def step(state: SchemeState, params: ApproxParams, inc: WienerIncrement) -> tupl
 
     Returns the new state and the read-only grid values of the noise sum sum_k alpha_k dbeta_k sigma_k(c) at
     the pre state that forced c, for the ledger (None without noise).  The cut-off factor is the pre record's
-    ``cut``; min rho and the Gram iterations are the new record's.  A non-finite state, positivity loss, a
-    stability violation or overflow raise their ``SchemeError``: the step and the new state's record raise
-    on floating-point overflow (no arithmetic changes), so an overflow fails as an ``InstabilityError``.
+    ``chi``; min rho and the Gram iterations are the new record's.  A non-finite state, positivity loss, a
+    stability violation or overflow raise their ``SchemeError``: the step's own arithmetic raises on
+    floating-point overflow (no arithmetic changes), as ``collocation`` does for each record, so an overflow
+    fails as an ``InstabilityError``.
     """
     grid = state.grid
     dt = params.dt

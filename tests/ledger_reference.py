@@ -124,7 +124,7 @@ def reference_momentum_rhs(state, params) -> np.ndarray:
     """
     col = collocation(state, params)
     grid, m = col.grid, params.m
-    _, chi = col.cut
+    chi = col.chi
     mv, n = col.momentum_values, grid.dim
     flux = to_spectral(grid, (mv[:, None] * col.u_r[None]).reshape((n * n,) + grid.pshape))
     pressure = col.free_energy_values.pressure + np.sqrt(params.eps) * col.rho[0] ** params.alpha_exp

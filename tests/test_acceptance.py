@@ -252,7 +252,7 @@ def test_criterion_08_cutoff_transparency_and_saturation():
         chi_min = 1.0
         for _ in range(50):
             new, _ = step(state, params, draw(params, gen))
-            chi_min = min(chi_min, collocation(state, params).cut[1])
+            chi_min = min(chi_min, collocation(state, params).chi)
             state = new
         return state, chi_min, collocation(state, params).u_hat
 
@@ -271,7 +271,7 @@ def test_criterion_08_cutoff_transparency_and_saturation():
         warnings.simplefilter("ignore", CutoffSaturatedWarning)
         for _ in range(20):
             new, _ = step(state, params, draw(params, gen))
-            chi_min = min(chi_min, collocation(state, params).cut[1])
+            chi_min = min(chi_min, collocation(state, params).chi)
             state = new
     assert chi_min < 1.0
     _report(8, f"R vs 2R trajectories identical; large data reaches chi = {chi_min:.3f} < 1")

@@ -104,8 +104,12 @@ MAX_WHERE_CALLS_PER_STEP = 4
 MAX_GRAM_ITERATIONS = 4
 
 
-def default_config(steps: int) -> EnsembleConfig:
-    config = parse_config(DEFAULT_NOISY.format(horizon=steps * 1e-5))
+# DEFAULT_NOISY with the velocity cut-off engaged, chi < 1, on every step
+CUT_OFF = "\n[scheme]\nR = 0.01\n"
+
+
+def default_config(steps: int, extra: str = "") -> EnsembleConfig:
+    config = parse_config(DEFAULT_NOISY.format(horizon=steps * 1e-5) + extra)
     assert config.grid == TorusGrid(dim=1, modes_per_dim=32) and config.params.noise.K == 20
     return EnsembleConfig(
         grid=config.grid, params=config.params, initial=config.initial, paths=1, horizon=config.horizon
@@ -141,9 +145,15 @@ def counted_at_every_binding_site(monkeypatch, names) -> dict:
 
 
 def test_fft_calls_per_step_bounded(fft_calls):
-    per_step = calls_per_step(default_config(20), fft_calls)
-    assert 0 < per_step["n"] <= MAX_FFT_CALLS_PER_STEP, per_step
-    assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, per_step
+    # the record forms [u]_R = chi u on the grid, so an engaged cut-off costs no transform
+    for extra in ("", CUT_OFF):
+        config = default_config(20, extra)
+        chis = []
+        run_trajectory(config, 0, on_step=lambda done, state, *_: chis.append(collocation(state, config.params).chi))
+        assert (max(chis) < 1.0) == (extra == CUT_OFF), chis
+        per_step = calls_per_step(config, fft_calls)
+        assert 0 < per_step["n"] <= MAX_FFT_CALLS_PER_STEP, (extra, per_step)
+        assert per_step["shapeless"] <= MAX_SHAPELESS_FFT_CALLS_PER_STEP, (extra, per_step)
 
 
 def test_forward_rows_per_step_bounded(fft_calls):
@@ -176,7 +186,7 @@ RECORD_STACKS = {
     "tendencies": ("drift", "explicit_stress"),
 }
 # the record's other fields
-RECORD_FIELDS = ("grid", "params", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "cut", "u_r",
+RECORD_FIELDS = ("grid", "params", "min_rho", "u_hat", "gram_iterations", "visc_stress_hat", "chi", "u_r",
                  "free_energy_values", "sigma", "rho_u_sq", "grad_c_sq", "energies", "artificial", "sup_functionals",
                  "transfer_rates")
 # the values a FreeEnergyValues computes on construction: log rho, the profiles H, H', fc, fc', f, p and the partials
@@ -423,7 +433,7 @@ def test_momentum_rhs_equals_per_flux_projection(name):
         expected = reference_momentum_rhs(state, params)
         error = np.max(np.abs(scheme.momentum_rhs(state, params) - expected))
         assert error <= MOMENTUM_RHS_RTOL * np.max(np.abs(expected)), f"t = {state.t}"
-        assert (0.0 < collocation(state, params).cut[1] < 1.0) == name.startswith("cut-off")
+        assert (0.0 < collocation(state, params).chi < 1.0) == name.startswith("cut-off")
         state, _ = step(state, params, draw(params, gen))
 
 
@@ -547,6 +557,9 @@ def test_record_is_reused_per_params_and_read_only(rng):
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[...] = 0.0
+    # the ensemble reads its bound-ratio bases from this mapping, so no reader can change them
+    with pytest.raises(TypeError):
+        col.sup_functionals["v15"] = 0.0
 
 
 @pytest.mark.parametrize("size_rule", [10**9, 0], ids=["direct", "cg"])
@@ -655,15 +668,3 @@ def test_sup_functionals_equal_coefficient_norms(name):
             assert norm_sq > 0.0
             assert abs(sup[key] - norm_sq) <= 1e-13 * norm_sq, (key, sup[key], norm_sq)
         state, _ = step(state, params, draw(params, path_generator(3, 0)))
-
-
-def test_initial_stats_do_not_share_the_record():
-    config = default_config(1)
-    state = config.initial_state()
-    record = collocation(state, config.params).sup_functionals
-    with pytest.raises(TypeError):
-        record["v15"] = 0.0
-    result = run_trajectory(config, 0, initial_state=state)
-    assert result.initial_stats == dict(record)
-    result.initial_stats["v15"] = -1.0
-    assert record["v15"] != -1.0

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,30 @@ alpha0 = 0.2
 horizon = 2e-3
 snapshot_stride = 10
 paths = 8
+"""
+
+# a 2D/32 configuration whose initial density, up to about 1.7, overflows rho^gamma
+OVERFLOWING_INITIAL_STATE = """
+[grid]
+dim = 2
+modes = 32
+
+[scheme]
+eps = 0.0015767841395302427
+cfl = 1e9
+
+[free_energy]
+gamma = 1540.584589670339
+
+[viscosity]
+shear = 0.0021623138612282444
+
+[initial]
+rho_amp = 0.7263807490143512
+c_amp = 0.10001009314023777
+
+[run]
+horizon = 4e-5
 """
 
 
@@ -144,6 +169,19 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
         assert "density positivity lost at t=0: min rho = 0.9" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.cfg"]
+
+    @pytest.mark.parametrize("runtime_warnings", ["default", "error"])
+    def test_initial_overflow_fails_as_instability_at_t0(self, tmp_path, capsys, runtime_warnings):
+        # rho^gamma overflows on the initial grid: the record's overflow guard fails the run
+        # before any ledger row or checkpoint, whether or not numerical warnings are errors
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(OVERFLOWING_INITIAL_STATE)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter(runtime_warnings, RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime failure: instability: overflow encountered in power at t=0\n"
         assert sorted(p.name for p in out.iterdir()) == ["config.cfg"]
 
     def test_missing_config_file(self, capsys):

@@ -19,7 +19,6 @@ from nsch.scheme import (
     ch_diffusion,
     ch_drift,
     collocation,
-    cutoff,
     momentum_rhs,
     recover_velocity,
     smoothstep,
@@ -60,6 +59,11 @@ def generic_state(grid, params, rng, rho_amp=0.1, u_amp=0.1, c_amp=0.2):
     return data.build(grid, params, rng)
 
 
+def velocity_state(grid, params, u):
+    """A state of unit density and zero concentration whose record recovers the velocity P_m u."""
+    return SchemeState(t=0.0, grid=grid, rho=constant(grid, 1.0), w=project(grid, u, params.m), c=constant(grid, 0.0))
+
+
 class TestCutoff:
     def test_profile_endpoints(self):
         assert smoothstep(-1.0) == 1.0
@@ -71,19 +75,19 @@ class TestCutoff:
     def test_below_radius_is_identity(self, rng):
         grid = grid16()
         u = random_band_limited(grid, rng, ncomp=1, band=3, amplitude=0.3)
-        R = 2.0 * coeff_norm(grid, u)
-        out, chi = cutoff(grid, u, R)
-        assert chi == 1.0
-        assert np.array_equal(out, u)
+        params = small_params(R=2.0 * coeff_norm(grid, u))
+        col = collocation(velocity_state(grid, params, u), params)
+        assert col.chi == 1.0
+        assert np.array_equal(col.u_r, col.u)
 
     def test_beyond_radius_plus_one_vanishes(self, rng):
         grid = grid16()
         u = random_band_limited(grid, rng, ncomp=1, band=3, amplitude=5.0)
-        R = coeff_norm(grid, u) - 2.0
-        assert R > 0
-        out, chi = cutoff(grid, u, R)
-        assert chi == 0.0
-        assert coeff_norm(grid, out) == 0.0
+        params = small_params(R=coeff_norm(grid, u) - 2.0)
+        assert params.R > 0
+        col = collocation(velocity_state(grid, params, u), params)
+        assert col.chi == 0.0
+        assert not col.u_r.any()
 
     def test_transition_monotone(self, rng):
         grid = grid16()
@@ -91,8 +95,10 @@ class TestCutoff:
         nrm = coeff_norm(grid, u)
         chis = []
         for offset in (0.25, 0.5, 0.75):
-            _, chi = cutoff(grid, u, nrm - offset)
-            chis.append(chi)
+            params = small_params(R=nrm - offset)
+            col = collocation(velocity_state(grid, params, u), params)
+            assert np.array_equal(col.u_r, col.chi * col.u)
+            chis.append(col.chi)
         assert 0 < chis[2] < chis[1] < chis[0] < 1
 
 
@@ -157,10 +163,10 @@ class TestMomentumRhs:
         from nsch.constitutive import stress
         from nsch.spectral import divergence, gradient, outer
 
-        u_r, chi = cutoff(grid, u, params.R)
+        chi = collocation(state, params).chi
         assert chi == 0.0
         momentum = multiply(grid, state.rho, u)
-        transport = divergence(grid, project(grid, outer(grid, momentum, u_r), params.m))
+        transport = divergence(grid, project(grid, outer(grid, momentum, chi * u), params.m))
         expect = -transport + divergence(grid, project(grid, stress(grid, gradient(grid, u), params.visc), params.m))
         assert np.max(np.abs(rhs - expect)) < 1e-13
 
@@ -361,7 +367,7 @@ class TestStep:
         assert coeff_norm(grid, new.rho - state.rho) < 1e-12
         assert coeff_norm(grid, new.c - state.c) < 1e-12
         assert coeff_norm(grid, collocation(new, params).u_hat) < 1e-12
-        assert collocation(state, params).cut[1] == 1.0
+        assert collocation(state, params).chi == 1.0
 
     def test_semi_implicit_matches_scalar_oracle(self):
         # frozen rho = 1, u = 0, linear free energy: one step of mode k is
@@ -439,7 +445,7 @@ class TestStep:
             gen = path_generator(9, 0)
             for _ in range(20):
                 new, _ = step(state, params, draw(params, gen))
-                assert collocation(state, params).cut[1] == 1.0
+                assert collocation(state, params).chi == 1.0
                 state = new
             return state
 
